@@ -1,11 +1,11 @@
 """Command-line driver: validate inputs, run the estimation grid, simulate.
 
 Configuration comes from flags, optionally backed by a plain key=value file
-(--config); flags override file values. All outputs are written atomically
-(write to a temp file, then rename), so an interrupted run never leaves a
-truncated export. Estimation cells (window, mode, polarity) are independent;
-a worker pool sized by --threads runs them, and results are emitted in sorted
-cell order so output bytes do not depend on the thread count.
+(--config); flags override file values, and a bad value in either exits 2
+before any input is read. Every output goes through the atomic writers in
+``csvio``, so an interrupted run never leaves a truncated export. Estimation
+cells (window, mode, polarity) run in sorted order, and no file is written
+until every cell has been assembled.
 """
 
 from __future__ import annotations
@@ -13,56 +13,35 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
-import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import graph, market, panel, regress, report, sentiment, sim
+from .csvio import atomic_write_text
 from .errors import LoadError
 from .firms import load_firms
 
 DEFAULT_WINDOWS = (1, 2, 3, 4, 5, 30, 180, 365)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_emit(path: Path, write: Callable[[Path], None]) -> None:
-    """Run a writer against a temp path, then rename over the target."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        write(Path(tmp))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+class UsageError(Exception):
+    """A flag or config-file value no command can start with; exits 2 like argparse."""
 
 
 def read_config_file(path) -> dict[str, str]:
     """Parse a plain key=value file; '#' starts a comment, blank lines skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read --config {path}: {exc.strerror}") from None
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}: expected key=value, got {raw!r}")
+            raise UsageError(f"{path}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -75,6 +54,26 @@ def _parse_windows(text: str) -> list[int]:
     if len(set(windows)) != len(windows):
         raise ValueError(f"windows must be distinct, got {text!r}")
     return windows
+
+
+def _parse_names(text: str, allowed: tuple[str, ...]) -> list[str]:
+    names = [part.strip() for part in text.split(",")]
+    for name in names:
+        if name not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"{name!r} in {text!r} is not one of {','.join(allowed)}"
+            )
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"duplicate entry in {text!r}")
+    return names
+
+
+def _parse_modes(text: str) -> list[str]:
+    return _parse_names(text, panel.MODES)
+
+
+def _parse_polarities(text: str) -> list[str]:
+    return _parse_names(text, panel.POLARITIES)
 
 
 def _parse_bool(text: str) -> bool:
@@ -91,9 +90,12 @@ def _merge(args: argparse.Namespace, file_values: dict[str, str], key: str, pars
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in file_values:
+    if key not in file_values:
+        return None
+    try:
         return parse(file_values[key])
-    return None
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"--config {key} = {file_values[key]!r}: {exc}") from None
 
 
 def _load_bundle(paths: dict[str, str], strict: bool):
@@ -101,24 +103,24 @@ def _load_bundle(paths: dict[str, str], strict: bool):
     lines = []
     total_rejected = 0
 
-    firms, rej = load_firms(paths["firms"], strict=False)
+    firms, rej = load_firms(paths["firms"])
     lines.append(f"firms: {len(firms)} accepted, {len(rej)} rejected")
     lines += [f"  firms {r}" for r in rej]
     total_rejected += len(rej)
 
-    prices, rej = market.load_prices(paths["prices"], strict=False)
+    prices, rej = market.load_prices(paths["prices"])
     n_quotes = sum(len(s) for s in prices.values())
     lines.append(f"prices: {len(prices)} series / {n_quotes} quotes accepted, {len(rej)} rejected")
     lines += [f"  prices {r}" for r in rej]
     total_rejected += len(rej)
 
-    indices, rej = market.load_indices(paths["indices"], strict=False)
+    indices, rej = market.load_indices(paths["indices"])
     n_quotes = sum(len(s) for s in indices.values())
     lines.append(f"indices: {len(indices)} series / {n_quotes} quotes accepted, {len(rej)} rejected")
     lines += [f"  indices {r}" for r in rej]
     total_rejected += len(rej)
 
-    news, rej = sentiment.load_news(paths["news"], strict=False)
+    news, rej = sentiment.load_news(paths["news"])
     lines.append(f"news: {len(news)} events accepted, {len(rej)} rejected")
     lines += [f"  news {r}" for r in rej]
     total_rejected += len(rej)
@@ -145,7 +147,7 @@ def _bundle_paths(args, file_values) -> dict[str, str]:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     file_values = read_config_file(args.config) if args.config else {}
-    strict = args.strict or _parse_bool(file_values.get("strict", "false"))
+    strict = bool(_merge(args, file_values, "strict", _parse_bool))
     try:
         paths = _bundle_paths(args, file_values)
         _, lines, rejected = _load_bundle(paths, strict=False)
@@ -162,15 +164,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     file_values = read_config_file(args.config) if args.config else {}
-    strict = args.strict or _parse_bool(file_values.get("strict", "false"))
-    robust = args.robust_se or _parse_bool(file_values.get("robust_se", "false"))
-    export_panel = args.export_panel or _parse_bool(file_values.get("export_panel", "false"))
-    threads = _merge(args, file_values, "threads", int) or 1
+    strict = bool(_merge(args, file_values, "strict", _parse_bool))
+    robust = bool(_merge(args, file_values, "robust_se", _parse_bool))
+    export_panel = bool(_merge(args, file_values, "export_panel", _parse_bool))
+    _merge(args, file_values, "threads", int)  # accepted and ignored for one release
     windows = _merge(args, file_values, "windows", _parse_windows) or list(DEFAULT_WINDOWS)
-    modes = [m.strip() for m in (_merge(args, file_values, "mode") or "own").split(",") if m.strip()]
-    polarities = [
-        p.strip() for p in (_merge(args, file_values, "polarity") or "positive").split(",") if p.strip()
-    ]
+    modes = _merge(args, file_values, "mode", _parse_modes) or ["own"]
+    polarities = _merge(args, file_values, "polarity", _parse_polarities) or ["positive"]
     outdir = Path(_merge(args, file_values, "out") or "out")
 
     try:
@@ -181,64 +181,41 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     cells = sorted((m, p, w) for m in modes for p in polarities for w in windows)
-
-    def run_cell(cell):
-        mode, polarity, w = cell
-        built = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
-        result = regress.fit(built, robust=robust)
-        return built, result
-
     fits = {}
-    failures = {}
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        for cell, outcome in zip(cells, pool.map(lambda c: _guard(run_cell, c), cells)):
-            if isinstance(outcome, Exception):
-                failures[cell] = outcome
-            else:
-                fits[cell] = outcome
-
     for cell in cells:
         mode, polarity, w = cell
-        if cell in failures:
-            print(f"cell mode={mode} polarity={polarity} w={w}: ERROR {failures[cell]}")
-        else:
-            built, result = fits[cell]
-            print(
-                f"cell mode={mode} polarity={polarity} w={w}: "
-                f"n_obs={result.n_obs} diff={result.diff:.6g} p={result.diff_p:.3g}"
-            )
-            if export_panel:
-                atomic_emit(
-                    outdir / f"panel_{mode}_{polarity}_w{w}.csv",
-                    lambda p, built=built: panel.write_panel(built, p),
-                )
-
-    results = [fits[cell][1] for cell in cells if cell in fits]
-    if results:
-        atomic_emit(outdir / "fits.csv", lambda p: regress.write_fits(results, p))
-        atomic_emit(
-            outdir / "effects.csv",
-            lambda p: report.write_effects(report.effect_plot_data(results), p),
+        try:
+            built = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
+            result = regress.fit(built, robust=robust)
+        except Exception as exc:  # cell failures are reported, not fatal
+            print(f"cell mode={mode} polarity={polarity} w={w}: ERROR {exc}")
+            continue
+        fits[cell] = built, result
+        print(
+            f"cell mode={mode} polarity={polarity} w={w}: "
+            f"n_obs={result.n_obs} diff={result.diff:.6g} p={result.diff_p:.3g}"
         )
+
+    if export_panel:
+        for (mode, polarity, w), (built, _) in fits.items():
+            panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
+    results = [result for _, result in fits.values()]
+    if results:
+        regress.write_fits(results, outdir / "fits.csv")
+        report.write_effects(report.effect_plot_data(results), outdir / "effects.csv")
         sections = []
-        for mode in sorted(set(modes)):
-            for polarity in sorted(set(polarities)):
+        for mode in sorted(modes):
+            for polarity in sorted(polarities):
                 group = [r for r in results if r.mode == mode and r.polarity == polarity]
                 if group:
                     sections.append(report.coefficient_table(group))
         atomic_write_text(outdir / "table.txt", "\n".join(sections))
 
-    if failures:
-        print(f"{len(failures)} of {len(cells)} cells failed", file=sys.stderr)
+    failed = len(cells) - len(fits)
+    if failed:
+        print(f"{failed} of {len(cells)} cells failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _guard(fn, arg):
-    try:
-        return fn(arg)
-    except Exception as exc:  # cell failures are reported, not fatal
-        return exc
 
 
 _SIM_FIELD_PARSERS = {
@@ -287,10 +264,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
     paths = bundle.write(outdir)
-    atomic_emit(
-        outdir / "expected_betas.csv",
-        lambda p: sim.write_expected_betas(config, windows, p),
-    )
+    sim.write_expected_betas(config, windows, outdir / "expected_betas.csv")
     for name in sim.BUNDLE_FILES:
         print(f"wrote {paths[name]}")
     print(f"wrote {outdir / 'expected_betas.csv'}")
@@ -312,38 +286,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--news", help="news sentiment CSV")
         p.add_argument("--edges", help="supply-chain edge list CSV")
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--strict", action="store_true", help="fail on any rejected row")
+        p.add_argument("--strict", action="store_true", default=None,
+                       help="fail on any rejected row")
 
     p_validate = sub.add_parser("validate", help="check every input file against its schema")
     add_bundle_flags(p_validate)
-    p_validate.set_defaults(func=cmd_validate)
+    p_validate.set_defaults(func=cmd_validate, usage_error=p_validate.error)
 
     p_run = sub.add_parser("run", help="build panels, fit every cell, write reports")
     add_bundle_flags(p_run)
-    p_run.add_argument("--mode", help="comma list of own,supplier,client (default own)")
-    p_run.add_argument("--polarity", help="comma list of positive,negative (default positive)")
+    p_run.add_argument("--mode", type=_parse_modes,
+                       help="comma list of own,supplier,client (default own)")
+    p_run.add_argument("--polarity", type=_parse_polarities,
+                       help="comma list of positive,negative (default positive)")
     p_run.add_argument("--windows", type=_parse_windows, help="comma list of window days")
     p_run.add_argument("--out", help="output directory (default ./out)")
-    p_run.add_argument("--robust-se", dest="robust_se", action="store_true",
+    p_run.add_argument("--robust-se", dest="robust_se", action="store_true", default=None,
                        help="HC1 covariance instead of homoskedastic")
-    p_run.add_argument("--export-panel", dest="export_panel", action="store_true",
+    p_run.add_argument("--export-panel", dest="export_panel", action="store_true", default=None,
                        help="also write one panel CSV per cell")
-    p_run.add_argument("--threads", type=int, help="worker cap for estimation cells")
-    p_run.set_defaults(func=cmd_run)
+    p_run.add_argument("--threads", type=int, help="ignored; accepted for one more release")
+    p_run.set_defaults(func=cmd_run, usage_error=p_run.error)
 
     p_sim = sub.add_parser("simulate", help="emit a synthetic bundle with known effects")
     p_sim.add_argument("--config", help="key=value simulation parameters")
     p_sim.add_argument("--seed", type=int, help="override the config seed")
     p_sim.add_argument("--windows", type=_parse_windows, help="windows for the expected-beta sidecar")
     p_sim.add_argument("--out", help="output directory (default ./out)")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, usage_error=p_sim.error)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        args.usage_error(str(exc))  # exits 2
 
 
 if __name__ == "__main__":

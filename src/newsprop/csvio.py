@@ -1,0 +1,71 @@
+"""The file formats in one place: header-checked CSV reading, the date
+parser, and the atomic writer every output file goes through.
+
+A writer writes a temp file beside its target and renames it over the target,
+so an interrupted write never leaves a truncated file. The temp file is made
+by ``open()``, so outputs get the same permission bits as any file the process
+creates. Floats are written with 12 significant digits (``.12g``), every other
+value with ``str``.
+"""
+
+from __future__ import annotations
+
+import csv
+import datetime as dt
+import os
+import secrets
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence, TextIO
+
+from .errors import LoadError
+
+
+def read_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Check the header, then yield ``(row number, fields)`` per data row.
+
+    Row numbers count data rows from 1; the header is row 0. Raises LoadError
+    when the file is empty or its header is not ``header``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        head = next(reader, None)
+        if head is None or tuple(h.strip() for h in head) != header:
+            raise LoadError(f"{path}: expected header {','.join(header)}")
+        yield from enumerate(reader, start=1)
+
+
+def parse_date(text: str) -> dt.date:
+    # timestamps finer than a date are truncated; the daily grid cannot resolve them
+    return dt.date.fromisoformat(text.strip()[:10])
+
+
+@contextmanager
+def _replacing(path) -> Iterator[TextIO]:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Atomically write a CSV file: ``header``, then one line per row."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [format(v, ".12g") if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Atomically write ``text`` to ``path``."""
+    with _replacing(path) as fh:
+        fh.write(text)

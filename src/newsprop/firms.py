@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LoadError, RowRejection
+from .csvio import read_rows
+from .errors import RowRejection
 
 FIRM_HEADER = ("firm_id", "market_id", "sector_code", "country")
 
@@ -37,7 +37,7 @@ class FirmRegistry:
         return set(self._records)
 
 
-def load_firms(path, strict: bool = False) -> tuple[FirmRegistry, list[RowRejection]]:
+def load_firms(path) -> tuple[FirmRegistry, list[RowRejection]]:
     """Load a registry file (header ``firm_id,market_id,sector_code,country``).
 
     market_id and sector_code may be empty (the panel skips such firms with an
@@ -45,23 +45,16 @@ def load_firms(path, strict: bool = False) -> tuple[FirmRegistry, list[RowReject
     """
     records: dict[str, FirmRecord] = {}
     rejections: list[RowRejection] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None or tuple(h.strip() for h in head) != FIRM_HEADER:
-            raise LoadError(f"{path}: expected header {','.join(FIRM_HEADER)}")
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 4:
-                rejections.append(RowRejection(i, "wrong column count"))
-                continue
-            firm_id, market_id, sector_code, country = (field.strip() for field in row)
-            if not firm_id:
-                rejections.append(RowRejection(i, "empty firm_id"))
-                continue
-            if firm_id in records:
-                rejections.append(RowRejection(i, f"duplicate firm_id {firm_id}"))
-                continue
-            records[firm_id] = FirmRecord(firm_id, market_id, sector_code, country)
-    if strict and rejections:
-        raise LoadError(f"{path}: {len(rejections)} rejected rows; first: {rejections[0]}")
+    for i, row in read_rows(path, FIRM_HEADER):
+        if len(row) != 4:
+            rejections.append(RowRejection(i, "wrong column count"))
+            continue
+        firm_id, market_id, sector_code, country = (field.strip() for field in row)
+        if not firm_id:
+            rejections.append(RowRejection(i, "empty firm_id"))
+            continue
+        if firm_id in records:
+            rejections.append(RowRejection(i, f"duplicate firm_id {firm_id}"))
+            continue
+        records[firm_id] = FirmRecord(firm_id, market_id, sector_code, country)
     return FirmRegistry(records), rejections

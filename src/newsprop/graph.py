@@ -12,10 +12,10 @@ otherwise to the most recent earlier snapshot (``snapshot_year_at_or_before``).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .csvio import read_rows
 from .errors import LoadError, NoSnapshotError
 
 EDGE_HEADER = ("year", "supplier_id", "client_id")
@@ -144,24 +144,19 @@ def load_edges(path) -> SupplyChainNetwork:
     the whole file with its data-row number.
     """
     per_year: dict[int, set[tuple[str, str]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != EDGE_HEADER:
-            raise LoadError(f"{path}: expected header {','.join(EDGE_HEADER)}")
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                raise LoadError(f"{path}: wrong column count at row {i}")
-            year_text, supplier, client = (field.strip() for field in row)
-            try:
-                year = int(year_text)
-            except ValueError:
-                raise LoadError(f"{path}: bad year {year_text!r} at row {i}") from None
-            if not supplier or not client:
-                raise LoadError(f"{path}: empty firm id at row {i}")
-            if supplier == client:
-                raise LoadError(f"{path}: self-loop at row {i}")
-            per_year.setdefault(year, set()).add((supplier, client))
+    for i, row in read_rows(path, EDGE_HEADER):
+        if len(row) != 3:
+            raise LoadError(f"{path}: wrong column count at row {i}")
+        year_text, supplier, client = (field.strip() for field in row)
+        try:
+            year = int(year_text)
+        except ValueError:
+            raise LoadError(f"{path}: bad year {year_text!r} at row {i}") from None
+        if not supplier or not client:
+            raise LoadError(f"{path}: empty firm id at row {i}")
+        if supplier == client:
+            raise LoadError(f"{path}: self-loop at row {i}")
+        per_year.setdefault(year, set()).add((supplier, client))
     return SupplyChainNetwork(
         {year: SupplyChainSnapshot.from_edges(year, edges) for year, edges in per_year.items()}
     )

@@ -22,7 +22,6 @@ functions and safe to call from any number of threads.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AnchorOutOfRangeError, LoadError, RowRejection
+from .csvio import parse_date, read_rows
+from .errors import AnchorOutOfRangeError, RowRejection
 
 PRE = "pre"
 POST = "post"
@@ -131,11 +131,6 @@ def market_control(
     return _block_change(index.values, p, w, period)
 
 
-def _parse_date(text: str) -> dt.date:
-    # timestamps finer than a date are truncated; the daily grid cannot resolve them
-    return dt.date.fromisoformat(text.strip()[:10])
-
-
 def _load_dated_values(path, header: tuple[str, str, str]):
     """Shared loader for the price and index schemas.
 
@@ -144,37 +139,32 @@ def _load_dated_values(path, header: tuple[str, str, str]):
     """
     by_id: dict[str, dict[dt.date, float]] = {}
     rejections: list[RowRejection] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None or tuple(h.strip() for h in head) != header:
-            raise LoadError(f"{path}: expected header {','.join(header)}")
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                rejections.append(RowRejection(i, "wrong column count"))
-                continue
-            ident, date_text, value_text = (field.strip() for field in row)
-            if not ident:
-                rejections.append(RowRejection(i, f"empty {header[0]}"))
-                continue
-            try:
-                date = _parse_date(date_text)
-            except ValueError:
-                rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
-                continue
-            try:
-                value = float(value_text)
-            except ValueError:
-                rejections.append(RowRejection(i, f"malformed {header[2]} {value_text!r}"))
-                continue
-            if not math.isfinite(value) or value <= 0.0:
-                rejections.append(RowRejection(i, f"nonpositive {header[2]} {value_text!r}"))
-                continue
-            series = by_id.setdefault(ident, {})
-            if date in series:
-                rejections.append(RowRejection(i, f"duplicate ({ident}, {date.isoformat()})"))
-                continue
-            series[date] = value
+    for i, row in read_rows(path, header):
+        if len(row) != 3:
+            rejections.append(RowRejection(i, "wrong column count"))
+            continue
+        ident, date_text, value_text = (field.strip() for field in row)
+        if not ident:
+            rejections.append(RowRejection(i, f"empty {header[0]}"))
+            continue
+        try:
+            date = parse_date(date_text)
+        except ValueError:
+            rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
+            continue
+        try:
+            value = float(value_text)
+        except ValueError:
+            rejections.append(RowRejection(i, f"malformed {header[2]} {value_text!r}"))
+            continue
+        if not math.isfinite(value) or value <= 0.0:
+            rejections.append(RowRejection(i, f"nonpositive {header[2]} {value_text!r}"))
+            continue
+        series = by_id.setdefault(ident, {})
+        if date in series:
+            rejections.append(RowRejection(i, f"duplicate ({ident}, {date.isoformat()})"))
+            continue
+        series[date] = value
     return by_id, rejections
 
 
@@ -186,11 +176,9 @@ def _as_arrays(points: dict[dt.date, float]) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def load_prices(path, strict: bool = False) -> tuple[dict[str, PriceSeries], list[RowRejection]]:
+def load_prices(path) -> tuple[dict[str, PriceSeries], list[RowRejection]]:
     """Load a price file (header ``firm_id,date,close``) into per-firm series."""
     by_id, rejections = _load_dated_values(path, PRICE_HEADER)
-    if strict and rejections:
-        raise LoadError(f"{path}: {len(rejections)} rejected rows; first: {rejections[0]}")
     store = {}
     for firm_id, points in by_id.items():
         dates, closes = _as_arrays(points)
@@ -198,11 +186,9 @@ def load_prices(path, strict: bool = False) -> tuple[dict[str, PriceSeries], lis
     return store, rejections
 
 
-def load_indices(path, strict: bool = False) -> tuple[dict[str, IndexSeries], list[RowRejection]]:
+def load_indices(path) -> tuple[dict[str, IndexSeries], list[RowRejection]]:
     """Load an index file (header ``market_id,date,value``) into per-market series."""
     by_id, rejections = _load_dated_values(path, INDEX_HEADER)
-    if strict and rejections:
-        raise LoadError(f"{path}: {len(rejections)} rejected rows; first: {rejections[0]}")
     store = {}
     for market_id, points in by_id.items():
         dates, values = _as_arrays(points)

@@ -20,12 +20,12 @@ parallelize trivially; output order is fixed by sorting on
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import market
+from .csvio import write_rows
 from .errors import AnchorOutOfRangeError
 from .firms import FirmRegistry
 from .graph import SupplyChainNetwork
@@ -212,20 +212,7 @@ def panel_summary(panel: Panel) -> PanelSummary:
 
 def write_panel(panel: Panel, path) -> None:
     """Export observations in the panel CSV schema."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_HEADER)
-        for o in panel.observations:
-            writer.writerow(
-                [
-                    o.firm_id,
-                    o.news_id,
-                    o.w,
-                    o.period,
-                    format(o.y, ".12g"),
-                    format(o.news_value, ".12g"),
-                    format(o.market_x, ".12g"),
-                    o.sector,
-                    o.market,
-                ]
-            )
+    write_rows(path, PANEL_HEADER, (
+        (o.firm_id, o.news_id, o.w, o.period, o.y, o.news_value, o.market_x, o.sector, o.market)
+        for o in panel.observations
+    ))

@@ -16,13 +16,13 @@ opt-in HC1 heteroskedasticity-robust covariance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 from scipy import linalg, stats
 
+from .csvio import write_rows
 from .errors import (
     CollinearError,
     DegenerateVarianceError,
@@ -246,25 +246,8 @@ def diff_test(result: FitResult) -> DiffTest:
 
 def write_fits(results: Sequence[FitResult], path) -> None:
     """Export fit rows, one line per estimated cell."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIT_HEADER)
-        for r in results:
-            writer.writerow(
-                [
-                    r.mode,
-                    r.polarity,
-                    r.w,
-                    format(r.beta_pre, ".12g"),
-                    format(r.se_pre, ".12g"),
-                    format(r.beta_post, ".12g"),
-                    format(r.se_post, ".12g"),
-                    format(r.beta_x, ".12g"),
-                    format(r.se_x, ".12g"),
-                    format(r.diff, ".12g"),
-                    format(r.diff_se, ".12g"),
-                    format(r.diff_t, ".12g"),
-                    format(r.diff_p, ".12g"),
-                    r.n_obs,
-                ]
-            )
+    write_rows(path, FIT_HEADER, (
+        (r.mode, r.polarity, r.w, r.beta_pre, r.se_pre, r.beta_post, r.se_post, r.beta_x,
+         r.se_x, r.diff, r.diff_se, r.diff_t, r.diff_p, r.n_obs)
+        for r in results
+    ))

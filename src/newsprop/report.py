@@ -3,11 +3,11 @@ histograms. Output is plotting data, not rendered images."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from .csvio import write_rows
 from .errors import BadBinError, DuplicateFitError
 from .regress import FitResult
 
@@ -58,21 +58,9 @@ def effect_plot_data(fits: Sequence[FitResult]) -> list[EffectPlotRow]:
 
 
 def write_effects(rows: Sequence[EffectPlotRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EFFECTS_HEADER)
-        for r in rows:
-            writer.writerow(
-                (
-                    r.mode,
-                    r.polarity,
-                    r.w,
-                    r.x,
-                    format(r.beta, ".12g"),
-                    format(r.ci_lo, ".12g"),
-                    format(r.ci_hi, ".12g"),
-                )
-            )
+    write_rows(path, EFFECTS_HEADER, (
+        (r.mode, r.polarity, r.w, r.x, r.beta, r.ci_lo, r.ci_hi) for r in rows
+    ))
 
 
 def sci_notation(value: float) -> str:
@@ -148,8 +136,4 @@ def histogram(
 
 
 def write_histogram(bins: Sequence[tuple[Union[int, float], int]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HIST_HEADER)
-        for b, count in bins:
-            writer.writerow((format(b, ".12g") if isinstance(b, float) else b, count))
+    write_rows(path, HIST_HEADER, bins)

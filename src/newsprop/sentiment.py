@@ -8,13 +8,13 @@ stored renormalized so they sum to exactly 1.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import LoadError, RowRejection
+from .csvio import parse_date, read_rows
+from .errors import RowRejection
 
 NEWS_HEADER = ("news_id", "date", "firm_id", "p_pos", "p_neu", "p_neg")
 
@@ -80,64 +80,57 @@ def _validate_triple(p_pos: float, p_neu: float, p_neg: float) -> Optional[str]:
     return None
 
 
-def load_news(path, strict: bool = False) -> tuple[NewsStore, list[RowRejection]]:
+def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
     """Load a news file (header ``news_id,date,firm_id,p_pos,p_neu,p_neg``).
 
     One row per (article, mentioned firm); rows of the same news_id must
     carry the same date and the same probability triple. Invalid rows are
-    collected and reported, not fatal, unless ``strict`` is set.
+    collected and reported, not fatal.
     """
     rejections: list[RowRejection] = []
     pending: dict[str, dict] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None or tuple(h.strip() for h in head) != NEWS_HEADER:
-            raise LoadError(f"{path}: expected header {','.join(NEWS_HEADER)}")
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 6:
-                rejections.append(RowRejection(i, "wrong column count"))
-                continue
-            news_id, date_text, firm_id, *prob_text = (field.strip() for field in row)
-            if not news_id or not firm_id:
-                rejections.append(RowRejection(i, "empty news_id or firm_id"))
-                continue
-            try:
-                date = dt.date.fromisoformat(date_text[:10])
-            except ValueError:
-                rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
-                continue
-            try:
-                p_pos, p_neu, p_neg = (float(t) for t in prob_text)
-            except ValueError:
-                rejections.append(RowRejection(i, "malformed probability"))
-                continue
-            problem = _validate_triple(p_pos, p_neu, p_neg)
-            if problem is not None:
-                rejections.append(RowRejection(i, problem))
-                continue
-            entry = pending.get(news_id)
-            if entry is None:
-                pending[news_id] = {
-                    "date": date,
-                    "triple": (p_pos, p_neu, p_neg),
-                    "mentions": {firm_id},
-                }
-                continue
-            if date != entry["date"]:
-                rejections.append(RowRejection(i, f"inconsistent date for news_id {news_id}"))
-                continue
-            if any(abs(a - b) > REPEAT_TOL for a, b in zip((p_pos, p_neu, p_neg), entry["triple"])):
-                rejections.append(
-                    RowRejection(i, f"inconsistent probabilities for news_id {news_id}")
-                )
-                continue
-            if firm_id in entry["mentions"]:
-                rejections.append(RowRejection(i, f"duplicate mention of {firm_id}"))
-                continue
-            entry["mentions"].add(firm_id)
-    if strict and rejections:
-        raise LoadError(f"{path}: {len(rejections)} rejected rows; first: {rejections[0]}")
+    for i, row in read_rows(path, NEWS_HEADER):
+        if len(row) != 6:
+            rejections.append(RowRejection(i, "wrong column count"))
+            continue
+        news_id, date_text, firm_id, *prob_text = (field.strip() for field in row)
+        if not news_id or not firm_id:
+            rejections.append(RowRejection(i, "empty news_id or firm_id"))
+            continue
+        try:
+            date = parse_date(date_text)
+        except ValueError:
+            rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
+            continue
+        try:
+            p_pos, p_neu, p_neg = (float(t) for t in prob_text)
+        except ValueError:
+            rejections.append(RowRejection(i, "malformed probability"))
+            continue
+        problem = _validate_triple(p_pos, p_neu, p_neg)
+        if problem is not None:
+            rejections.append(RowRejection(i, problem))
+            continue
+        entry = pending.get(news_id)
+        if entry is None:
+            pending[news_id] = {
+                "date": date,
+                "triple": (p_pos, p_neu, p_neg),
+                "mentions": {firm_id},
+            }
+            continue
+        if date != entry["date"]:
+            rejections.append(RowRejection(i, f"inconsistent date for news_id {news_id}"))
+            continue
+        if any(abs(a - b) > REPEAT_TOL for a, b in zip((p_pos, p_neu, p_neg), entry["triple"])):
+            rejections.append(
+                RowRejection(i, f"inconsistent probabilities for news_id {news_id}")
+            )
+            continue
+        if firm_id in entry["mentions"]:
+            rejections.append(RowRejection(i, f"duplicate mention of {firm_id}"))
+            continue
+        entry["mentions"].add(firm_id)
     events = {}
     for news_id, entry in pending.items():
         p_pos, p_neu, p_neg = entry["triple"]

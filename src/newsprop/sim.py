@@ -49,7 +49,6 @@ first order in 1/market size and in edge_prob.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,12 +56,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvio import write_rows
 from .errors import SimConfigError
-from .firms import FirmRecord, FirmRegistry
-from .graph import SupplyChainNetwork, SupplyChainSnapshot
-from .market import IndexSeries, PriceSeries
+from .firms import FIRM_HEADER, FirmRecord, FirmRegistry
+from .graph import EDGE_HEADER, SupplyChainNetwork, SupplyChainSnapshot
+from .market import INDEX_HEADER, PRICE_HEADER, IndexSeries, PriceSeries
 from .panel import Stores
-from .sentiment import NewsEvent, NewsStore
+from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 
 BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
 
@@ -143,54 +143,26 @@ class SimBundle:
 
     def write(self, outdir) -> dict[str, Path]:
         """Emit firms/prices/indices/news/edges CSVs; returns path per file."""
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        paths = {name: outdir / f"{name}.csv" for name in BUNDLE_FILES}
-
-        with open(paths["firms"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("firm_id", "market_id", "sector_code", "country"))
-            for r in self.firm_records:
-                writer.writerow((r.firm_id, r.market_id, r.sector_code, r.country))
-
-        with open(paths["prices"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("firm_id", "date", "close"))
-            for firm_id in sorted(self.prices):
-                series = self.prices[firm_id]
-                for date, close in zip(series.dates, series.closes):
-                    writer.writerow((firm_id, date.item().isoformat(), format(close, ".12g")))
-
-        with open(paths["indices"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("market_id", "date", "value"))
-            for market_id in sorted(self.indices):
-                series = self.indices[market_id]
-                for date, value in zip(series.dates, series.values):
-                    writer.writerow((market_id, date.item().isoformat(), format(value, ".12g")))
-
-        with open(paths["news"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("news_id", "date", "firm_id", "p_pos", "p_neu", "p_neg"))
-            for e in self.events:
-                for firm_id in sorted(e.mentions):
-                    writer.writerow(
-                        (
-                            e.news_id,
-                            e.date.isoformat(),
-                            firm_id,
-                            format(e.p_pos, ".12g"),
-                            format(e.p_neu, ".12g"),
-                            format(e.p_neg, ".12g"),
-                        )
-                    )
-
-        with open(paths["edges"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("year", "supplier_id", "client_id"))
-            for year, supplier, client in self.edges:
-                writer.writerow((year, supplier, client))
-
+        paths = {name: Path(outdir) / f"{name}.csv" for name in BUNDLE_FILES}
+        write_rows(paths["firms"], FIRM_HEADER, (
+            (r.firm_id, r.market_id, r.sector_code, r.country) for r in self.firm_records
+        ))
+        write_rows(paths["prices"], PRICE_HEADER, (
+            (firm_id, date.item().isoformat(), close)
+            for firm_id, series in sorted(self.prices.items())
+            for date, close in zip(series.dates, series.closes)
+        ))
+        write_rows(paths["indices"], INDEX_HEADER, (
+            (market_id, date.item().isoformat(), value)
+            for market_id, series in sorted(self.indices.items())
+            for date, value in zip(series.dates, series.values)
+        ))
+        write_rows(paths["news"], NEWS_HEADER, (
+            (e.news_id, e.date.isoformat(), firm_id, e.p_pos, e.p_neu, e.p_neg)
+            for e in self.events
+            for firm_id in sorted(e.mentions)
+        ))
+        write_rows(paths["edges"], EDGE_HEADER, self.edges)
         return paths
 
 
@@ -445,19 +417,10 @@ def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> Expec
 
 def write_expected_betas(config: SimConfig, windows: Sequence[int], path) -> None:
     """Sidecar of expected coefficients for every mode/polarity/window cell."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXPECTED_HEADER)
-        for mode in ("own", "supplier", "client"):
-            for polarity in ("positive", "negative"):
-                for w in windows:
-                    e = expected_betas(config, w, mode, polarity)
-                    writer.writerow(
-                        (
-                            mode,
-                            polarity,
-                            w,
-                            format(e.beta_pre, ".12g"),
-                            format(e.beta_post, ".12g"),
-                        )
-                    )
+    rows = []
+    for mode in ("own", "supplier", "client"):
+        for polarity in ("positive", "negative"):
+            for w in windows:
+                e = expected_betas(config, w, mode, polarity)
+                rows.append((mode, polarity, w, e.beta_pre, e.beta_post))
+    write_rows(path, EXPECTED_HEADER, rows)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,17 @@ def bundle_flags(outdir) -> list[str]:
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def assert_usage_error(argv: list[str], capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# inputs that do not exist: a usage error must be reported before any is read
+MISSING_INPUTS = bundle_flags(Path("no-such-bundle"))
 
 
 class TestValidate:
@@ -127,6 +139,86 @@ class TestRun:
         # the feasible cell still produced its artifacts
         fits = (out / "fits.csv").read_text(encoding="utf-8").splitlines()
         assert len(fits) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mode", "own,own"),
+        ("--mode", ","),
+        ("--mode", ""),
+        ("--mode", "own,neighbour"),
+        ("--polarity", "positive,positive"),
+        ("--polarity", ","),
+        ("--polarity", "neutral"),
+    ])
+    def test_bad_mode_or_polarity_list_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert_usage_error(["run", *MISSING_INPUTS, flag, value, "--out", str(out)], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "mode = own,own",
+        "polarity = ",
+        "threads = abc",
+        "windows = abc",
+        "strict = maybe",
+        "no equals sign here",
+    ])
+    def test_bad_config_line_exits_2(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert_usage_error(
+            ["run", *MISSING_INPUTS, "--config", str(config), "--out", str(out)], capsys
+        )
+        assert not out.exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        for command in ("run", "validate"):
+            assert_usage_error(
+                [command, *MISSING_INPUTS, "--config", str(tmp_path / "absent.cfg")], capsys
+            )
+        assert_usage_error(["simulate", "--config", str(tmp_path / "absent.cfg")], capsys)
+
+    def test_threads_still_accepted(self, bundle_dir, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("threads = 3\n", encoding="utf-8")
+        args = ["run", *bundle_flags(bundle_dir), "--windows", "1"]
+        assert main([*args, "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        assert main([*args, "--threads", "4", "--out", str(tmp_path / "b")]) == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    @pytest.mark.parametrize("key, bad_row", [
+        ("news", "n_bad,2016-02-02,F00002,0.2,0.2,0.2"),
+        ("prices", "F00001,xx,1.0"),
+    ], ids=["news", "prices"])
+    def test_strict_rejected_row_fails_without_outputs(
+        self, bundle_dir, tmp_path, capsys, key, bad_row
+    ):
+        bad = tmp_path / f"{key}.csv"
+        bad.write_text((bundle_dir / bad.name).read_text(encoding="utf-8") + bad_row + "\n",
+                       encoding="utf-8")
+        flags = bundle_flags(bundle_dir)
+        flags[flags.index(f"--{key}") + 1] = str(bad)
+        out = tmp_path / "out"
+        assert main(["run", *flags, "--windows", "1", "--out", str(out)]) == 0
+        assert main(["run", *flags, "--windows", "1", "--strict", "--out", str(out / "s")]) == 1
+        assert "strict mode: 1 rejected rows" in capsys.readouterr().err
+        assert not (out / "s").exists()
+
+    def test_outputs_get_open_mode_under_umask(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        config.write_text("n_firms = 25\nn_days = 80\nnews_rate = 4\nseed = 9\n", encoding="utf-8")
+        data, out = tmp_path / "data", tmp_path / "out"
+        old = os.umask(0o027)
+        try:
+            assert main(["simulate", "--config", str(config), "--windows", "1", "--out", str(data)]) == 0
+            assert main(
+                ["run", *bundle_flags(data), "--windows", "1", "--export-panel", "--out", str(out)]
+            ) == 0
+        finally:
+            os.umask(old)
+        written = sorted(data.iterdir()) + sorted(out.iterdir())
+        assert len(written) == 6 + 4
+        assert {p.name: p.stat().st_mode & 0o777 for p in written} == {p.name: 0o640 for p in written}
 
     def test_config_file_with_flag_override(self, bundle_dir, tmp_path):
         config = tmp_path / "run.cfg"

@@ -1,0 +1,29 @@
+"""Smoke test: the demo scripts still run against the public loaders and writers.
+
+``02_synthetic_recovery.py`` is left out because it takes about ten seconds.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_window_arithmetic", "03_network_and_mentions", "04_full_pipeline_files"]
+)
+def test_demo_exits_zero(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # TMPDIR keeps the files demo 04 writes inside the test's own directory
+    env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -176,12 +176,6 @@ class TestLoaders:
         assert len(rejections) == 4
         assert len(store["A"]) == 1
 
-    def test_strict_raises(self, tmp_path):
-        path = tmp_path / "prices.csv"
-        path.write_text("firm_id,date,close\nA,xx,1.0\n", encoding="utf-8")
-        with pytest.raises(LoadError):
-            load_prices(path, strict=True)
-
     def test_index_loader_schema(self, tmp_path):
         path = tmp_path / "indices.csv"
         path.write_text("market_id,date,value\nM0,2021-06-10,1000.0\n", encoding="utf-8")

@@ -5,7 +5,6 @@ import datetime as dt
 import pytest
 
 from conftest import simple_event
-from newsprop.errors import LoadError
 from newsprop.sentiment import NewsStore, load_news, mention_histogram
 
 
@@ -75,11 +74,6 @@ class TestLoadNews:
         store, rejections = load_news(write_news(tmp_path, rows))
         assert len(store) == 0
         assert len(rejections) == 4
-
-    def test_strict_mode_raises(self, tmp_path):
-        path = write_news(tmp_path, [("n1", "2016-05-02", "A", 0.2, 0.2, 0.2)])
-        with pytest.raises(LoadError):
-            load_news(path, strict=True)
 
     def test_timestamp_truncated(self, tmp_path):
         store, _ = load_news(
