@@ -10,7 +10,9 @@ disclosure. Weekends carry no prices, so the window blocks skip them.
 import datetime as dt
 import math
 
-from newsprop.market import PRE, POST, anchor_position, window_change
+import numpy as np
+
+from newsprop.market import PRE, POST, window_change
 from newsprop.sim import SimConfig, simulate
 
 # a firm from a tiny simulated market gives us a realistic series
@@ -20,7 +22,12 @@ series = bundle.prices["F00000"]
 news_date = bundle.trading_dates[10]
 print(f"news date: {news_date} ({news_date.strftime('%A')})")
 
-p = anchor_position(series, news_date)
+def anchor(date: dt.date) -> int:
+    """Position of the first trading date on or after ``date``."""
+    return int(np.searchsorted(series.dates, np.datetime64(date, "D")))
+
+
+p = anchor(news_date)
 w = 3
 blocks = {
     "A (far pre)": series.dates[p - 2 * w : p - w],
@@ -32,8 +39,8 @@ for name, dates in blocks.items():
 
 pre = window_change(series, news_date, w, PRE)
 post = window_change(series, news_date, w, POST)
-print(f"pre-news change : {pre.value:+.4f} percent/day")
-print(f"post-news change: {post.value:+.4f} percent/day")
+print(f"pre-news change : {pre:+.4f} percent/day")
+print(f"post-news change: {post:+.4f} percent/day")
 
 # the same by hand: log of the block averages, differenced, per day, in percent
 closes = series.closes
@@ -45,4 +52,4 @@ print(f"hand check (pre): {hand_pre:+.4f} percent/day")
 # Saturday-dated articles anchor on the following Monday
 saturday = news_date + dt.timedelta(days=(5 - news_date.weekday()) % 7 or 7)
 print(f"\nan article dated {saturday} ({saturday.strftime('%A')}) anchors on "
-      f"{series.dates[anchor_position(series, saturday)].item()}")
+      f"{series.dates[anchor(saturday)].item()}")

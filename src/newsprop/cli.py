@@ -48,11 +48,15 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def _parse_windows(text: str) -> list[int]:
-    windows = [int(part) for part in text.split(",") if part.strip()]
+    # ArgumentTypeError, unlike ValueError, keeps its message in argparse's error
+    try:
+        windows = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        windows = []
     if not windows or any(w < 1 for w in windows):
-        raise ValueError(f"windows must be positive integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"windows must be positive integers, got {text!r}")
     if len(set(windows)) != len(windows):
-        raise ValueError(f"windows must be distinct, got {text!r}")
+        raise argparse.ArgumentTypeError(f"windows must be distinct, got {text!r}")
     return windows
 
 
@@ -241,13 +245,17 @@ _SIM_FIELD_PARSERS = {
 
 
 def sim_config_from_mapping(values: dict[str, str]) -> sim.SimConfig:
+    """Parse simulation keys; an unknown key or unparsable value is a UsageError."""
     kwargs = {}
     for key, value in values.items():
         if key in ("out", "windows", "strict", "robust_se"):
             continue
         if key not in _SIM_FIELD_PARSERS:
-            raise ValueError(f"unknown simulation key {key!r}")
-        kwargs[key] = _SIM_FIELD_PARSERS[key](value)
+            raise UsageError(f"--config {key} = {value!r}: unknown simulation key")
+        try:
+            kwargs[key] = _SIM_FIELD_PARSERS[key](value)
+        except ValueError as exc:
+            raise UsageError(f"--config {key} = {value!r}: {exc}") from None
     return sim.SimConfig(**kwargs)
 
 
@@ -255,8 +263,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     file_values = read_config_file(args.config) if args.config else {}
     windows = _merge(args, file_values, "windows", _parse_windows) or list(DEFAULT_WINDOWS)
     outdir = Path(_merge(args, file_values, "out") or "out")
+    config = sim_config_from_mapping(file_values)
     try:
-        config = sim_config_from_mapping(file_values)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         bundle = sim.simulate(config)

@@ -24,10 +24,6 @@ class NoSnapshotError(LookupError):
     """No supply-chain snapshot exists for the requested year."""
 
 
-class AnchorOutOfRangeError(ValueError):
-    """The news date lies beyond the last trading date of the series."""
-
-
 class EmptyPanelError(ValueError):
     """A regression was requested on a panel with no observations."""
 

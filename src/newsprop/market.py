@@ -16,8 +16,9 @@ the series; otherwise the observation is dropped.
 
 A news date that is not a trading date anchors on the first trading date
 strictly after it, so the post window always starts at the first tradable
-reaction. Series are immutable after load; the window computations are pure
-functions and safe to call from any number of threads.
+reaction. ``window_changes`` is the one implementation: it anchors every news
+date of one series with a single ``searchsorted`` and averages each distinct
+block once. ``window_change`` and ``market_control`` are its one-date forms.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .csvio import parse_date, read_rows
-from .errors import AnchorOutOfRangeError, RowRejection
+from .errors import RowRejection
 
 PRE = "pre"
 POST = "post"
@@ -63,72 +65,66 @@ class IndexSeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class WindowChange:
-    """One windowed daily percentage change, in percent per day."""
+def window_changes(
+    dates: np.ndarray, values: np.ndarray, news_dates: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre- and post-news daily percentage changes for many dates on one series.
 
-    value: float
-    period: str
-    w: int
-    anchor: dt.date
+    ``dates`` and ``values`` are one series; ``news_dates`` is any array of
+    datetime64[D]. Returns two float arrays shaped like ``news_dates``, NaN
+    where a required block is not fully inside the series or no trading date
+    on or after the news date exists.
+    """
+    if w < 1:
+        raise ValueError(f"window must be >= 1, got {w}")
+    p = np.searchsorted(dates, news_dates, side="left")
+    n = len(values)
+    has_pre = (p >= 2 * w) & (p < n)
+    has_post = (p >= w) & (p + w <= n)
+    pre = np.full(p.shape, np.nan)
+    post = np.full(p.shape, np.nan)
+    a, b, c = p - 2 * w, p - w, p  # first positions of blocks A, B, C
+    starts = np.unique(np.concatenate((a[has_pre], b[has_pre | has_post], c[has_post])))
+    if len(starts) == 0:
+        return pre, post
+    # each block's mean is taken over its own slice, as values[s:s+w].mean()
+    # would, and logged with math.log so every digit matches the scalar formula
+    means = sliding_window_view(values, w)[starts].mean(axis=1)
+    logs = np.array([math.log(m) for m in means.tolist()])
+
+    def log_mean(first: np.ndarray) -> np.ndarray:
+        return logs[np.searchsorted(starts, first)]
+
+    pre[has_pre] = (log_mean(b[has_pre]) - log_mean(a[has_pre])) / w * 100.0
+    post[has_post] = (log_mean(c[has_post]) - log_mean(b[has_post])) / w * 100.0
+    return pre, post
 
 
-def _anchor(dates: np.ndarray, news_date: dt.date) -> int:
-    if len(dates) == 0:
-        raise AnchorOutOfRangeError("empty series")
-    pos = int(np.searchsorted(dates, np.datetime64(news_date, "D"), side="left"))
-    if pos >= len(dates):
-        raise AnchorOutOfRangeError(
-            f"news date {news_date.isoformat()} is after the last trading date"
-        )
-    return pos
-
-
-def _block_change(values: np.ndarray, p: int, w: int, period: str) -> Optional[float]:
-    if period == PRE:
-        lo1, hi1, lo2, hi2 = p - 2 * w, p - w - 1, p - w, p - 1
-    elif period == POST:
-        lo1, hi1, lo2, hi2 = p - w, p - 1, p, p + w - 1
-    else:
+def _one_change(dates, values, news_date: dt.date, w: int, period: str) -> Optional[float]:
+    if period not in (PRE, POST):
         raise ValueError(f"period must be {PRE!r} or {POST!r}, got {period!r}")
-    if lo1 < 0 or hi2 >= len(values):
-        return None
-    first = float(values[lo1 : hi1 + 1].mean())
-    second = float(values[lo2 : hi2 + 1].mean())
-    return (math.log(second) - math.log(first)) / w * 100.0
-
-
-def anchor_position(series: PriceSeries, news_date: dt.date) -> int:
-    """Trading position of ``news_date``, or of the first trading date after it."""
-    return _anchor(series.dates, news_date)
+    pre, post = window_changes(dates, values, np.array([news_date], dtype="datetime64[D]"), w)
+    value = float((pre if period == PRE else post)[0])
+    return None if math.isnan(value) else value
 
 
 def window_change(
     series: PriceSeries, news_date: dt.date, w: int, period: str
-) -> Optional[WindowChange]:
+) -> Optional[float]:
     """Pre- or post-news daily percentage change for one firm, or None.
 
-    Returns None when any required block extends beyond the series (the
-    observation is dropped rather than computed from a partial block).
-    Raises AnchorOutOfRangeError when no trading date >= ``news_date`` exists.
+    None when any required block extends beyond the series (the observation
+    is dropped rather than computed from a partial block), including a news
+    date after the last trading date.
     """
-    if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
-    p = _anchor(series.dates, news_date)
-    value = _block_change(series.closes, p, w, period)
-    if value is None:
-        return None
-    return WindowChange(value=value, period=period, w=w, anchor=series.dates[p].item())
+    return _one_change(series.dates, series.closes, news_date, w, period)
 
 
 def market_control(
     index: IndexSeries, news_date: dt.date, w: int, period: str
 ) -> Optional[float]:
     """Same windowed change applied to a market index, anchored on its own calendar."""
-    if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
-    p = _anchor(index.dates, news_date)
-    return _block_change(index.values, p, w, period)
+    return _one_change(index.dates, index.values, news_date, w, period)
 
 
 def _load_dated_values(path, header: tuple[str, str, str]):

@@ -13,9 +13,11 @@ article, keeping the indirect estimates uncontaminated by the direct effect,
 and an exposed firm reachable from several mentioned firms in one article
 contributes a single pair for that article.
 
-Stores are read-only during a build and events are independent, so builds
-parallelize trivially; output order is fixed by sorting on
-(news_id, firm_id, period).
+A build makes one Python pass over the sorted events and their exposed firms
+for the graph lookups and registry checks, then computes every window with
+one ``market.window_changes`` call per firm series and one per market index.
+The panel is columnar: one entry per kept pair, ordered by (news_id, firm_id),
+with the pre and post values side by side in ``y`` and ``market_x``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import market
 from .csvio import write_rows
-from .errors import AnchorOutOfRangeError
 from .firms import FirmRegistry
 from .graph import SupplyChainNetwork
 from .market import IndexSeries, PRE, POST, PriceSeries
@@ -44,23 +47,6 @@ DROP_MISSING_SECTOR = "missing-sector"
 DROP_MISSING_MARKET = "missing-market"
 DROP_PRICE_WINDOW = "price-window"
 DROP_INDEX_WINDOW = "index-window"
-
-_PERIOD_ORDER = {PRE: 0, POST: 1}
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One pre- or post-news panel row."""
-
-    firm_id: str
-    news_id: str
-    w: int
-    period: str
-    y: float
-    news_value: float
-    market_x: float
-    sector: str
-    market: str
 
 
 @dataclass(frozen=True)
@@ -83,14 +69,27 @@ class Stores:
 
 @dataclass
 class Panel:
+    """One entry per kept (event, exposed firm) pair, in (news_id, firm_id) order.
+
+    Column 0 of ``y`` and ``market_x`` is the pre period, column 1 the post
+    period; each pair stands for two observations, pre then post.
+    """
+
     mode: str
     polarity: str
     w: int
-    observations: list[Observation]
+    news_id: np.ndarray  # (n,) str
+    firm_id: np.ndarray  # (n,) str
+    sector: np.ndarray  # (n,) str
+    market: np.ndarray  # (n,) str
+    news_value: np.ndarray  # (n,) float
+    y: np.ndarray  # (n, 2) firm window changes
+    market_x: np.ndarray  # (n, 2) index window changes
     drops: list[DropRecord] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        """The observation count, two per pair."""
+        return 2 * len(self.news_id)
 
 
 @dataclass(frozen=True)
@@ -118,16 +117,6 @@ def _exposed_firms(stores: Stores, event, mode: str) -> Optional[list[str]]:
     return sorted(exposed)
 
 
-def _index_control(cache: dict, index: IndexSeries, date, w: int, period: str) -> Optional[float]:
-    key = (index.market_id, date, period)
-    if key not in cache:
-        try:
-            cache[key] = market.market_control(index, date, w, period)
-        except AnchorOutOfRangeError:
-            cache[key] = None
-    return cache[key]
-
-
 def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
     """Assemble the balanced pre/post panel for one (mode, polarity, window)."""
     if mode not in MODES:
@@ -137,9 +126,12 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
 
-    observations: list[Observation] = []
     drops: list[DropRecord] = []
-    control_cache: dict = {}
+    # (news_id, firm_id, sector, market, news_value, date) per pair that passes
+    # the registry checks, and the rows of each firm and market among them
+    pairs: list[tuple] = []
+    firm_rows: dict[str, list[int]] = {}
+    market_rows: dict[str, list[int]] = {}
 
     for news_id in sorted(stores.news.events):
         event = stores.news.events[news_id]
@@ -160,59 +152,68 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
             if not record.market_id:
                 drops.append(DropRecord(news_id, firm_id, DROP_MISSING_MARKET))
                 continue
-            series = stores.prices.get(firm_id)
-            if series is None:
+            if firm_id not in stores.prices:
                 drops.append(DropRecord(news_id, firm_id, DROP_PRICE_WINDOW))
                 continue
-            try:
-                y_pre = market.window_change(series, event.date, w, PRE)
-                y_post = market.window_change(series, event.date, w, POST)
-            except AnchorOutOfRangeError:
-                y_pre = y_post = None
-            if y_pre is None or y_post is None:
-                drops.append(DropRecord(news_id, firm_id, DROP_PRICE_WINDOW))
-                continue
-            index = stores.indices.get(record.market_id)
-            if index is None:
-                drops.append(DropRecord(news_id, firm_id, DROP_INDEX_WINDOW))
-                continue
-            x_pre = _index_control(control_cache, index, event.date, w, PRE)
-            x_post = _index_control(control_cache, index, event.date, w, POST)
-            if x_pre is None or x_post is None:
-                drops.append(DropRecord(news_id, firm_id, DROP_INDEX_WINDOW))
-                continue
-            for period, y, x in ((PRE, y_pre.value, x_pre), (POST, y_post.value, x_post)):
-                observations.append(
-                    Observation(
-                        firm_id=firm_id,
-                        news_id=news_id,
-                        w=w,
-                        period=period,
-                        y=y,
-                        news_value=news_value,
-                        market_x=x,
-                        sector=record.sector_code,
-                        market=record.market_id,
-                    )
-                )
+            firm_rows.setdefault(firm_id, []).append(len(pairs))
+            market_rows.setdefault(record.market_id, []).append(len(pairs))
+            pairs.append(
+                (news_id, firm_id, record.sector_code, record.market_id, news_value, event.date)
+            )
 
-    observations.sort(key=lambda o: (o.news_id, o.firm_id, _PERIOD_ORDER[o.period]))
-    return Panel(mode=mode, polarity=polarity, w=w, observations=observations, drops=drops)
+    columns = list(zip(*pairs)) or [()] * 6
+    dates = np.array(columns[5], dtype="datetime64[D]")
+    y = np.full((len(pairs), 2), np.nan)
+    market_x = np.full((len(pairs), 2), np.nan)
+    for firm_id, rows in firm_rows.items():
+        series = stores.prices[firm_id]
+        y[rows] = np.column_stack(market.window_changes(series.dates, series.closes, dates[rows], w))
+    for market_id, rows in market_rows.items():
+        index = stores.indices.get(market_id)
+        if index is not None:
+            market_x[rows] = np.column_stack(
+                market.window_changes(index.dates, index.values, dates[rows], w)
+            )
+
+    has_price = ~np.isnan(y).any(axis=1)
+    keep = has_price & ~np.isnan(market_x).any(axis=1)
+    for i in np.flatnonzero(~keep):
+        reason = DROP_INDEX_WINDOW if has_price[i] else DROP_PRICE_WINDOW
+        drops.append(DropRecord(pairs[i][0], pairs[i][1], reason))
+    # each pair drops at most once, so this restores the order of the event loop
+    drops.sort(key=lambda d: (d.news_id, d.firm_id))
+    return Panel(
+        mode=mode,
+        polarity=polarity,
+        w=w,
+        news_id=np.array(columns[0], dtype=str)[keep],
+        firm_id=np.array(columns[1], dtype=str)[keep],
+        sector=np.array(columns[2], dtype=str)[keep],
+        market=np.array(columns[3], dtype=str)[keep],
+        news_value=np.array(columns[4], dtype=float)[keep],
+        y=y[keep],
+        market_x=market_x[keep],
+        drops=drops,
+    )
 
 
 def panel_summary(panel: Panel) -> PanelSummary:
     """Exact observation, event, firm, and drop counts for one panel."""
     return PanelSummary(
-        n_obs=len(panel.observations),
-        n_events=len({o.news_id for o in panel.observations}),
-        n_firms=len({o.firm_id for o in panel.observations}),
+        n_obs=len(panel),
+        n_events=len(set(panel.news_id.tolist())),
+        n_firms=len(set(panel.firm_id.tolist())),
         drop_counts=dict(sorted(Counter(d.reason for d in panel.drops).items())),
     )
 
 
 def write_panel(panel: Panel, path) -> None:
-    """Export observations in the panel CSV schema."""
+    """Export observations in the panel CSV schema, pre then post per pair."""
+    pairs = zip(*(column.tolist() for column in (
+        panel.firm_id, panel.news_id, panel.news_value, panel.y, panel.market_x,
+        panel.sector, panel.market)))
     write_rows(path, PANEL_HEADER, (
-        (o.firm_id, o.news_id, o.w, o.period, o.y, o.news_value, o.market_x, o.sector, o.market)
-        for o in panel.observations
+        (firm_id, news_id, panel.w, period, y[j], news_value, x[j], sector, market_id)
+        for firm_id, news_id, news_value, y, x, sector, market_id in pairs
+        for j, period in enumerate((PRE, POST))
     ))

@@ -17,7 +17,7 @@ opt-in HC1 heteroskedasticity-robust covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy import linalg, stats
@@ -29,8 +29,7 @@ from .errors import (
     EmptyPanelError,
     InsufficientDataError,
 )
-from .market import PRE
-from .panel import Observation, Panel
+from .panel import Panel
 
 REGRESSOR_NAMES = ("pre_news", "post_news", "market_x")
 
@@ -57,13 +56,11 @@ _RANK_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class WithinDesign:
-    """Sector-demeaned response and regressors, plus the group structure."""
+    """Sector-demeaned response and regressors, plus the absorbed sectors."""
 
     y: np.ndarray  # (n,)
     X: np.ndarray  # (n, 3) columns pre_news, post_news, market_x
-    sector_codes: np.ndarray  # (n,) int group index
     sector_labels: list[str]
-    group_means: np.ndarray  # (n_sectors, 4) means of y and the three regressors
 
 
 @dataclass(frozen=True)
@@ -94,32 +91,26 @@ class DiffTest:
     diff_p: float
 
 
-def _observations(panel: Union[Panel, Sequence[Observation]]) -> Sequence[Observation]:
-    return panel.observations if isinstance(panel, Panel) else panel
-
-
-def within_transform(panel: Union[Panel, Sequence[Observation]]) -> WithinDesign:
+def within_transform(panel: Panel) -> WithinDesign:
     """Subtract sector-group means from the response and every regressor.
 
-    Raises EmptyPanelError on an empty panel. Singleton sectors come out as
-    all-zero rows; they are absorbed and counted in the dof correction by
-    ``fit``.
+    Rows are the panel's observations, pre then post per pair. Raises
+    EmptyPanelError on an empty panel. Singleton sectors come out as all-zero
+    rows; they are absorbed and counted in the dof correction by ``fit``.
     """
-    obs = _observations(panel)
-    if len(obs) == 0:
+    if len(panel) == 0:
         raise EmptyPanelError("cannot transform an empty panel")
-    y = np.array([o.y for o in obs], dtype=float)
-    X = np.empty((len(obs), 3), dtype=float)
-    for i, o in enumerate(obs):
-        pre = o.period == PRE
-        X[i, 0] = o.news_value if pre else 0.0
-        X[i, 1] = 0.0 if pre else o.news_value
-        X[i, 2] = o.market_x
-    sectors = np.array([o.sector for o in obs])
-    labels, codes = np.unique(sectors, return_inverse=True)
+    # per pair and period: y, pre_news, post_news, market_x
+    stacked = np.zeros((len(panel.news_value), 2, 4))
+    stacked[:, :, 0] = panel.y
+    stacked[:, 0, 1] = panel.news_value
+    stacked[:, 1, 2] = panel.news_value
+    stacked[:, :, 3] = panel.market_x
+    stacked = stacked.reshape(-1, 4)
+    labels, codes = np.unique(panel.sector, return_inverse=True)
+    codes = np.repeat(codes, 2)
     n_groups = len(labels)
     counts = np.bincount(codes, minlength=n_groups).astype(float)
-    stacked = np.column_stack([y, X])
     sums = np.zeros((n_groups, 4))
     np.add.at(sums, codes, stacked)
     means = sums / counts[:, None]
@@ -127,9 +118,7 @@ def within_transform(panel: Union[Panel, Sequence[Observation]]) -> WithinDesign
     return WithinDesign(
         y=demeaned[:, 0],
         X=demeaned[:, 1:],
-        sector_codes=codes,
         sector_labels=[str(s) for s in labels],
-        group_means=means,
     )
 
 

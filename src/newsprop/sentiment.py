@@ -42,17 +42,10 @@ class MentionHistogram:
 
 
 class NewsStore:
-    """Validated events keyed by news_id, with a per-firm dated index."""
+    """Validated events keyed by news_id."""
 
     def __init__(self, events: dict[str, NewsEvent]):
         self._events = dict(events)
-        by_firm: dict[str, list[NewsEvent]] = {}
-        for event in self._events.values():
-            for firm in event.mentions:
-                by_firm.setdefault(firm, []).append(event)
-        for firm_events in by_firm.values():
-            firm_events.sort(key=lambda e: (e.date, e.news_id))
-        self._by_firm = by_firm
 
     def __len__(self) -> int:
         return len(self._events)
@@ -63,9 +56,6 @@ class NewsStore:
 
     def get(self, news_id: str) -> Optional[NewsEvent]:
         return self._events.get(news_id)
-
-    def events_for_firm(self, firm_id: str) -> list[NewsEvent]:
-        return list(self._by_firm.get(firm_id, []))
 
 
 def _validate_triple(p_pos: float, p_neu: float, p_neg: float) -> Optional[str]:

@@ -1,16 +1,19 @@
-"""Shared fixture helpers: tiny hand-built bundles and random panels."""
+"""Shared fixture helpers: tiny hand-built bundles, random panels, and the
+scalar window formula the vectorised kernel is checked against."""
 
 from __future__ import annotations
 
 import datetime as dt
+import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from newsprop.firms import FirmRecord, FirmRegistry
 from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
-from newsprop.market import IndexSeries, PRE, POST, PriceSeries
-from newsprop.panel import Observation, Panel, Stores
+from newsprop.market import IndexSeries, PRE, PriceSeries
+from newsprop.panel import Panel, Stores
 from newsprop.sentiment import NewsEvent, NewsStore
 
 
@@ -74,27 +77,51 @@ def simple_event(news_id, date, mentions, p_pos=0.6, p_neu=0.3, p_neg=0.1) -> Ne
     )
 
 
+def reference_change(dates, values, news_date: dt.date, w: int, period: str) -> Optional[float]:
+    """One window change by the scalar formula, or None where a block is incomplete."""
+    p = int(np.searchsorted(dates, np.datetime64(news_date, "D"), side="left"))
+    if p >= len(dates):
+        return None
+    if period == PRE:
+        lo1, hi1, lo2, hi2 = p - 2 * w, p - w - 1, p - w, p - 1
+    else:
+        lo1, hi1, lo2, hi2 = p - w, p - 1, p, p + w - 1
+    if lo1 < 0 or hi2 >= len(values):
+        return None
+    first = float(values[lo1 : hi1 + 1].mean())
+    second = float(values[lo2 : hi2 + 1].mean())
+    return (math.log(second) - math.log(first)) / w * 100.0
+
+
+def make_panel(sector, news_value, y, market_x, w: int = 1) -> Panel:
+    """An own/positive panel from its numeric columns; pair k is news N<k>, firm F<k>."""
+    n = len(sector)
+    return Panel(
+        mode="own",
+        polarity="positive",
+        w=w,
+        news_id=np.array([f"N{k:05d}" for k in range(n)], dtype=str),
+        firm_id=np.array([f"F{k:04d}" for k in range(n)], dtype=str),
+        sector=np.array(sector, dtype=str),
+        market=np.array(["M0"] * n, dtype=str),
+        news_value=np.array(news_value, dtype=float),
+        y=np.array(y, dtype=float).reshape(n, 2),
+        market_x=np.array(market_x, dtype=float).reshape(n, 2),
+    )
+
+
 def random_panel(rng: np.random.Generator, n_pairs: int, n_sectors: int, w: int = 1) -> Panel:
     """A generic balanced panel with random regressors, for estimator tests."""
-    observations = []
+    sector, news_value = [], []
+    y = np.empty((n_pairs, 2))
+    market_x = np.empty((n_pairs, 2))
     for k in range(n_pairs):
-        sector = f"S{rng.integers(0, n_sectors):02d}"
-        news_value = float(rng.uniform(0.0, 1.0))
-        for period in (PRE, POST):
-            observations.append(
-                Observation(
-                    firm_id=f"F{k:04d}",
-                    news_id=f"N{k:05d}",
-                    w=w,
-                    period=period,
-                    y=float(rng.normal(0.0, 1.0)),
-                    news_value=news_value,
-                    market_x=float(rng.normal(0.0, 1.0)),
-                    sector=sector,
-                    market="M0",
-                )
-            )
-    return Panel(mode="own", polarity="positive", w=w, observations=observations)
+        sector.append(f"S{rng.integers(0, n_sectors):02d}")
+        news_value.append(float(rng.uniform(0.0, 1.0)))
+        for j in (0, 1):  # pre, post
+            y[k, j] = rng.normal(0.0, 1.0)
+            market_x[k, j] = rng.normal(0.0, 1.0)
+    return make_panel(sector, news_value, y, market_x, w=w)
 
 
 @pytest.fixture

@@ -95,15 +95,15 @@ def test_criterion_1_window_arithmetic_oracle():
     mean_c = sum(closes[6:9]) / 3.0  # June 11, 14, 15
     pre = window_change(series, dt.date(2021, 6, 11), 3, PRE)
     post = window_change(series, dt.date(2021, 6, 11), 3, POST)
-    ok_pre = abs(pre.value - (math.log(mean_b) - math.log(mean_a)) / 3.0 * 100.0) <= 1e-9
-    ok_post = abs(post.value - (math.log(mean_c) - math.log(mean_b)) / 3.0 * 100.0) <= 1e-9
+    ok_pre = abs(pre - (math.log(mean_b) - math.log(mean_a)) / 3.0 * 100.0) <= 1e-9
+    ok_post = abs(post - (math.log(mean_c) - math.log(mean_b)) / 3.0 * 100.0) <= 1e-9
 
     # single-day blocks, hand evaluation on closes 100, 102, 105
     short = make_series("B", weekday_dates(dt.date(2021, 6, 7), 3), [100.0, 102.0, 105.0])
     anchor = weekday_dates(dt.date(2021, 6, 7), 3)[2]
     ok_hand = (
-        abs(window_change(short, anchor, 1, PRE).value - (math.log(102.0) - math.log(100.0)) * 100.0) <= 1e-9
-        and abs(window_change(short, anchor, 1, POST).value - (math.log(105.0) - math.log(102.0)) * 100.0) <= 1e-9
+        abs(window_change(short, anchor, 1, PRE) - (math.log(102.0) - math.log(100.0)) * 100.0) <= 1e-9
+        and abs(window_change(short, anchor, 1, POST) - (math.log(105.0) - math.log(102.0)) * 100.0) <= 1e-9
     )
     elapsed = perf_counter() - t0
     ok = ok_pre and ok_post and ok_hand and elapsed < 1.0
@@ -251,7 +251,7 @@ def test_criterion_7_panel_construction_counts():
             for w in (1, 3, 7):
                 built = panel_mod.build_panel(stores, mode, "positive", w)
                 expected = 2 * _brute_force_pairs(stores, mode, w)
-                checked.append(len(built.observations) == expected)
+                checked.append(len(built) == expected)
     ok = all(checked)
     report(7, ok, f"own and supplier counts equal 2 x brute-force pairs in {len(checked)} cells")
     assert ok

@@ -43,11 +43,15 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def assert_usage_error(argv: list[str], capsys) -> None:
+def assert_usage_error(argv: list[str], capsys) -> str:
+    """Exit 2 with an argparse-style message that names the problem; returns stderr."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "_parse_" not in err  # argparse's stand-in for a message it hid
+    return err
 
 
 # inputs that do not exist: a usage error must be reported before any is read
@@ -148,6 +152,10 @@ class TestRun:
         ("--polarity", "positive,positive"),
         ("--polarity", ","),
         ("--polarity", "neutral"),
+        ("--windows", "abc"),
+        ("--windows", "0"),
+        ("--windows", "1,1"),
+        ("--windows", ""),
     ])
     def test_bad_mode_or_polarity_list_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
@@ -265,6 +273,28 @@ class TestSimulate:
         config = tmp_path / "sim.cfg"
         config.write_text("n_firms = 20\nn_days = 2\n", encoding="utf-8")
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        config.write_text("n_firms = 0\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("line", [
+        "n_firms = abc",
+        "no_such_key = 1",
+        "start_date = someday",
+    ])
+    def test_bad_config_line_exits_2(self, tmp_path, capsys, line):
+        config = tmp_path / "sim.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        err = assert_usage_error(["simulate", "--config", str(config), "--out", str(out)], capsys)
+        key, _, value = (part.strip() for part in line.partition("="))
+        assert f"{key} = {value!r}" in err
+        assert not out.exists()
+
+    def test_bad_windows_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        err = assert_usage_error(["simulate", "--windows", "0", "--out", str(out)], capsys)
+        assert "windows must be positive integers" in err
+        assert not out.exists()
 
     def test_validate_accepts_simulated_bundle(self, tmp_path, capsys):
         config = tmp_path / "sim.cfg"

@@ -1,7 +1,4 @@
-"""Smoke test: the demo scripts still run against the public loaders and writers.
-
-``02_synthetic_recovery.py`` is left out because it takes about ten seconds.
-"""
+"""Smoke test: the demo scripts still run against the public loaders and writers."""
 
 from __future__ import annotations
 
@@ -16,7 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_window_arithmetic", "03_network_and_mentions", "04_full_pipeline_files"]
+    "demo",
+    ["01_window_arithmetic", "02_synthetic_recovery", "03_network_and_mentions",
+     "04_full_pipeline_files"],
 )
 def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -6,34 +6,43 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_index, make_series, weekday_dates
-from newsprop.errors import AnchorOutOfRangeError, LoadError
+from conftest import make_index, make_series, reference_change, weekday_dates
+from newsprop.errors import LoadError
 from newsprop.market import (
     PRE,
     POST,
-    anchor_position,
     load_indices,
     load_prices,
     market_control,
     window_change,
+    window_changes,
 )
 
 JUN = lambda day: dt.date(2021, 6, day)  # noqa: E731  (June 2021: the 11th is a Friday)
 
 
 class TestAnchorPosition:
+    # uneven closes, so every anchor position gives different w=1 changes
+    DAYS = [JUN(9), JUN(10), JUN(11), JUN(14), JUN(15)]
+    CLOSES = [1.0, 3.0, 4.0, 10.0, 11.0]
+
     def test_trading_day_anchors_on_itself(self):
-        series = make_series("A", [JUN(10), JUN(11), JUN(14)], [1.0, 1.0, 1.0])
-        assert anchor_position(series, JUN(11)) == 1
+        series = make_series("A", self.DAYS, self.CLOSES)
+        assert window_change(series, JUN(11), 1, PRE) == pytest.approx(math.log(3.0) * 100.0)
+        assert window_change(series, JUN(11), 1, POST) == pytest.approx(math.log(4.0 / 3.0) * 100.0)
 
     def test_weekend_shifts_to_next_trading_day(self):
-        series = make_series("A", [JUN(10), JUN(11), JUN(14)], [1.0, 1.0, 1.0])
-        assert anchor_position(series, JUN(12)) == 2  # Saturday -> Monday the 14th
+        series = make_series("A", self.DAYS, self.CLOSES)
+        for period in (PRE, POST):  # Saturday -> Monday the 14th, not Friday the 11th
+            saturday = window_change(series, JUN(12), 1, period)
+            assert saturday == window_change(series, JUN(14), 1, period)
+            assert saturday != window_change(series, JUN(11), 1, period)
 
-    def test_after_last_date_raises(self):
-        series = make_series("A", [JUN(10)], [1.0])
-        with pytest.raises(AnchorOutOfRangeError):
-            anchor_position(series, JUN(12))
+    def test_after_last_date_gives_none(self):
+        dates = weekday_dates(dt.date(2021, 6, 1), 5)
+        series = make_series("A", dates, [1.0] * 5)
+        for period in (PRE, POST):
+            assert window_change(series, dates[-1] + dt.timedelta(days=1), 1, period) is None
 
 
 class TestWindowChange:
@@ -44,7 +53,7 @@ class TestWindowChange:
             for period in (PRE, POST):
                 change = window_change(series, dates[15], w, period)
                 assert change is not None
-                assert change.value == pytest.approx(0.0, abs=1e-12)
+                assert change == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_w1(self):
         # closes at positions p-2, p-1, p are 100, 102, 105
@@ -53,10 +62,10 @@ class TestWindowChange:
         anchor = dates[2]
         pre = window_change(series, anchor, 1, PRE)
         post = window_change(series, anchor, 1, POST)
-        assert pre.value == pytest.approx((math.log(102) - math.log(100)) * 100.0, abs=1e-9)
-        assert post.value == pytest.approx((math.log(105) - math.log(102)) * 100.0, abs=1e-9)
-        assert pre.value == pytest.approx(1.98026, abs=5e-6)
-        assert post.value == pytest.approx(2.89875, abs=5e-6)
+        assert pre == pytest.approx((math.log(102) - math.log(100)) * 100.0, abs=1e-9)
+        assert post == pytest.approx((math.log(105) - math.log(102)) * 100.0, abs=1e-9)
+        assert pre == pytest.approx(1.98026, abs=5e-6)
+        assert post == pytest.approx(2.89875, abs=5e-6)
 
     def test_calendar_block_membership_w3(self):
         # news on Friday June 11th, w=3: A={3,4,7}, B={8,9,10}, C={11,14,15},
@@ -69,9 +78,8 @@ class TestWindowChange:
         mean_a = (101.0 + 103.0 + 107.0) / 3
         mean_b = (109.0 + 113.0 + 127.0) / 3
         mean_c = (131.0 + 137.0 + 139.0) / 3
-        assert pre.value == pytest.approx((math.log(mean_b) - math.log(mean_a)) / 3 * 100, abs=1e-9)
-        assert post.value == pytest.approx((math.log(mean_c) - math.log(mean_b)) / 3 * 100, abs=1e-9)
-        assert pre.anchor == JUN(11)
+        assert pre == pytest.approx((math.log(mean_b) - math.log(mean_a)) / 3 * 100, abs=1e-9)
+        assert post == pytest.approx((math.log(mean_c) - math.log(mean_b)) / 3 * 100, abs=1e-9)
 
     def test_partial_block_drops_observation(self):
         dates = weekday_dates(dt.date(2021, 6, 1), 5)
@@ -89,7 +97,7 @@ class TestWindowChange:
             for period in (PRE, POST):
                 a = window_change(series, dates[30], w, period)
                 b = window_change(scaled, dates[30], w, period)
-                assert a.value == pytest.approx(b.value, abs=1e-9)
+                assert a == pytest.approx(b, abs=1e-9)
 
     def test_time_reversal_consistency(self, rng):
         dates = weekday_dates(dt.date(2020, 3, 2), 60)
@@ -98,7 +106,7 @@ class TestWindowChange:
         for w in (1, 2, 5):
             pre = window_change(series, dates[30], w, PRE)
             post = window_change(series, dates[30 - w], w, POST)
-            assert pre.value == pytest.approx(post.value, abs=1e-12)
+            assert pre == pytest.approx(post, abs=1e-12)
 
     def test_outputs_finite_on_positive_inputs(self, rng):
         dates = weekday_dates(dt.date(2020, 3, 2), 40)
@@ -109,7 +117,7 @@ class TestWindowChange:
                 for anchor in dates:
                     change = window_change(series, anchor, w, period)
                     if change is not None:
-                        assert math.isfinite(change.value)
+                        assert math.isfinite(change)
 
     def test_bad_window_rejected(self):
         series = make_series("A", [JUN(10)], [1.0])
@@ -117,6 +125,35 @@ class TestWindowChange:
             window_change(series, JUN(10), 0, PRE)
         with pytest.raises(ValueError):
             window_change(series, JUN(10), 1, "sideways")
+
+
+class TestWindowChanges:
+    """The vectorised kernel against the scalar formula, digit for digit."""
+
+    @pytest.mark.parametrize("scale, seed", [(1e4, 1), (1e-2, 2)])
+    def test_equals_scalar_reference(self, scale, seed):
+        rng = np.random.default_rng(seed)
+        # 1500 quotes on a random subset of 2200 calendar days: gaps of any length
+        days = np.arange(np.datetime64("2015-01-01"), np.datetime64("2015-01-01") + 2200)
+        dates = np.sort(rng.choice(days, size=1500, replace=False))
+        values = scale * np.exp(rng.normal(0.0, 0.02, 1500).cumsum())
+        # every calendar day from before the first quote to after the last
+        news = np.arange(dates[0] - 5, dates[-1] + 6)
+        for w in (1, 2, 8, 9, 30, 128, 129, 365):
+            pre, post = window_changes(dates, values, news, w)
+            for changes, period in ((pre, PRE), (post, POST)):
+                reference = [reference_change(dates, values, d, w, period) for d in news.tolist()]
+                assert np.isnan(changes).tolist() == [r is None for r in reference]
+                assert all(c == r for c, r in zip(changes.tolist(), reference) if r is not None)
+                assert any(r is not None for r in reference)
+
+    def test_empty_series_and_no_dates(self):
+        empty = np.array([], dtype="datetime64[D]")
+        pre, post = window_changes(empty, np.array([]), np.array([JUN(1)], dtype="datetime64[D]"), 1)
+        assert np.isnan(pre).all() and np.isnan(post).all()
+        dates = np.array(weekday_dates(JUN(1), 10), dtype="datetime64[D]")
+        pre, post = window_changes(dates, np.ones(10), empty, 2)
+        assert pre.shape == post.shape == (0,)
 
 
 class TestMarketControl:
@@ -132,7 +169,7 @@ class TestMarketControl:
         index = make_index("M", dates, values)
         for period in (PRE, POST):
             assert market_control(index, dates[12], 3, period) == pytest.approx(
-                window_change(series, dates[12], 3, period).value, abs=1e-12
+                window_change(series, dates[12], 3, period), abs=1e-12
             )
 
     def test_doubling_index_post_is_log_two(self):

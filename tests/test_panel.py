@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -9,12 +10,16 @@ from conftest import (
     make_index,
     make_series,
     make_stores,
+    reference_change,
     simple_event,
     simple_firm,
     weekday_dates,
 )
-from newsprop.market import PRE, POST
-from newsprop.panel import build_panel, panel_summary, write_panel
+from newsprop.firms import FirmRegistry
+from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
+from newsprop.market import PRE, POST, IndexSeries
+from newsprop.panel import MODES, Stores, build_panel, panel_summary, write_panel
+from newsprop.sim import SimConfig, simulate
 
 START = dt.date(2016, 1, 4)
 
@@ -31,7 +36,7 @@ class TestOwnMode:
         dates, prices, indices = flat_market(["A"])
         stores = make_stores(firms=[simple_firm("A")], prices=prices, indices=indices)
         panel = build_panel(stores, "own", "positive", 1)
-        assert panel.observations == []
+        assert len(panel) == 0
         assert panel_summary(panel).n_obs == 0
 
     def test_one_complete_pair_gives_two_rows(self):
@@ -43,9 +48,9 @@ class TestOwnMode:
             events=[simple_event("n1", dates[10], {"A"})],
         )
         panel = build_panel(stores, "own", "positive", 1)
-        assert len(panel.observations) == 2
-        assert [o.period for o in panel.observations] == [PRE, POST]
-        assert panel.observations[0].news_value == pytest.approx(0.6)
+        assert len(panel) == 2
+        assert panel.y.shape == panel.market_x.shape == (1, 2)  # one pair: pre, post
+        assert panel.news_value[0] == pytest.approx(0.6)
         summary = panel_summary(panel)
         assert (summary.n_obs, summary.n_events, summary.n_firms) == (2, 1, 1)
 
@@ -58,8 +63,8 @@ class TestOwnMode:
             events=[simple_event("n1", dates[0], {"A"}), simple_event("n2", dates[10], {"A"})],
         )
         panel = build_panel(stores, "own", "positive", 1)
-        assert len(panel.observations) == 2  # only n2 survives
-        assert {o.news_id for o in panel.observations} == {"n2"}
+        assert len(panel) == 2  # only n2 survives
+        assert set(panel.news_id) == {"n2"}
         assert panel_summary(panel).drop_counts == {"price-window": 1}
 
     def test_unknown_and_incomplete_registry_rows_audited(self):
@@ -71,7 +76,7 @@ class TestOwnMode:
         events = [simple_event("n1", dates[10], {"A", "B", "C"})]
         stores = make_stores(firms=firms, prices=prices, indices=indices, events=events)
         panel = build_panel(stores, "own", "positive", 1)
-        assert panel.observations == []
+        assert len(panel) == 0
         assert panel_summary(panel).drop_counts == {
             "missing-market": 1,
             "missing-sector": 1,
@@ -103,16 +108,10 @@ class TestOwnMode:
         )
         pos = build_panel(stores, "own", "positive", 2)
         neg = build_panel(stores, "own", "negative", 2)
-        assert len(pos.observations) == len(neg.observations)
-        for a, b in zip(pos.observations, neg.observations):
-            assert (a.firm_id, a.news_id, a.period, a.y, a.market_x) == (
-                b.firm_id,
-                b.news_id,
-                b.period,
-                b.y,
-                b.market_x,
-            )
-            assert a.news_value != b.news_value
+        assert len(pos) == len(neg)
+        for column in ("firm_id", "news_id", "y", "market_x"):
+            assert np.array_equal(getattr(pos, column), getattr(neg, column))
+        assert np.all(pos.news_value != neg.news_value)
 
     def test_weekend_event_uses_shifted_anchor(self):
         dates, prices, indices = flat_market(["A"])
@@ -125,7 +124,7 @@ class TestOwnMode:
             events=[simple_event("n1", saturday, {"A"})],
         )
         panel = build_panel(stores, "own", "positive", 1)
-        assert len(panel.observations) == 2
+        assert len(panel) == 2
 
 
 class TestIndirectModes:
@@ -148,8 +147,8 @@ class TestIndirectModes:
             [("A", "J"), ("B", "J")],
             [simple_event("n1", dates[10], {"J"})],
         )
-        assert len(panel.observations) == 4
-        assert {o.firm_id for o in panel.observations} == {"A", "B"}
+        assert len(panel) == 4
+        assert set(panel.firm_id) == {"A", "B"}
 
     def test_client_mode_symmetric(self):
         dates = weekday_dates(START, 40)
@@ -158,7 +157,7 @@ class TestIndirectModes:
             [("J", "A"), ("J", "B"), ("C", "J")],
             [simple_event("n1", dates[10], {"J"})],
         )
-        assert {o.firm_id for o in panel.observations} == {"A", "B"}
+        assert set(panel.firm_id) == {"A", "B"}
 
     def test_same_article_mentions_excluded(self):
         dates = weekday_dates(START, 40)
@@ -167,7 +166,7 @@ class TestIndirectModes:
             [("A", "J"), ("B", "J")],
             [simple_event("n1", dates[10], {"J", "A"})],
         )
-        assert {o.firm_id for o in panel.observations} == {"B"}
+        assert set(panel.firm_id) == {"B"}
 
     def test_exposure_via_two_mentions_contributes_once(self):
         dates = weekday_dates(START, 40)
@@ -177,7 +176,8 @@ class TestIndirectModes:
             [simple_event("n1", dates[10], {"J", "K"})],
             extra_firms=("K",),
         )
-        assert [(o.firm_id, o.period) for o in panel.observations] == [("A", PRE), ("A", POST)]
+        assert panel.firm_id.tolist() == ["A"]
+        assert len(panel) == 2
 
     def test_snapshot_year_fallback(self):
         dates = weekday_dates(START, 40)
@@ -187,7 +187,7 @@ class TestIndirectModes:
             [simple_event("n1", dates[10], {"J"})],
             year=2013,  # most recent snapshot before the 2016 event
         )
-        assert len(panel.observations) == 2
+        assert len(panel) == 2
 
     def test_no_snapshot_drops_event(self):
         dates = weekday_dates(START, 40)
@@ -197,7 +197,7 @@ class TestIndirectModes:
             [simple_event("n1", dates[10], {"J"})],
             year=2019,  # only snapshot is after the event
         )
-        assert panel.observations == []
+        assert len(panel) == 0
         assert panel_summary(panel).drop_counts == {"no-snapshot": 1}
 
     def test_unlinked_firm_contributes_no_rows(self):
@@ -208,7 +208,7 @@ class TestIndirectModes:
             [simple_event("n1", dates[10], {"J"})],
             extra_firms=("LONER",),
         )
-        assert "LONER" not in {o.firm_id for o in panel.observations}
+        assert "LONER" not in set(panel.firm_id)
 
 
 class TestPanelShape:
@@ -231,11 +231,10 @@ class TestPanelShape:
             events=events,
         )
         panel = build_panel(stores, "own", "positive", 3)
-        pairs = {}
-        for o in panel.observations:
-            pairs.setdefault((o.news_id, o.firm_id), set()).add(o.period)
-        assert all(periods == {PRE, POST} for periods in pairs.values())
-        assert len(panel.observations) == 2 * len(pairs)
+        pairs = set(zip(panel.news_id.tolist(), panel.firm_id.tolist()))
+        assert len(pairs) == len(panel.news_id)
+        assert np.isfinite(panel.y).all() and np.isfinite(panel.market_x).all()
+        assert len(panel) == 2 * len(pairs)
 
     def test_output_sorted_and_deterministic(self, rng):
         firm_ids = [f"F{i}" for i in range(5)]
@@ -252,9 +251,11 @@ class TestPanelShape:
         )
         a = build_panel(stores, "own", "positive", 2)
         b = build_panel(stores, "own", "positive", 2)
-        assert a.observations == b.observations
-        keys = [(o.news_id, o.firm_id, o.period == POST) for o in a.observations]
-        assert keys == sorted(keys)
+        for column in ("news_id", "firm_id", "sector", "market", "news_value", "y", "market_x"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+        assert a.drops == b.drops
+        keys = list(zip(a.news_id.tolist(), a.firm_id.tolist()))
+        assert keys == sorted(set(keys))
 
     def test_export_schema(self, tmp_path):
         dates, prices, indices = flat_market(["A"])
@@ -279,3 +280,86 @@ class TestPanelShape:
             build_panel(stores, "own", "bullish", 1)
         with pytest.raises(ValueError):
             build_panel(stores, "own", "positive", 0)
+
+
+def perturbed_sim_stores() -> Stores:
+    """A simulated bundle with edges, edited so that every drop reason occurs."""
+    config = SimConfig(
+        n_firms=30, n_sectors=4, n_markets=2, n_days=500, edge_prob=0.08, news_rate=3.0,
+        start_date=dt.date(2016, 6, 1), seed=11,
+    )
+    stores = simulate(config).stores()
+    records = {f: stores.firms.get(f) for f in stores.firms.firm_ids}
+    del records["F00000"]  # unknown-firm
+    records["F00001"] = dataclasses.replace(records["F00001"], sector_code="")
+    records["F00002"] = dataclasses.replace(records["F00002"], market_id="")
+    prices = dict(stores.prices)
+    del prices["F00003"]  # price-window without a series
+    m1 = stores.indices["M01"]  # starts 60 quotes late: index-window
+    indices = {**stores.indices, "M01": IndexSeries("M01", m1.dates[60:], m1.values[60:])}
+    # the only snapshot is a year after the first events: no-snapshot
+    graph = SupplyChainNetwork(
+        {2017: SupplyChainSnapshot.from_edges(2017, stores.graph.snapshot(2016).edges)})
+    return Stores(firms=FirmRegistry(records), prices=prices, indices=indices,
+                  news=stores.news, graph=graph)
+
+
+def reference_pairs(stores: Stores, mode: str, w: int):
+    """Per-pair brute force: (news_id, firm_id, drop reason or None, y, market_x)."""
+    out = []
+    for news_id in sorted(stores.news.events):
+        event = stores.news.events[news_id]
+        if mode == "own":
+            exposed = set(event.mentions)
+        else:
+            year = stores.graph.snapshot_year_at_or_before(event.date.year)
+            if year is None:
+                out += [(news_id, f, "no-snapshot", None, None) for f in sorted(event.mentions)]
+                continue
+            neighbours = stores.graph.suppliers_of if mode == "supplier" else stores.graph.clients_of
+            exposed = set().union(*(neighbours(f, year) for f in event.mentions)) - event.mentions
+        for firm_id in sorted(exposed):
+            record = stores.firms.get(firm_id)
+            series = stores.prices.get(firm_id)
+            index = stores.indices.get(record.market_id) if record else None
+            y = [reference_change(series.dates, series.closes, event.date, w, period)
+                 for period in (PRE, POST)] if series else [None]
+            x = [reference_change(index.dates, index.values, event.date, w, period)
+                 for period in (PRE, POST)] if index else [None]
+            if record is None:
+                reason = "unknown-firm"
+            elif not record.sector_code:
+                reason = "missing-sector"
+            elif not record.market_id:
+                reason = "missing-market"
+            elif None in y:
+                reason = "price-window"
+            elif None in x:
+                reason = "index-window"
+            else:
+                reason = None
+            out.append((news_id, firm_id, reason, y, x))
+    return out
+
+
+class TestReference:
+    def test_columns_and_drops_match_per_pair_reference(self):
+        stores = perturbed_sim_stores()
+        reasons = set()
+        for mode in MODES:
+            for w in (1, 3, 7):
+                panel = build_panel(stores, mode, "positive", w)
+                pairs = reference_pairs(stores, mode, w)
+                kept = [p for p in pairs if p[2] is None]
+                assert list(zip(panel.news_id.tolist(), panel.firm_id.tolist())) == [
+                    (p[0], p[1]) for p in kept
+                ]
+                assert panel.y.tolist() == [p[3] for p in kept]
+                assert panel.market_x.tolist() == [p[4] for p in kept]
+                assert [(d.news_id, d.firm_id, d.reason) for d in panel.drops] == [
+                    p[:3] for p in pairs if p[2] is not None
+                ]
+                reasons |= {d.reason for d in panel.drops}
+        assert reasons == {"no-snapshot", "unknown-firm", "missing-sector", "missing-market",
+                           "price-window", "index-window"}
+        assert all(len(build_panel(stores, m, "positive", 1)) > 0 for m in MODES)

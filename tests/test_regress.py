@@ -5,16 +5,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_panel
+from conftest import make_panel, random_panel
 from newsprop.errors import (
     CollinearError,
     DegenerateVarianceError,
     EmptyPanelError,
     InsufficientDataError,
 )
-from newsprop.market import PRE
-from newsprop.panel import Panel
 from newsprop.regress import FIT_HEADER, diff_test, fit, within_transform, write_fits
+
+
+def observation_rows(panel):
+    """(sector, is_pre, news_value, market_x, y) per observation, pre then post per pair."""
+    return [
+        (panel.sector[k], j == 0, panel.news_value[k], panel.market_x[k, j], panel.y[k, j])
+        for k in range(len(panel.news_id))
+        for j in (0, 1)
+    ]
 
 
 def dummy_ols(panel):
@@ -24,20 +31,19 @@ def dummy_ols(panel):
     slope coefficients, their standard errors, and the pre/post covariance,
     with dof = n - n_sectors - 3.
     """
-    obs = panel.observations
-    n = len(obs)
-    sectors = sorted({o.sector for o in obs})
+    rows = observation_rows(panel)
+    n = len(rows)
+    sectors = sorted({row[0] for row in rows})
     s_index = {s: j for j, s in enumerate(sectors)}
     k = len(sectors)
     X = np.zeros((n, k + 3))
     y = np.empty(n)
-    for i, o in enumerate(obs):
-        X[i, s_index[o.sector]] = 1.0
-        pre = o.period == PRE
-        X[i, k] = o.news_value if pre else 0.0
-        X[i, k + 1] = 0.0 if pre else o.news_value
-        X[i, k + 2] = o.market_x
-        y[i] = o.y
+    for i, (sector, pre, news_value, market_x, y_i) in enumerate(rows):
+        X[i, s_index[sector]] = 1.0
+        X[i, k] = news_value if pre else 0.0
+        X[i, k + 1] = 0.0 if pre else news_value
+        X[i, k + 2] = market_x
+        y[i] = y_i
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
     dof = n - k - 3
@@ -53,19 +59,19 @@ def reparameterized_fit(panel):
     The coefficient on POST*NEWS equals beta_post - beta_pre, and its
     standard error equals the difference's standard error.
     """
-    obs = panel.observations
-    n = len(obs)
-    sectors = sorted({o.sector for o in obs})
+    rows = observation_rows(panel)
+    n = len(rows)
+    sectors = sorted({row[0] for row in rows})
     s_index = {s: j for j, s in enumerate(sectors)}
     k = len(sectors)
     X = np.zeros((n, k + 3))
     y = np.empty(n)
-    for i, o in enumerate(obs):
-        X[i, s_index[o.sector]] = 1.0
-        X[i, k] = o.news_value
-        X[i, k + 1] = 0.0 if o.period == PRE else o.news_value
-        X[i, k + 2] = o.market_x
-        y[i] = o.y
+    for i, (sector, pre, news_value, market_x, y_i) in enumerate(rows):
+        X[i, s_index[sector]] = 1.0
+        X[i, k] = news_value
+        X[i, k + 1] = 0.0 if pre else news_value
+        X[i, k + 2] = market_x
+        y[i] = y_i
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
     dof = n - k - 3
@@ -78,31 +84,19 @@ class TestWithinTransform:
     def test_single_sector_subtracts_global_mean(self, rng):
         panel = random_panel(rng, n_pairs=10, n_sectors=1)
         design = within_transform(panel)
-        y = np.array([o.y for o in panel.observations])
+        y = np.array([row[4] for row in observation_rows(panel)])
         assert design.y == pytest.approx(y - y.mean(), abs=1e-12)
         assert len(design.sector_labels) == 1
 
     def test_equal_within_group_values_demean_to_zero(self):
-        obs = []
-        for sector, value in (("S0", 3.0), ("S1", -2.0)):
-            for period in ("pre", "post"):
-                obs.append(
-                    dataclasses.replace(
-                        random_panel(np.random.default_rng(0), 1, 1).observations[0],
-                        sector=sector,
-                        y=value,
-                        news_value=0.5,
-                        market_x=value,
-                        period=period,
-                    )
-                )
-        design = within_transform(Panel("own", "positive", 1, obs))
+        values = [[3.0, 3.0], [-2.0, -2.0]]  # sector S0, then S1; pre and post
+        design = within_transform(make_panel(["S0", "S1"], [0.5, 0.5], values, values))
         assert np.allclose(design.y, 0.0)
         assert np.allclose(design.X[:, 2], 0.0)
 
     def test_empty_panel_raises(self):
         with pytest.raises(EmptyPanelError):
-            within_transform(Panel("own", "positive", 1, []))
+            within_transform(make_panel([], [], np.empty((0, 2)), np.empty((0, 2))))
 
     def test_matches_dummy_solver(self, rng):
         panel = random_panel(rng, n_pairs=25, n_sectors=6)
@@ -115,12 +109,7 @@ class TestWithinTransform:
 class TestFit:
     def test_zero_response_gives_zero_betas(self, rng):
         panel = random_panel(rng, n_pairs=20, n_sectors=3)
-        panel = Panel(
-            "own",
-            "positive",
-            1,
-            [dataclasses.replace(o, y=0.0) for o in panel.observations],
-        )
+        panel = dataclasses.replace(panel, y=np.zeros_like(panel.y))
         result = fit(panel)
         assert result.beta_pre == result.beta_post == result.beta_x == 0.0
         assert result.se_pre == result.se_post == result.se_x == 0.0
@@ -159,12 +148,7 @@ class TestFit:
 
     def test_collinear_raises_with_column(self, rng):
         panel = random_panel(rng, n_pairs=15, n_sectors=2)
-        broken = Panel(
-            "own",
-            "positive",
-            1,
-            [dataclasses.replace(o, market_x=0.0) for o in panel.observations],
-        )
+        broken = dataclasses.replace(panel, market_x=np.zeros_like(panel.market_x))
         with pytest.raises(CollinearError) as err:
             fit(broken)
         assert err.value.column == "market_x"
@@ -176,21 +160,18 @@ class TestFit:
 
     def test_row_order_invariance(self, rng):
         panel = random_panel(rng, n_pairs=60, n_sectors=8)
-        shuffled = list(panel.observations)
-        np.random.default_rng(5).shuffle(shuffled)
+        # a panel's rows are pairs, each pre then post, so pairs are what can move
+        order = np.random.default_rng(5).permutation(len(panel.news_id))
+        columns = ("news_id", "firm_id", "sector", "market", "news_value", "y", "market_x")
+        shuffled = dataclasses.replace(panel, **{c: getattr(panel, c)[order] for c in columns})
         a = fit(panel)
-        b = fit(Panel("own", "positive", 1, shuffled))
+        b = fit(shuffled)
         for name in ("beta_pre", "beta_post", "beta_x", "se_pre", "se_post", "se_x", "diff", "diff_se", "diff_t", "diff_p"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
 
     def test_constant_shift_absorbed(self, rng):
         panel = random_panel(rng, n_pairs=40, n_sectors=5)
-        shifted = Panel(
-            "own",
-            "positive",
-            1,
-            [dataclasses.replace(o, y=o.y + 17.5) for o in panel.observations],
-        )
+        shifted = dataclasses.replace(panel, y=panel.y + 17.5)
         a, b = fit(panel), fit(shifted)
         assert a.beta_pre == pytest.approx(b.beta_pre, abs=1e-12)
         assert a.beta_post == pytest.approx(b.beta_post, abs=1e-12)

@@ -50,8 +50,6 @@ class TestLoadNews:
         store, rejections = load_news(write_news(tmp_path, rows))
         assert rejections == []
         assert store.get("n1").mentions == {"A", "B", "C"}
-        for firm in "ABC":
-            assert [e.news_id for e in store.events_for_firm(firm)] == ["n1"]
 
     def test_inconsistent_repeat_rows_rejected(self, tmp_path):
         rows = [

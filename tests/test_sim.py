@@ -101,10 +101,10 @@ class TestSimulate:
         )
         a = panel.build_panel(bundle.stores(), "own", "positive", 1)
         b = panel.build_panel(loaded, "own", "positive", 1)
-        assert len(a.observations) == len(b.observations)
-        for x, y in zip(a.observations, b.observations):
-            assert (x.firm_id, x.news_id, x.period) == (y.firm_id, y.news_id, y.period)
-            assert x.y == pytest.approx(y.y, abs=1e-7)  # file precision is 12 significant digits
+        assert len(a) == len(b)
+        assert np.array_equal(a.firm_id, b.firm_id)
+        assert np.array_equal(a.news_id, b.news_id)
+        assert a.y == pytest.approx(b.y, abs=1e-7)  # file precision is 12 significant digits
 
     def test_index_is_mean_log_price(self):
         bundle = simulate(SMALL)
