@@ -11,57 +11,58 @@ from pathlib import Path
 
 from newsprop.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="newsprop-demo-"))
-sim_cfg = workdir / "sim.cfg"
-sim_cfg.write_text(
-    "\n".join(
+with tempfile.TemporaryDirectory(prefix="newsprop-demo-") as tmp:
+    workdir = Path(tmp)
+    sim_cfg = workdir / "sim.cfg"
+    sim_cfg.write_text(
+        "\n".join(
+            [
+                "# synthetic market with leaked and disclosed effects",
+                "n_firms = 60",
+                "n_days = 150",
+                "edge_prob = 0.04",
+                "news_rate = 8",
+                "gamma_pre = 0.25",
+                "gamma_post = 0.8",
+                "gamma_sup = 0.08",
+                "seed = 21",
+            ]
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+
+    data = workdir / "data"
+    out = workdir / "out"
+
+    print("== simulate ==")
+    main(["simulate", "--config", str(sim_cfg), "--out", str(data), "--windows", "1,2,3,4,5"])
+
+    bundle_flags = []
+    for name in ("firms", "prices", "indices", "news", "edges"):
+        bundle_flags += [f"--{name}", str(data / f"{name}.csv")]
+
+    print("\n== validate ==")
+    main(["validate", *bundle_flags, "--strict"])
+
+    print("\n== run ==")
+    main(
         [
-            "# synthetic market with leaked and disclosed effects",
-            "n_firms = 60",
-            "n_days = 150",
-            "edge_prob = 0.04",
-            "news_rate = 8",
-            "gamma_pre = 0.25",
-            "gamma_post = 0.8",
-            "gamma_sup = 0.08",
-            "seed = 21",
+            "run",
+            *bundle_flags,
+            "--mode", "own,supplier,client",
+            "--polarity", "positive,negative",
+            "--windows", "1,2,3,4,5",
+            "--out", str(out),
         ]
     )
-    + "\n",
-    encoding="utf-8",
-)
 
-data = workdir / "data"
-out = workdir / "out"
+    print("\n== artifacts ==")
+    for path in sorted(out.iterdir()):
+        print(f"  {path}")
 
-print("== simulate ==")
-main(["simulate", "--config", str(sim_cfg), "--out", str(data), "--windows", "1,2,3,4,5"])
+    print("\nfirst effect-plot rows:")
+    for line in (out / "effects.csv").read_text(encoding="utf-8").splitlines()[:6]:
+        print(f"  {line}")
 
-bundle_flags = []
-for name in ("firms", "prices", "indices", "news", "edges"):
-    bundle_flags += [f"--{name}", str(data / f"{name}.csv")]
-
-print("\n== validate ==")
-main(["validate", *bundle_flags, "--strict"])
-
-print("\n== run ==")
-main(
-    [
-        "run",
-        *bundle_flags,
-        "--mode", "own,supplier,client",
-        "--polarity", "positive,negative",
-        "--windows", "1,2,3,4,5",
-        "--out", str(out),
-    ]
-)
-
-print("\n== artifacts ==")
-for path in sorted(out.iterdir()):
-    print(f"  {path}")
-
-print("\nfirst effect-plot rows:")
-for line in (out / "effects.csv").read_text(encoding="utf-8").splitlines()[:6]:
-    print(f"  {line}")
-
-print(f"\neverything lives under {workdir}")
+    print(f"\neverything lived under {workdir}, which is removed on exit")

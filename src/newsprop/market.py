@@ -40,6 +40,8 @@ POST = "post"
 PRICE_HEADER = ("firm_id", "date", "close")
 INDEX_HEADER = ("market_id", "date", "value")
 
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -130,24 +132,30 @@ def market_control(
 def _load_dated_values(path, header: tuple[str, str, str]):
     """Shared loader for the price and index schemas.
 
-    Returns ({id: [(date, value), ...]}, rejections). Rows need not be sorted;
-    duplicate (id, date) pairs reject the later row.
+    Returns ``({id: (dates, values)}, rejections)``: per id, in the order of
+    its first accepted row, a strictly ascending datetime64[D] array and the
+    float64 values on those dates. Rows need not be sorted; duplicate
+    (id, date) pairs reject the later row.
     """
-    by_id: dict[str, dict[dt.date, float]] = {}
+    day_of: dict[str, int] = {}  # date text -> days since 1970-01-01
+    by_id: dict[str, dict[int, float]] = {}
     rejections: list[RowRejection] = []
     for i, row in read_rows(path, header):
         if len(row) != 3:
             rejections.append(RowRejection(i, "wrong column count"))
             continue
-        ident, date_text, value_text = (field.strip() for field in row)
+        ident, date_text, value_text = row[0].strip(), row[1].strip(), row[2].strip()
         if not ident:
             rejections.append(RowRejection(i, f"empty {header[0]}"))
             continue
-        try:
-            date = parse_date(date_text)
-        except ValueError:
-            rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
-            continue
+        day = day_of.get(date_text)
+        if day is None:
+            try:
+                day = parse_date(date_text).toordinal() - _EPOCH_ORDINAL
+            except ValueError:
+                rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
+                continue
+            day_of[date_text] = day
         try:
             value = float(value_text)
         except ValueError:
@@ -157,36 +165,35 @@ def _load_dated_values(path, header: tuple[str, str, str]):
             rejections.append(RowRejection(i, f"nonpositive {header[2]} {value_text!r}"))
             continue
         series = by_id.setdefault(ident, {})
-        if date in series:
+        if day in series:
+            date = dt.date.fromordinal(day + _EPOCH_ORDINAL)
             rejections.append(RowRejection(i, f"duplicate ({ident}, {date.isoformat()})"))
             continue
-        series[date] = value
-    return by_id, rejections
-
-
-def _as_arrays(points: dict[dt.date, float]) -> tuple[np.ndarray, np.ndarray]:
-    dates = sorted(points)
-    return (
-        np.array([np.datetime64(d, "D") for d in dates]),
-        np.array([points[d] for d in dates], dtype=float),
-    )
+        series[day] = value
+    arrays = {}
+    for ident, points in by_id.items():
+        days = np.fromiter(points.keys(), dtype=np.int64, count=len(points))
+        values = np.fromiter(points.values(), dtype=np.float64, count=len(points))
+        order = np.argsort(days)  # days are unique, so the order is unambiguous
+        arrays[ident] = (days[order].astype("datetime64[D]"), values[order])
+    return arrays, rejections
 
 
 def load_prices(path) -> tuple[dict[str, PriceSeries], list[RowRejection]]:
     """Load a price file (header ``firm_id,date,close``) into per-firm series."""
     by_id, rejections = _load_dated_values(path, PRICE_HEADER)
-    store = {}
-    for firm_id, points in by_id.items():
-        dates, closes = _as_arrays(points)
-        store[firm_id] = PriceSeries(firm_id=firm_id, dates=dates, closes=closes)
+    store = {
+        firm_id: PriceSeries(firm_id=firm_id, dates=dates, closes=closes)
+        for firm_id, (dates, closes) in by_id.items()
+    }
     return store, rejections
 
 
 def load_indices(path) -> tuple[dict[str, IndexSeries], list[RowRejection]]:
     """Load an index file (header ``market_id,date,value``) into per-market series."""
     by_id, rejections = _load_dated_values(path, INDEX_HEADER)
-    store = {}
-    for market_id, points in by_id.items():
-        dates, values = _as_arrays(points)
-        store[market_id] = IndexSeries(market_id=market_id, dates=dates, values=values)
+    store = {
+        market_id: IndexSeries(market_id=market_id, dates=dates, values=values)
+        for market_id, (dates, values) in by_id.items()
+    }
     return store, rejections

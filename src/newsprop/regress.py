@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg, stats
+from scipy.linalg import solve_triangular
+from scipy.special import stdtr
 
 from .csvio import write_rows
 from .errors import (
@@ -135,7 +136,9 @@ def _diff_fields(beta: np.ndarray, cov: np.ndarray, dof: int) -> DiffTest:
             raise DegenerateVarianceError("zero variance with nonzero difference")
         return DiffTest(diff=0.0, diff_se=0.0, diff_t=0.0, diff_p=1.0)
     diff_t = diff / diff_se
-    diff_p = float(2.0 * stats.t.sf(abs(diff_t), dof))
+    # scipy.stats.t.sf(x, dof) is stdtr(dof, -x); importing scipy.stats for it
+    # would take longer than importing the rest of the package
+    diff_p = float(2.0 * stdtr(dof, -abs(diff_t)))
     return DiffTest(diff=diff, diff_se=diff_se, diff_t=diff_t, diff_p=diff_p)
 
 
@@ -184,10 +187,10 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
         if diag[j] <= _RANK_RTOL * max(col_norms[j], 1e-300):
             raise CollinearError(REGRESSOR_NAMES[j])
 
-    beta = linalg.solve_triangular(R, Q.T @ y)
+    beta = solve_triangular(R, Q.T @ y)
     resid = y - X @ beta
     rss = float(resid @ resid)
-    r_inv = linalg.solve_triangular(R, np.eye(3))
+    r_inv = solve_triangular(R, np.eye(3))
     xtx_inv = r_inv @ r_inv.T
     if robust:
         meat = (X * resid[:, None] ** 2).T @ X

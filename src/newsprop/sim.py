@@ -68,6 +68,8 @@ BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
 
 EXPECTED_HEADER = ("mode", "polarity", "w", "beta_pre", "beta_post")
 
+_DRIFT_BATCH = 1 << 20  # expanded (firm, day) additions per np.add.at, at most
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -196,14 +198,18 @@ def simulate(config: SimConfig) -> SimBundle:
 
     snapshot_year = config.start_date.year
     rng_edges = np.random.default_rng(ss_edges)
-    adjacency = rng_edges.random((n, n)) < config.edge_prob
-    np.fill_diagonal(adjacency, False)
-    edges = [
-        (snapshot_year, firm_ids[i], firm_ids[j])
-        for i, j in np.argwhere(adjacency)
-    ]
-    suppliers_of = {j: np.flatnonzero(adjacency[:, j]) for j in range(n)}
-    clients_of = {i: np.flatnonzero(adjacency[i, :]) for i in range(n)}
+    # one row of coin flips at a time: the same draws as one (n, n) draw,
+    # without its n_firms^2 memory
+    edges = []
+    suppliers_of: dict[int, list[int]] = {j: [] for j in range(n)}
+    clients_of: dict[int, list[int]] = {}
+    for i in range(n):
+        row = rng_edges.random(n) < config.edge_prob
+        row[i] = False
+        clients_of[i] = np.flatnonzero(row).tolist()
+        for j in clients_of[i]:
+            suppliers_of[j].append(i)
+            edges.append((snapshot_year, firm_ids[i], firm_ids[j]))
 
     trading_dates = _trading_calendar(config)
     n_trading = len(trading_dates)
@@ -225,14 +231,38 @@ def simulate(config: SimConfig) -> SimBundle:
     for i in range(n):
         returns[i] += market_factor[i % config.n_markets]
 
+    # every injection adds a pre drift to returns[firm, anchor-leak:anchor] and a
+    # post drift to returns[firm, anchor:anchor+effect], clipped to the calendar.
+    # They are collected in injection order and applied in batches by one
+    # unbuffered np.add.at each, which adds in index order, so every element
+    # gets the same float additions in the same order as one slice-add per
+    # drift would give it. Batches keep the expanded index arrays small.
+    drift_firm: list[int] = []
+    drift_anchor: list[int] = []
+    drift_pre: list[float] = []
+    drift_post: list[float] = []
+
     def inject(firm: int, anchor: int, pre_coef: float, post_coef: float, q: float) -> None:
         # coefficients are percent per day; returns are in log units
-        lo = max(anchor - config.leak_window, 0)
-        if lo < anchor:
-            returns[firm, lo:anchor] += pre_coef * (q - 0.5) / (100.0 * config.leak_window)
-        hi = min(anchor + config.effect_window, n_trading)
-        if anchor < hi:
-            returns[firm, anchor:hi] += post_coef * (q - 0.5) / (100.0 * config.effect_window)
+        drift_firm.append(firm)
+        drift_anchor.append(anchor)
+        drift_pre.append(pre_coef * (q - 0.5) / (100.0 * config.leak_window))
+        drift_post.append(post_coef * (q - 0.5) / (100.0 * config.effect_window))
+
+    def apply_drifts() -> None:
+        anchor = np.array(drift_anchor, dtype=np.int64)
+        pre_lo = np.maximum(anchor - config.leak_window, 0)
+        post_hi = np.minimum(anchor + config.effect_window, n_trading)
+        # [lo, hi) day spans, each injection's pre drift then its post drift
+        lo = np.column_stack((pre_lo, anchor)).ravel()
+        lengths = np.column_stack((anchor, post_hi)).ravel() - lo
+        offsets = np.cumsum(lengths) - lengths  # each span's first slot in the expansion
+        days = np.arange(int(lengths.sum())) + np.repeat(lo - offsets, lengths)
+        rows = np.repeat(np.repeat(np.array(drift_firm, dtype=np.int64), 2), lengths)
+        values = np.repeat(np.column_stack((drift_pre, drift_post)).ravel(), lengths)
+        np.add.at(returns, (rows, days), values)
+        for column in (drift_firm, drift_anchor, drift_pre, drift_post):
+            column.clear()
 
     news_events: list[NewsEvent] = []
     for serial, (i, date, triple) in enumerate(events):
@@ -252,9 +282,12 @@ def simulate(config: SimConfig) -> SimBundle:
         q = float(triple[0])
         inject(i, anchor, config.gamma_pre, config.gamma_post, q)
         for s in suppliers_of[i]:
-            inject(int(s), anchor, config.gamma_sup, config.gamma_sup, q)
+            inject(s, anchor, config.gamma_sup, config.gamma_sup, q)
         for c in clients_of[i]:
-            inject(int(c), anchor, config.gamma_cli, config.gamma_cli, q)
+            inject(c, anchor, config.gamma_cli, config.gamma_cli, q)
+        if len(drift_firm) * (config.leak_window + config.effect_window) >= _DRIFT_BATCH:
+            apply_drifts()
+    apply_drifts()
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)
     prices = {

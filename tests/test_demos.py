@@ -19,10 +19,12 @@ ROOT = Path(__file__).resolve().parent.parent
 )
 def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # TMPDIR keeps the files demo 04 writes inside the test's own directory
+    # TMPDIR keeps the files demo 04 writes inside the test's own directory,
+    # where the test can see that the demo removed them
     env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert list(tmp_path.glob("newsprop-demo-*")) == []

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import make_index, make_series, reference_change, weekday_dates
-from newsprop.errors import LoadError
+from newsprop.csvio import parse_date, read_rows
+from newsprop.errors import LoadError, RowRejection
 from newsprop.market import (
+    INDEX_HEADER,
     PRE,
     POST,
+    PRICE_HEADER,
     load_indices,
     load_prices,
     market_control,
@@ -181,7 +184,109 @@ class TestMarketControl:
         assert post == pytest.approx(69.31472, abs=5e-6)
 
 
+def reference_load(path, header):
+    """The loader's row rules with one {date: value} dict per id, then one
+    np.datetime64 per element: ({id: (dates, values)}, rejections)."""
+    by_id, rejections = {}, []
+    for i, row in read_rows(path, header):
+        if len(row) != 3:
+            rejections.append(RowRejection(i, "wrong column count"))
+            continue
+        ident, date_text, value_text = (field.strip() for field in row)
+        if not ident:
+            rejections.append(RowRejection(i, f"empty {header[0]}"))
+            continue
+        try:
+            date = parse_date(date_text)
+        except ValueError:
+            rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
+            continue
+        try:
+            value = float(value_text)
+        except ValueError:
+            rejections.append(RowRejection(i, f"malformed {header[2]} {value_text!r}"))
+            continue
+        if not math.isfinite(value) or value <= 0.0:
+            rejections.append(RowRejection(i, f"nonpositive {header[2]} {value_text!r}"))
+            continue
+        series = by_id.setdefault(ident, {})
+        if date in series:
+            rejections.append(RowRejection(i, f"duplicate ({ident}, {date.isoformat()})"))
+            continue
+        series[date] = value
+    arrays = {}
+    for ident, points in by_id.items():
+        dates = sorted(points)
+        arrays[ident] = (
+            np.array([np.datetime64(d, "D") for d in dates]),
+            np.array([points[d] for d in dates], dtype=float),
+        )
+    return arrays, rejections
+
+
+def messy_quote_file(path, header, seed):
+    """A shuffled quote file holding every rejection reason, padded fields,
+    timestamp suffixes, dates from year 1 to 9999, and duplicates, some of
+    them of rejected rows."""
+    rng = np.random.default_rng(seed)
+    days = ["0001-01-01", "1899-12-31", "1969-12-31", "1970-01-01", "2021-06-10",
+            "2021-06-11", "2024-02-29", "2100-03-01", "2150-07-04", "9999-12-31"]
+    texts = days + [f" {d} " for d in days] + [f"{d}T14:31:00" for d in days[3:6]]
+    texts += ["2021-06-10 09:30", "1969-12-31T23:59:59Z"]
+    bad_dates = ["not-a-date", "2021-13-01", "2023-02-29", "", "21-06-10"]
+    bad_values = ["abc", "", "1.5.2", "0x10"]
+    nonpositive = ["0", "-1.5", "nan", "inf", "-inf", "0.0"]
+    rows = []
+    for _ in range(600):
+        ident = str(rng.choice(["A", "B", " C ", "D", "EE"]))
+        date = str(rng.choice(texts))
+        value = f"{rng.lognormal(3.0, 2.0):.6g}"
+        kind = rng.random()
+        if kind < 0.03:
+            rows.append(f"{ident},{date}")
+        elif kind < 0.05:
+            rows.append(f"{ident},{date},{value},extra")
+        elif kind < 0.08:
+            rows.append(f"{rng.choice(['', '  '])},{date},{value}")
+        elif kind < 0.11:
+            rows.append(f"{ident},{rng.choice(bad_dates)},{value}")
+        elif kind < 0.14:
+            rows.append(f"{ident},{date},{rng.choice(bad_values)}")
+        elif kind < 0.18:
+            rows.append(f"{ident},{date},{rng.choice(nonpositive)}")
+        else:
+            rows.append(f"{ident},{date}, {value} ")
+    rows = list(rng.permutation(rows))
+    # the same (id, date) first rejected, then accepted, then a duplicate
+    rows += ["ZZ,1950-01-02,-1", "ZZ,1950-01-02,2.5", "ZZ,1950-01-02T00:00,3.5"]
+    path.write_text(",".join(header) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
 class TestLoaders:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "header, load", [(PRICE_HEADER, load_prices), (INDEX_HEADER, load_indices)]
+    )
+    def test_equals_reference_loader(self, header, load, seed, tmp_path):
+        path = messy_quote_file(tmp_path / "quotes.csv", header, seed)
+        expected, expected_rejections = reference_load(path, header)
+        store, rejections = load(path)
+        assert rejections == expected_rejections
+        kinds = ("wrong column count", f"empty {header[0]}", "malformed date",
+                 f"malformed {header[2]}", f"nonpositive {header[2]}", "duplicate")
+        assert all(any(r.reason.startswith(k) for r in rejections) for k in kinds)
+        assert rejections[-2:] == [RowRejection(601, f"nonpositive {header[2]} '-1'"),
+                                   RowRejection(603, "duplicate (ZZ, 1950-01-02)")]
+        assert list(store) == list(expected)
+        for ident, (dates, values) in expected.items():
+            series = store[ident]
+            got = (series.dates, series.closes if load is load_prices else series.values)
+            assert got[0].dtype == np.dtype("datetime64[D]")
+            assert got[0].tobytes() == dates.tobytes()
+            assert got[1].tobytes() == values.tobytes()
+        assert store["ZZ"].dates.tolist() == [dt.date(1950, 1, 2)]
+
     def test_load_sorts_and_rejects_duplicates(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text(

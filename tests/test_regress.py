@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 
 from conftest import make_panel, random_panel
 from newsprop.errors import (
@@ -239,6 +244,33 @@ class TestDiffTest:
         assert r.diff_se**2 == pytest.approx(
             r.se_pre**2 + r.se_post**2 - 2.0 * r.cov_prepost, abs=1e-12
         )
+
+
+class TestPValue:
+    def test_stdtr_equals_t_survival_function(self):
+        from scipy import stats
+
+        t = np.concatenate([np.linspace(0.0, 40.0, 801), [1e-12, 1.959963984540054, 39.999]])
+        dof = np.unique(np.round(np.logspace(0.0, 6.0, 121)).astype(np.int64))
+        tt, dd = np.meshgrid(t, dof)
+        assert np.array_equal(2.0 * stdtr(dd, -np.abs(tt)), 2.0 * stats.t.sf(np.abs(tt), dd))
+
+    def test_fit_p_value_is_two_sided_t(self, rng):
+        from scipy import stats
+
+        for n_pairs in (8, 30, 200):
+            r = fit(random_panel(rng, n_pairs=n_pairs, n_sectors=3))
+            assert r.diff_p == float(2.0 * stats.t.sf(abs(r.diff_t), r.dof))
+
+    def test_cli_import_loads_no_scipy_stats(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import newsprop.cli, sys; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestExport:

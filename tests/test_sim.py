@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime as dt
 
 import numpy as np
 import pytest
@@ -31,8 +32,66 @@ SMALL = SimConfig(
 )
 
 
+# windows longer than the gaps between a firm's events, so drifts overlap
+OVERLAPPING = dataclasses.replace(
+    SMALL, n_firms=40, edge_prob=0.1, news_rate=12.0, leak_window=5, effect_window=3,
+    gamma_cli=0.05, seed=7,
+)
+
+
 def read_bytes(paths):
     return {name: path.read_bytes() for name, path in paths.items()}
+
+
+def dense_reference(config):
+    """The simulator's draws, with the edges drawn as one dense (n, n) matrix
+    and every drift applied as its own slice-add, in injection order.
+
+    Returns the adjacency matrix and the (n_firms, n_trading) closes.
+    """
+    _, ss_edges, ss_market, ss_firms = np.random.SeedSequence(config.seed).spawn(4)
+    n = config.n_firms
+    adjacency = np.random.default_rng(ss_edges).random((n, n)) < config.edge_prob
+    np.fill_diagonal(adjacency, False)
+    days = [config.start_date + dt.timedelta(days=k) for k in range(config.n_days)]
+    if config.weekend_pattern:
+        days = [d for d in days if d.weekday() < 5]
+    calendar = np.array(days, dtype="datetime64[D]")
+    t = len(days)
+    market = np.random.default_rng(ss_market).normal(
+        0.0, config.market_vol, size=(config.n_markets, t)
+    )
+    returns = np.empty((n, t))
+    events = []
+    for i, child in enumerate(ss_firms.spawn(n)):
+        rng = np.random.default_rng(child)
+        returns[i] = rng.normal(0.0, config.idio_vol, size=t)
+        k = int(rng.poisson(config.news_rate))
+        offsets = rng.integers(0, config.n_days, size=k)
+        triples = rng.dirichlet(config.sentiment_alpha, size=k)
+        events += [(i, int(offsets[e]), float(triples[e, 0])) for e in range(k)]
+    for i in range(n):
+        returns[i] += market[i % config.n_markets]
+
+    def inject(firm, anchor, pre_coef, post_coef, q):
+        lo = max(anchor - config.leak_window, 0)
+        if lo < anchor:
+            returns[firm, lo:anchor] += pre_coef * (q - 0.5) / (100.0 * config.leak_window)
+        hi = min(anchor + config.effect_window, t)
+        if anchor < hi:
+            returns[firm, anchor:hi] += post_coef * (q - 0.5) / (100.0 * config.effect_window)
+
+    for i, offset, q in events:
+        date = np.datetime64(config.start_date + dt.timedelta(days=offset), "D")
+        anchor = int(np.searchsorted(calendar, date, side="left"))
+        if anchor >= t:
+            continue
+        inject(i, anchor, config.gamma_pre, config.gamma_post, q)
+        for s in np.flatnonzero(adjacency[:, i]):
+            inject(int(s), anchor, config.gamma_sup, config.gamma_sup, q)
+        for c in np.flatnonzero(adjacency[i]):
+            inject(int(c), anchor, config.gamma_cli, config.gamma_cli, q)
+    return adjacency, np.exp(np.log(100.0) + np.cumsum(returns, axis=1))
 
 
 class TestSimulate:
@@ -45,6 +104,28 @@ class TestSimulate:
         a = simulate(SMALL).write(tmp_path / "a")
         b = simulate(dataclasses.replace(SMALL, seed=43)).write(tmp_path / "b")
         assert read_bytes(a)["prices"] != read_bytes(b)["prices"]
+
+    @pytest.mark.parametrize("batch", [None, 50])
+    def test_prices_equal_slice_loop_reference(self, batch, monkeypatch):
+        if batch is not None:  # many np.add.at batches instead of one
+            monkeypatch.setattr("newsprop.sim._DRIFT_BATCH", batch)
+        bundle = simulate(OVERLAPPING)
+        _, closes = dense_reference(OVERLAPPING)
+        for i, firm_id in enumerate(sorted(bundle.prices)):
+            assert bundle.prices[firm_id].closes.tobytes() == closes[i].tobytes()
+
+    def test_edges_equal_dense_draw(self):
+        bundle = simulate(OVERLAPPING)
+        adjacency, _ = dense_reference(OVERLAPPING)
+        ids = sorted(bundle.prices)
+        year = OVERLAPPING.start_date.year
+        assert bundle.edges == [(year, ids[i], ids[j]) for i, j in np.argwhere(adjacency)]
+        graph = bundle.stores().graph
+        for k, firm_id in enumerate(ids):
+            suppliers = {ids[s] for s in np.flatnonzero(adjacency[:, k])}
+            clients = {ids[c] for c in np.flatnonzero(adjacency[k])}
+            assert graph.suppliers_of(firm_id, year) == suppliers
+            assert graph.clients_of(firm_id, year) == clients
 
     def test_zero_vol_zero_gamma_prices_constant(self):
         config = dataclasses.replace(
