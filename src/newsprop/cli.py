@@ -4,8 +4,8 @@ Configuration comes from flags, optionally backed by a plain key=value file
 (--config); flags override file values, and a bad value in either exits 2
 before any input is read. Every output goes through the atomic writers in
 ``csvio``, so an interrupted run never leaves a truncated export. Estimation
-cells (window, mode, polarity) run in sorted order, and no file is written
-until every cell has been assembled.
+cells (mode, polarity, window) run in sorted order, one panel per (mode,
+window) serving every polarity; no file is written until all are assembled.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
+import itertools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +36,8 @@ def read_config_file(path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read --config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read --config {path}: {exc}") from None
     values: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -107,31 +110,23 @@ def _load_bundle(paths: dict[str, str], strict: bool):
     lines = []
     total_rejected = 0
 
+    def audit(name, accepted_text, rejected):
+        nonlocal total_rejected
+        lines.append(f"{name}: {accepted_text} accepted, {len(rejected)} rejected")
+        lines.extend(f"  {name} {r}" for r in rejected)
+        total_rejected += len(rejected)
+
     firms, rej = load_firms(paths["firms"])
-    lines.append(f"firms: {len(firms)} accepted, {len(rej)} rejected")
-    lines += [f"  firms {r}" for r in rej]
-    total_rejected += len(rej)
-
+    audit("firms", len(firms), rej)
     prices, rej = market.load_prices(paths["prices"])
-    n_quotes = sum(len(s) for s in prices.values())
-    lines.append(f"prices: {len(prices)} series / {n_quotes} quotes accepted, {len(rej)} rejected")
-    lines += [f"  prices {r}" for r in rej]
-    total_rejected += len(rej)
-
+    audit("prices", f"{len(prices)} series / {sum(map(len, prices.values()))} quotes", rej)
     indices, rej = market.load_indices(paths["indices"])
-    n_quotes = sum(len(s) for s in indices.values())
-    lines.append(f"indices: {len(indices)} series / {n_quotes} quotes accepted, {len(rej)} rejected")
-    lines += [f"  indices {r}" for r in rej]
-    total_rejected += len(rej)
-
+    audit("indices", f"{len(indices)} series / {sum(map(len, indices.values()))} quotes", rej)
     news, rej = sentiment.load_news(paths["news"])
-    lines.append(f"news: {len(news)} events accepted, {len(rej)} rejected")
-    lines += [f"  news {r}" for r in rej]
-    total_rejected += len(rej)
-
+    audit("news", f"{len(news)} events", rej)
     network = graph.load_edges(paths["edges"])
     n_links = sum(len(network.snapshot(y).edges) for y in network.years)
-    lines.append(f"edges: {len(network.years)} snapshots / {n_links} links accepted, 0 rejected")
+    audit("edges", f"{len(network.years)} snapshots / {n_links} links", [])
 
     stores = panel.Stores(firms=firms, prices=prices, indices=indices, news=news, graph=network)
     if strict and total_rejected:
@@ -185,11 +180,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     cells = sorted((m, p, w) for m in modes for p in polarities for w in windows)
+    panels = {}  # (mode, w) -> the panel every polarity of that cell fits
     fits = {}
     for cell in cells:
         mode, polarity, w = cell
         try:
-            built = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
+            if (mode, w) not in panels:
+                panels[mode, w] = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
+            built = dataclasses.replace(panels[mode, w], polarity=polarity)
             result = regress.fit(built, robust=robust)
         except Exception as exc:  # cell failures are reported, not fatal
             print(f"cell mode={mode} polarity={polarity} w={w}: ERROR {exc}")
@@ -200,20 +198,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"n_obs={result.n_obs} diff={result.diff:.6g} p={result.diff_p:.3g}"
         )
 
-    if export_panel:
-        for (mode, polarity, w), (built, _) in fits.items():
-            panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
     results = [result for _, result in fits.values()]
-    if results:
-        regress.write_fits(results, outdir / "fits.csv")
-        report.write_effects(report.effect_plot_data(results), outdir / "effects.csv")
-        sections = []
-        for mode in sorted(modes):
-            for polarity in sorted(polarities):
-                group = [r for r in results if r.mode == mode and r.polarity == polarity]
-                if group:
-                    sections.append(report.coefficient_table(group))
-        atomic_write_text(outdir / "table.txt", "\n".join(sections))
+    try:
+        if export_panel:
+            for (mode, polarity, w), (built, _) in fits.items():
+                panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
+        if results:
+            regress.write_fits(results, outdir / "fits.csv")
+            report.write_effects(report.effect_plot_data(results), outdir / "effects.csv")
+            # results follow the sorted cells, so each (mode, polarity) is one run
+            groups = itertools.groupby(results, key=lambda r: (r.mode, r.polarity))
+            sections = [report.coefficient_table(list(group)) for _, group in groups]
+            atomic_write_text(outdir / "table.txt", "\n".join(sections))
+    except OSError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 1
 
     failed = len(cells) - len(fits)
     if failed:
@@ -268,11 +267,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         bundle = sim.simulate(config)
-    except ValueError as exc:
+        paths = bundle.write(outdir)
+        sim.write_expected_betas(config, windows, outdir / "expected_betas.csv")
+    except (OSError, ValueError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
-    paths = bundle.write(outdir)
-    sim.write_expected_betas(config, windows, outdir / "expected_betas.csv")
     for name in sim.BUNDLE_FILES:
         print(f"wrote {paths[name]}")
     print(f"wrote {outdir / 'expected_betas.csv'}")

@@ -14,10 +14,11 @@ and an exposed firm reachable from several mentioned firms in one article
 contributes a single pair for that article.
 
 A build makes one Python pass over the sorted events and their exposed firms
-for the graph lookups and registry checks, then computes every window with
-one ``market.window_changes`` call per firm series and one per market index.
-The panel is columnar: one entry per kept pair, ordered by (news_id, firm_id),
-with the pre and post values side by side in ``y`` and ``market_x``.
+for the graph lookups and registry checks, then one ``market.window_changes``
+call per firm series and per market index. The panel is columnar, one entry per
+kept pair in (news_id, firm_id) order: pre and post side by side in ``y`` and
+``market_x``, and both sentiment columns, ``p_pos`` and ``p_neg``, so one build
+serves either polarity.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class Panel:
 
     Column 0 of ``y`` and ``market_x`` is the pre period, column 1 the post
     period; each pair stands for two observations, pre then post.
+    ``news_value`` is ``p_pos`` or ``p_neg``, whichever ``polarity`` names.
     """
 
     mode: str
@@ -82,7 +84,8 @@ class Panel:
     firm_id: np.ndarray  # (n,) str
     sector: np.ndarray  # (n,) str
     market: np.ndarray  # (n,) str
-    news_value: np.ndarray  # (n,) float
+    p_pos: np.ndarray  # (n,) float
+    p_neg: np.ndarray  # (n,) float
     y: np.ndarray  # (n, 2) firm window changes
     market_x: np.ndarray  # (n, 2) index window changes
     drops: list[DropRecord] = field(default_factory=list)
@@ -90,6 +93,11 @@ class Panel:
     def __len__(self) -> int:
         """The observation count, two per pair."""
         return 2 * len(self.news_id)
+
+    @property
+    def news_value(self) -> np.ndarray:
+        """The sentiment column this panel's polarity regresses on."""
+        return self.p_pos if self.polarity == "positive" else self.p_neg
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,7 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         raise ValueError(f"window must be >= 1, got {w}")
 
     drops: list[DropRecord] = []
-    # (news_id, firm_id, sector, market, news_value, date) per pair that passes
+    # (news_id, firm_id, sector, market, p_pos, p_neg, date) per pair that passes
     # the registry checks, and the rows of each firm and market among them
     pairs: list[tuple] = []
     firm_rows: dict[str, list[int]] = {}
@@ -140,7 +148,6 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
             for mentioned in sorted(event.mentions):
                 drops.append(DropRecord(news_id, mentioned, DROP_NO_SNAPSHOT))
             continue
-        news_value = event.p_pos if polarity == "positive" else event.p_neg
         for firm_id in exposed:
             record = stores.firms.get(firm_id)
             if record is None:
@@ -157,12 +164,11 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
                 continue
             firm_rows.setdefault(firm_id, []).append(len(pairs))
             market_rows.setdefault(record.market_id, []).append(len(pairs))
-            pairs.append(
-                (news_id, firm_id, record.sector_code, record.market_id, news_value, event.date)
-            )
+            pairs.append((news_id, firm_id, record.sector_code, record.market_id,
+                          event.p_pos, event.p_neg, event.date))
 
-    columns = list(zip(*pairs)) or [()] * 6
-    dates = np.array(columns[5], dtype="datetime64[D]")
+    columns = list(zip(*pairs)) or [()] * 7
+    dates = np.array(columns[6], dtype="datetime64[D]")
     y = np.full((len(pairs), 2), np.nan)
     market_x = np.full((len(pairs), 2), np.nan)
     for firm_id, rows in firm_rows.items():
@@ -190,7 +196,8 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         firm_id=np.array(columns[1], dtype=str)[keep],
         sector=np.array(columns[2], dtype=str)[keep],
         market=np.array(columns[3], dtype=str)[keep],
-        news_value=np.array(columns[4], dtype=float)[keep],
+        p_pos=np.array(columns[4], dtype=float)[keep],
+        p_neg=np.array(columns[5], dtype=float)[keep],
         y=y[keep],
         market_x=market_x[keep],
         drops=drops,

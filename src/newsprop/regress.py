@@ -172,31 +172,24 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
     if not np.any(y):
         # a flat response is fit exactly by the zero solution even when the
         # design is degenerate (constant series yield both at once)
-        zero = DiffTest(diff=0.0, diff_se=0.0, diff_t=0.0, diff_p=1.0)
-        return FitResult(
-            mode=panel.mode, polarity=panel.polarity, w=panel.w,
-            beta_pre=0.0, beta_post=0.0, beta_x=0.0,
-            se_pre=0.0, se_post=0.0, se_x=0.0, cov_prepost=0.0,
-            n_obs=n, dof=dof,
-            diff=zero.diff, diff_se=zero.diff_se, diff_t=zero.diff_t, diff_p=zero.diff_p,
-        )
-    col_norms = np.linalg.norm(X, axis=0)
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    for j in range(3):
-        if diag[j] <= _RANK_RTOL * max(col_norms[j], 1e-300):
-            raise CollinearError(REGRESSOR_NAMES[j])
-
-    beta = solve_triangular(R, Q.T @ y)
-    resid = y - X @ beta
-    rss = float(resid @ resid)
-    r_inv = solve_triangular(R, np.eye(3))
-    xtx_inv = r_inv @ r_inv.T
-    if robust:
-        meat = (X * resid[:, None] ** 2).T @ X
-        cov = xtx_inv @ meat @ xtx_inv * (n / dof)
+        beta, cov = np.zeros(3), np.zeros((3, 3))
     else:
-        cov = (rss / dof) * xtx_inv
+        col_norms = np.linalg.norm(X, axis=0)
+        Q, R = np.linalg.qr(X)
+        diag = np.abs(np.diag(R))
+        for j in range(3):
+            if diag[j] <= _RANK_RTOL * max(col_norms[j], 1e-300):
+                raise CollinearError(REGRESSOR_NAMES[j])
+
+        beta = solve_triangular(R, Q.T @ y)
+        resid = y - X @ beta
+        r_inv = solve_triangular(R, np.eye(3))
+        xtx_inv = r_inv @ r_inv.T
+        if robust:
+            meat = (X * resid[:, None] ** 2).T @ X
+            cov = xtx_inv @ meat @ xtx_inv * (n / dof)
+        else:
+            cov = float(resid @ resid) / dof * xtx_inv
 
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     d = _diff_fields(beta, cov, dof)

@@ -61,7 +61,7 @@ from .errors import SimConfigError
 from .firms import FIRM_HEADER, FirmRecord, FirmRegistry
 from .graph import EDGE_HEADER, SupplyChainNetwork, SupplyChainSnapshot
 from .market import INDEX_HEADER, PRICE_HEADER, IndexSeries, PriceSeries
-from .panel import Stores
+from .panel import MODES, POLARITIES, Stores
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 
 BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
@@ -407,9 +407,9 @@ def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> Expec
     coefficient converges to 1. Dual supplier-and-client links are second
     order in edge_prob and ignored.
     """
-    if mode not in ("own", "supplier", "client"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if polarity not in ("positive", "negative"):
+    if polarity not in POLARITIES:
         raise ValueError(f"unknown polarity {polarity!r}")
 
     loadings = drift_block_loadings(w, config.leak_window, config.effect_window)
@@ -451,8 +451,8 @@ def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> Expec
 def write_expected_betas(config: SimConfig, windows: Sequence[int], path) -> None:
     """Sidecar of expected coefficients for every mode/polarity/window cell."""
     rows = []
-    for mode in ("own", "supplier", "client"):
-        for polarity in ("positive", "negative"):
+    for mode in MODES:
+        for polarity in POLARITIES:
             for w in windows:
                 e = expected_betas(config, w, mode, polarity)
                 rows.append((mode, polarity, w, e.beta_pre, e.beta_post))

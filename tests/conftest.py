@@ -94,7 +94,10 @@ def reference_change(dates, values, news_date: dt.date, w: int, period: str) -> 
 
 
 def make_panel(sector, news_value, y, market_x, w: int = 1) -> Panel:
-    """An own/positive panel from its numeric columns; pair k is news N<k>, firm F<k>."""
+    """An own/positive panel from its numeric columns; pair k is news N<k>, firm F<k>.
+
+    ``news_value`` fills ``p_pos``; ``p_neg`` is its complement.
+    """
     n = len(sector)
     return Panel(
         mode="own",
@@ -104,7 +107,8 @@ def make_panel(sector, news_value, y, market_x, w: int = 1) -> Panel:
         firm_id=np.array([f"F{k:04d}" for k in range(n)], dtype=str),
         sector=np.array(sector, dtype=str),
         market=np.array(["M0"] * n, dtype=str),
-        news_value=np.array(news_value, dtype=float),
+        p_pos=np.array(news_value, dtype=float),
+        p_neg=1.0 - np.array(news_value, dtype=float),
         y=np.array(y, dtype=float).reshape(n, 2),
         market_x=np.array(market_x, dtype=float).reshape(n, 2),
     )

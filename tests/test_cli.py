@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from newsprop import panel
 from newsprop.cli import main
 from newsprop.sim import SimConfig, simulate
 
@@ -118,6 +119,32 @@ class TestRun:
         fits = (out / "fits.csv").read_text(encoding="utf-8").splitlines()
         assert len(fits) == 1 + 2 * 2 * 2
 
+    def test_one_build_per_mode_and_window(self, bundle_dir, tmp_path, monkeypatch):
+        builds = []
+        build_panel = panel.build_panel
+
+        def counting_build(*args, **kwargs):
+            builds.append(kwargs)
+            return build_panel(*args, **kwargs)
+
+        monkeypatch.setattr(panel, "build_panel", counting_build)
+        code = main([
+            "run", *bundle_flags(bundle_dir), "--mode", "own,supplier",
+            "--polarity", "positive,negative", "--windows", "1,2", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        # every polarity of a (mode, window) fits the one panel built for it
+        assert sorted((b["mode"], b["w"]) for b in builds) == [
+            ("own", 1), ("own", 2), ("supplier", 1), ("supplier", 2)]
+
+    def test_unwritable_out_exits_1(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(["run", *bundle_flags(bundle_dir), "--windows", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run: ") and str(out) in err
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_rerun_byte_identical(self, bundle_dir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["run", *bundle_flags(bundle_dir), "--windows", "1,2", "--export-panel"]
@@ -180,11 +207,13 @@ class TestRun:
         assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
-        for command in ("run", "validate"):
-            assert_usage_error(
-                [command, *MISSING_INPUTS, "--config", str(tmp_path / "absent.cfg")], capsys
-            )
-        assert_usage_error(["simulate", "--config", str(tmp_path / "absent.cfg")], capsys)
+        not_utf8 = tmp_path / "latin1.cfg"
+        not_utf8.write_bytes(b"windows = 1\n# caf\xe9 \xff\n")
+        for config in (tmp_path / "absent.cfg", not_utf8):
+            for command in ("run", "validate"):
+                err = assert_usage_error([command, *MISSING_INPUTS, "--config", str(config)], capsys)
+                assert f"cannot read --config {config}" in err
+            assert_usage_error(["simulate", "--config", str(config)], capsys)
 
     def test_threads_still_accepted(self, bundle_dir, tmp_path):
         config = tmp_path / "run.cfg"
@@ -289,6 +318,16 @@ class TestSimulate:
         key, _, value = (part.strip() for part in line.partition("="))
         assert f"{key} = {value!r}" in err
         assert not out.exists()
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        config = tmp_path / "sim.cfg"
+        config.write_text("n_firms = 10\nn_days = 40\nseed = 3\n", encoding="utf-8")
+        out = blocker / "out"
+        assert main(["simulate", "--config", str(config), "--windows", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: ") and str(blocker) in err
 
     def test_bad_windows_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -18,7 +18,7 @@ from conftest import (
 from newsprop.firms import FirmRegistry
 from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
 from newsprop.market import PRE, POST, IndexSeries
-from newsprop.panel import MODES, Stores, build_panel, panel_summary, write_panel
+from newsprop.panel import MODES, Panel, Stores, build_panel, panel_summary, write_panel
 from newsprop.sim import SimConfig, simulate
 
 START = dt.date(2016, 1, 4)
@@ -112,6 +112,15 @@ class TestOwnMode:
         for column in ("firm_id", "news_id", "y", "market_x"):
             assert np.array_equal(getattr(pos, column), getattr(neg, column))
         assert np.all(pos.news_value != neg.news_value)
+        by_id = {e.news_id: e for e in events}
+        assert pos.news_value.tolist() == [by_id[n].p_pos for n in pos.news_id.tolist()]
+        assert neg.news_value.tolist() == [by_id[n].p_neg for n in neg.news_id.tolist()]
+        # switching polarity on a built panel equals building for that polarity
+        switched = dataclasses.replace(pos, polarity="negative")
+        for f in dataclasses.fields(Panel):
+            a, b = getattr(switched, f.name), getattr(neg, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        assert np.array_equal(switched.news_value, neg.news_value)
 
     def test_weekend_event_uses_shifted_anchor(self):
         dates, prices, indices = flat_market(["A"])
@@ -251,7 +260,7 @@ class TestPanelShape:
         )
         a = build_panel(stores, "own", "positive", 2)
         b = build_panel(stores, "own", "positive", 2)
-        for column in ("news_id", "firm_id", "sector", "market", "news_value", "y", "market_x"):
+        for column in ("news_id", "firm_id", "sector", "market", "p_pos", "p_neg", "y", "market_x"):
             assert np.array_equal(getattr(a, column), getattr(b, column))
         assert a.drops == b.drops
         keys = list(zip(a.news_id.tolist(), a.firm_id.tolist()))

@@ -118,6 +118,11 @@ class TestFit:
         result = fit(panel)
         assert result.beta_pre == result.beta_post == result.beta_x == 0.0
         assert result.se_pre == result.se_post == result.se_x == 0.0
+        # a flat response on a degenerate design (market_x all zero) skips the
+        # collinearity check and still reports a zero difference test
+        flat = fit(dataclasses.replace(panel, market_x=np.zeros_like(panel.market_x)))
+        assert flat.beta_pre == flat.beta_post == flat.beta_x == flat.cov_prepost == 0.0
+        assert (flat.diff, flat.diff_se, flat.diff_t, flat.diff_p) == (0.0, 0.0, 0.0, 1.0)
 
     def test_six_row_normal_equation_hand_solve(self, rng):
         panel = random_panel(rng, n_pairs=3, n_sectors=1)
@@ -167,7 +172,7 @@ class TestFit:
         panel = random_panel(rng, n_pairs=60, n_sectors=8)
         # a panel's rows are pairs, each pre then post, so pairs are what can move
         order = np.random.default_rng(5).permutation(len(panel.news_id))
-        columns = ("news_id", "firm_id", "sector", "market", "news_value", "y", "market_x")
+        columns = ("news_id", "firm_id", "sector", "market", "p_pos", "p_neg", "y", "market_x")
         shuffled = dataclasses.replace(panel, **{c: getattr(panel, c)[order] for c in columns})
         a = fit(panel)
         b = fit(shuffled)
