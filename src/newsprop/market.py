@@ -16,9 +16,14 @@ the series; otherwise the observation is dropped.
 
 A news date that is not a trading date anchors on the first trading date
 strictly after it, so the post window always starts at the first tradable
-reaction. ``window_changes`` is the one implementation: it anchors every news
-date of one series with a single ``searchsorted`` and averages each distinct
-block once. ``window_change`` and ``market_control`` are its one-date forms.
+reaction. ``block_changes`` is the one implementation. It reads series laid
+end to end in one array, each query naming its series by first index and
+length plus its anchor position on that series. It averages each distinct
+block once, as one ``sliding_window_view`` gather done in batches of at most
+``_GATHER_BATCH`` elements, so the memory it takes does not grow with the
+block count times w. A block that would leave its own series is masked, never
+read from a neighbour. ``window_changes`` is its single-series form, and
+``window_change`` and ``market_control`` are one-date forms of that.
 """
 
 from __future__ import annotations
@@ -67,6 +72,46 @@ class IndexSeries:
         return len(self.dates)
 
 
+_GATHER_BATCH = 1 << 16  # block elements copied per gather, at most (512 KiB)
+
+
+def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int):
+    """Pre- and post-news daily percentage changes for many anchors.
+
+    ``values`` holds series laid end to end; query k reads the series that
+    starts at ``first[k]`` and has ``length[k]`` values, anchored at position
+    ``anchor[k]`` on it. ``first`` and ``length`` may be scalars. Returns two
+    float arrays shaped like ``anchor``, NaN where a required block is not
+    fully inside the query's own series.
+    """
+    if w < 1:
+        raise ValueError(f"window must be >= 1, got {w}")
+    pre = np.full(np.shape(anchor), np.nan)
+    post = np.full(np.shape(anchor), np.nan)
+    # a pre change needs 2w positions before an anchor inside the series, a post
+    # change w on each side, so neither fits in fewer than 2w values; this is
+    # checked in Python ints, so a w past int64 never reaches numpy
+    if pre.size == 0 or 2 * w > int(np.max(length)):
+        return pre, post
+    has_pre = (anchor >= 2 * w) & (anchor < length)
+    has_post = (anchor >= w) & (anchor + w <= length)
+    c = first + anchor  # first index of block C; B starts w and A 2w before it
+    requested = (c[has_pre] - 2 * w, c[has_pre] - w, c[has_post] - w, c[has_post])
+    starts, inverse = np.unique(np.concatenate(requested), return_inverse=True)
+    # each block's mean is taken over its own slice, as values[s:s+w].mean()
+    # would, and logged with math.log so every digit matches the scalar formula
+    blocks = sliding_window_view(values, w)
+    means = np.empty(len(starts))
+    step = max(1, _GATHER_BATCH // w)
+    for i in range(0, len(starts), step):
+        means[i : i + step] = blocks[starts[i : i + step]].mean(axis=1)
+    logs = np.fromiter(map(math.log, means.tolist()), dtype=float, count=len(means))
+    a, b_pre, b_post, c_post = np.split(logs[inverse], np.cumsum([len(r) for r in requested[:3]]))
+    pre[has_pre] = (b_pre - a) / w * 100.0
+    post[has_post] = (c_post - b_post) / w * 100.0
+    return pre, post
+
+
 def window_changes(
     dates: np.ndarray, values: np.ndarray, news_dates: np.ndarray, w: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,29 +122,8 @@ def window_changes(
     where a required block is not fully inside the series or no trading date
     on or after the news date exists.
     """
-    if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
-    p = np.searchsorted(dates, news_dates, side="left")
-    n = len(values)
-    has_pre = (p >= 2 * w) & (p < n)
-    has_post = (p >= w) & (p + w <= n)
-    pre = np.full(p.shape, np.nan)
-    post = np.full(p.shape, np.nan)
-    a, b, c = p - 2 * w, p - w, p  # first positions of blocks A, B, C
-    starts = np.unique(np.concatenate((a[has_pre], b[has_pre | has_post], c[has_post])))
-    if len(starts) == 0:
-        return pre, post
-    # each block's mean is taken over its own slice, as values[s:s+w].mean()
-    # would, and logged with math.log so every digit matches the scalar formula
-    means = sliding_window_view(values, w)[starts].mean(axis=1)
-    logs = np.array([math.log(m) for m in means.tolist()])
-
-    def log_mean(first: np.ndarray) -> np.ndarray:
-        return logs[np.searchsorted(starts, first)]
-
-    pre[has_pre] = (log_mean(b[has_pre]) - log_mean(a[has_pre])) / w * 100.0
-    post[has_post] = (log_mean(c[has_post]) - log_mean(b[has_post])) / w * 100.0
-    return pre, post
+    anchor = np.searchsorted(dates, news_dates, side="left")
+    return block_changes(values, 0, len(values), anchor, w)
 
 
 def _one_change(dates, values, news_date: dt.date, w: int, period: str) -> Optional[float]:

@@ -13,18 +13,30 @@ article, keeping the indirect estimates uncontaminated by the direct effect,
 and an exposed firm reachable from several mentioned firms in one article
 contributes a single pair for that article.
 
-A build makes one Python pass over the sorted events and their exposed firms
-for the graph lookups and registry checks, then one ``market.window_changes``
-call per firm series and per market index. The panel is columnar, one entry per
-kept pair in (news_id, firm_id) order: pre and post side by side in ``y`` and
-``market_x``, and both sentiment columns, ``p_pos`` and ``p_neg``, so one build
-serves either polarity.
+A build splits into work done once per mode and work done once per window.
+Once per mode, memoised on the ``Stores``, one Python pass over the sorted
+events and their exposed firms makes the graph lookups and registry checks and
+yields the mode's pair table: integer-coded news, firm, sector and market
+columns, both sentiment probabilities, the event day, the registry drops, and
+each pair's anchor position on its price series and on its market's index
+series, found with one ``searchsorted`` per series and kept once per distinct
+(series, anchor). Every price series and then every index series are laid end
+to end in one array, once per ``Stores``. Once per window, one
+``market.block_changes`` call over that array gives every pair's four
+changes, so a window costs one kernel pass whatever the number of firms. A
+``Stores`` is therefore read-only once a panel has been built from it;
+``dataclasses.replace`` gives a copy with a fresh memo.
+
+The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
+pre and post side by side in ``y`` and ``market_x``, and both sentiment
+columns, ``p_pos`` and ``p_neg``, so one build serves either polarity.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -33,7 +45,7 @@ from . import market
 from .csvio import write_rows
 from .firms import FirmRegistry
 from .graph import SupplyChainNetwork
-from .market import IndexSeries, PRE, POST, PriceSeries
+from .market import _EPOCH_ORDINAL, IndexSeries, PRE, POST, PriceSeries
 from .sentiment import NewsStore
 
 MODES = ("own", "supplier", "client")
@@ -66,6 +78,8 @@ class Stores:
     indices: dict[str, IndexSeries]
     news: NewsStore
     graph: SupplyChainNetwork
+    # per-mode pair tables and the stacked series; see the module docstring
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -125,6 +139,155 @@ def _exposed_firms(stores: Stores, event, mode: str) -> Optional[list[str]]:
     return sorted(exposed)
 
 
+@dataclass(frozen=True)
+class _PairTable:
+    """The pairs of one mode that pass the registry checks, in event-loop order.
+
+    ``news`` and ``firm`` code each pair's event and exposed firm. Event
+    columns are per news code and the sector and market codes per firm code;
+    each code indexes its label array. ``first``, ``length`` and ``anchor``
+    hold the distinct window queries, and ``query`` names the one each pair's
+    price query, then each pair's index query, reads. A market without an
+    index series has length 0, so its pairs get no change.
+    """
+
+    news: np.ndarray  # (n,) int64
+    firm: np.ndarray
+    news_labels: np.ndarray  # str, per news code
+    p_pos: np.ndarray  # float64, per news code
+    p_neg: np.ndarray
+    day: np.ndarray  # int64 days since 1970-01-01, per news code
+    firm_labels: np.ndarray  # str, per firm code
+    sector: np.ndarray  # int64, per firm code
+    market: np.ndarray
+    sector_labels: np.ndarray
+    market_labels: np.ndarray
+    drops: list[tuple[int, DropRecord]]  # registry drops, each after that many pairs
+    first: np.ndarray  # (k,) int64
+    length: np.ndarray
+    anchor: np.ndarray
+    query: np.ndarray  # (2n,) int64, into the k distinct queries
+
+
+def _stack(stores: Stores) -> tuple[np.ndarray, dict[tuple[str, str], int]]:
+    """Every price series, then every index series, end to end in one array,
+    and the first index of each ("price", firm_id) and ("index", market_id)."""
+    stack = stores._memo.get("stack")
+    if stack is None:
+        columns = [s.closes for s in stores.prices.values()] + [s.values for s in stores.indices.values()]
+        keys = [("price", f) for f in stores.prices] + [("index", m) for m in stores.indices]
+        firsts = np.cumsum([0] + [len(column) for column in columns]).tolist()
+        stack = stores._memo["stack"] = (np.concatenate([np.empty(0), *columns]), dict(zip(keys, firsts)))
+    return stack
+
+
+def _encode(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct labels, code per entry), codes in order of first appearance."""
+    coder: dict[str, int] = {}
+    codes = [coder.setdefault(label, len(coder)) for label in labels]
+    return np.array(list(coder), dtype=str), np.array(codes, dtype=np.int64)
+
+
+def _registry_reason(stores: Stores, firm_id: str) -> Optional[str]:
+    """Why every pair of a firm drops before its windows are read, or None."""
+    record = stores.firms.get(firm_id)
+    if record is None:
+        return DROP_UNKNOWN_FIRM
+    if not record.sector_code:
+        return DROP_MISSING_SECTOR
+    if not record.market_id:
+        return DROP_MISSING_MARKET
+    if firm_id not in stores.prices:
+        return DROP_PRICE_WINDOW
+    return None
+
+
+def _anchor_queries(stores: Stores, kind: str, labels: np.ndarray, code: np.ndarray, day: np.ndarray):
+    """(first, length, anchor) per pair on its price or index series, with one
+    ``searchsorted`` per series; a pair without a series gets length 0."""
+    series_by_id = stores.prices if kind == "price" else stores.indices
+    firsts = _stack(stores)[1]
+    first, length, anchor = (np.zeros(len(code), dtype=np.int64) for _ in range(3))
+    order = np.argsort(code, kind="stable")
+    bounds = np.searchsorted(code[order], np.arange(len(labels) + 1))
+    for k, ident in enumerate(labels.tolist()):
+        series = series_by_id.get(ident)
+        if series is not None:
+            rows = order[bounds[k] : bounds[k + 1]]
+            first[rows], length[rows] = firsts[kind, ident], len(series)
+            anchor[rows] = np.searchsorted(series.dates, day[rows].view("datetime64[D]"))
+    return first, length, anchor
+
+
+def _pair_table(stores: Stores, mode: str) -> _PairTable:
+    table = stores._memo.get(mode)
+    if table is not None:
+        return table
+    drops: list[tuple[int, DropRecord]] = []
+    verdicts: dict[str, int | str] = {}  # firm_id -> firm code, or its registry reason
+    firm_ids: list[str] = []
+    events = []  # the events with at least one pair, by news code
+    news_code: list[int] = []
+    firm_code: list[int] = []
+    for news_id in sorted(stores.news.events):
+        event = stores.news.events[news_id]
+        exposed = _exposed_firms(stores, event, mode)
+        if exposed is None:
+            for mentioned in sorted(event.mentions):
+                drops.append((len(firm_code), DropRecord(news_id, mentioned, DROP_NO_SNAPSHOT)))
+            continue
+        before = len(firm_code)
+        for firm_id in exposed:
+            verdict = verdicts.get(firm_id)
+            if verdict is None:
+                verdict = _registry_reason(stores, firm_id)
+                if verdict is None:
+                    verdict = len(firm_ids)
+                    firm_ids.append(firm_id)
+                verdicts[firm_id] = verdict
+            if isinstance(verdict, str):
+                drops.append((len(firm_code), DropRecord(news_id, firm_id, verdict)))
+            else:
+                news_code.append(len(events))
+                firm_code.append(verdict)
+        if len(firm_code) > before:
+            events.append(event)
+
+    news = np.array(news_code, dtype=np.int64)
+    firm = np.array(firm_code, dtype=np.int64)
+    records = [stores.firms.get(firm_id) for firm_id in firm_ids]
+    sector_labels, sector = _encode([record.sector_code for record in records])
+    market_labels, market = _encode([record.market_id for record in records])
+    firm_labels = np.array(firm_ids, dtype=str)
+    day = np.array([e.date.toordinal() - _EPOCH_ORDINAL for e in events], dtype=np.int64)
+    queries = zip(_anchor_queries(stores, "price", firm_labels, firm, day[news]),
+                  _anchor_queries(stores, "index", market_labels, market[firm], day[news]))
+    first, length, anchor = (np.concatenate(pair) for pair in queries)
+    # pairs of one series anchored on one day ask the same query. Queries of two
+    # series meet at one block-C start only past the end of one series or at
+    # the start of the next, where no window fits, so the start alone is a key.
+    _, pick, query = np.unique(first + anchor, return_index=True, return_inverse=True)
+    table = stores._memo[mode] = _PairTable(
+        news=news,
+        firm=firm,
+        news_labels=np.array([e.news_id for e in events], dtype=str),
+        p_pos=np.array([e.p_pos for e in events], dtype=float),
+        p_neg=np.array([e.p_neg for e in events], dtype=float),
+        day=day,
+        firm_labels=firm_labels,
+        sector=sector,
+        market=market,
+        sector_labels=sector_labels,
+        market_labels=market_labels,
+        drops=drops,
+        first=first[pick],
+        length=length[pick],
+        anchor=anchor[pick],
+        query=query,
+    )
+    return table
+
+
 def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
     """Assemble the balanced pre/post panel for one (mode, polarity, window)."""
     if mode not in MODES:
@@ -134,70 +297,38 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
 
-    drops: list[DropRecord] = []
-    # (news_id, firm_id, sector, market, p_pos, p_neg, date) per pair that passes
-    # the registry checks, and the rows of each firm and market among them
-    pairs: list[tuple] = []
-    firm_rows: dict[str, list[int]] = {}
-    market_rows: dict[str, list[int]] = {}
-
-    for news_id in sorted(stores.news.events):
-        event = stores.news.events[news_id]
-        exposed = _exposed_firms(stores, event, mode)
-        if exposed is None:
-            for mentioned in sorted(event.mentions):
-                drops.append(DropRecord(news_id, mentioned, DROP_NO_SNAPSHOT))
-            continue
-        for firm_id in exposed:
-            record = stores.firms.get(firm_id)
-            if record is None:
-                drops.append(DropRecord(news_id, firm_id, DROP_UNKNOWN_FIRM))
-                continue
-            if not record.sector_code:
-                drops.append(DropRecord(news_id, firm_id, DROP_MISSING_SECTOR))
-                continue
-            if not record.market_id:
-                drops.append(DropRecord(news_id, firm_id, DROP_MISSING_MARKET))
-                continue
-            if firm_id not in stores.prices:
-                drops.append(DropRecord(news_id, firm_id, DROP_PRICE_WINDOW))
-                continue
-            firm_rows.setdefault(firm_id, []).append(len(pairs))
-            market_rows.setdefault(record.market_id, []).append(len(pairs))
-            pairs.append((news_id, firm_id, record.sector_code, record.market_id,
-                          event.p_pos, event.p_neg, event.date))
-
-    columns = list(zip(*pairs)) or [()] * 7
-    dates = np.array(columns[6], dtype="datetime64[D]")
-    y = np.full((len(pairs), 2), np.nan)
-    market_x = np.full((len(pairs), 2), np.nan)
-    for firm_id, rows in firm_rows.items():
-        series = stores.prices[firm_id]
-        y[rows] = np.column_stack(market.window_changes(series.dates, series.closes, dates[rows], w))
-    for market_id, rows in market_rows.items():
-        index = stores.indices.get(market_id)
-        if index is not None:
-            market_x[rows] = np.column_stack(
-                market.window_changes(index.dates, index.values, dates[rows], w)
-            )
-
+    table = _pair_table(stores, mode)
+    n = len(table.news)
+    pre, post = market.block_changes(_stack(stores)[0], table.first, table.length, table.anchor, w)
+    pre, post = pre[table.query], post[table.query]
+    y = np.column_stack((pre[:n], post[:n]))
+    market_x = np.column_stack((pre[n:], post[n:]))
     has_price = ~np.isnan(y).any(axis=1)
     keep = has_price & ~np.isnan(market_x).any(axis=1)
-    for i in np.flatnonzero(~keep):
-        reason = DROP_INDEX_WINDOW if has_price[i] else DROP_PRICE_WINDOW
-        drops.append(DropRecord(pairs[i][0], pairs[i][1], reason))
-    # each pair drops at most once, so this restores the order of the event loop
-    drops.sort(key=lambda d: (d.news_id, d.firm_id))
+
+    dropped = np.flatnonzero(~keep)
+    news_labels, firm_labels = table.news_labels.tolist(), table.firm_labels.tolist()
+    window_drops = [
+        (i, DropRecord(news_labels[news], firm_labels[firm],
+                       DROP_INDEX_WINDOW if price_ok else DROP_PRICE_WINDOW))
+        for i, news, firm, price_ok in zip(
+            dropped.tolist(), table.news[dropped].tolist(), table.firm[dropped].tolist(),
+            has_price[dropped].tolist())
+    ]
+    # a stable sort on the pair count keeps a registry drop recorded before
+    # pair i ahead of pair i's window drop: the order of the event loop
+    drops = [record for _, record in sorted(table.drops + window_drops, key=itemgetter(0))]
+    news, firm = table.news[keep], table.firm[keep]
     return Panel(
         mode=mode,
         polarity=polarity,
         w=w,
-        news_id=np.array(columns[0], dtype=str)[keep],
-        firm_id=np.array(columns[1], dtype=str)[keep],
-        sector=np.array(columns[2], dtype=str)[keep],
-        market=np.array(columns[3], dtype=str)[keep],
-        p_pos=np.array(columns[4], dtype=float)[keep],
-        p_neg=np.array(columns[5], dtype=float)[keep],
+        news_id=table.news_labels[news],
+        firm_id=table.firm_labels[firm],
+        sector=table.sector_labels[table.sector[firm]],
+        market=table.market_labels[table.market[firm]],
+        p_pos=table.p_pos[news],
+        p_neg=table.p_neg[news],
         y=y[keep],
         market_x=market_x[keep],
         drops=drops,

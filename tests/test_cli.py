@@ -171,6 +171,17 @@ class TestRun:
         fits = (out / "fits.csv").read_text(encoding="utf-8").splitlines()
         assert len(fits) == 2
 
+    def test_huge_window_fails_like_an_infeasible_one(self, bundle_dir, tmp_path, capsys):
+        # 2**64 - 1 is past int64: the cell must fail as an empty panel, not overflow
+        code = main(["run", *bundle_flags(bundle_dir), "--windows", f"1,400,{2**64 - 1}",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            f"cell mode=own polarity=positive w={w}: ERROR cannot transform an empty panel"
+            for w in (400, 2**64 - 1)
+        ]
+
     @pytest.mark.parametrize("flag, value", [
         ("--mode", "own,own"),
         ("--mode", ","),

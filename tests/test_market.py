@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_index, make_series, reference_change, weekday_dates
 from newsprop.csvio import parse_date, read_rows
+from newsprop import market
 from newsprop.errors import LoadError, RowRejection
 from newsprop.market import (
     INDEX_HEADER,
     PRE,
     POST,
     PRICE_HEADER,
+    block_changes,
     load_indices,
     load_prices,
     market_control,
@@ -157,6 +160,61 @@ class TestWindowChanges:
         dates = np.array(weekday_dates(JUN(1), 10), dtype="datetime64[D]")
         pre, post = window_changes(dates, np.ones(10), empty, 2)
         assert pre.shape == post.shape == (0,)
+
+
+    @pytest.mark.parametrize("w", [2**62, 2**63, 2**64 - 1, 10**40])
+    def test_huge_window_is_all_nan(self, w):
+        dates = np.array(weekday_dates(JUN(1), 10), dtype="datetime64[D]")
+        pre, post = window_changes(dates, np.ones(10), dates, w)
+        assert pre.shape == post.shape == (10,)
+        assert np.isnan(pre).all() and np.isnan(post).all()
+
+
+# calendars of unequal lengths (some empty) with gaps of one to six days
+calendars = st.lists(
+    st.lists(st.tuples(st.integers(1, 6), st.floats(0.01, 1e4)), max_size=40),
+    min_size=2, max_size=5,
+)
+
+
+class TestBlockChanges:
+    """Series laid end to end: every query reads only its own series."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(calendars=calendars, w=st.integers(1, 6))
+    def test_stacked_equals_scalar_reference(self, calendars, w):
+        all_dates = [
+            np.datetime64("2020-01-01") + np.cumsum([gap for gap, _ in quotes], dtype=np.int64)
+            for quotes in calendars
+        ]
+        # every series is asked about every quote date of every series, and the days either side
+        stacked = np.concatenate(all_dates + [np.array(["2020-01-01"], dtype="datetime64[D]")])
+        news_dates = np.unique(np.concatenate((stacked - 1, stacked, stacked + 1)))
+        series, first, length, anchor, queries = [], [], [], [], []
+        for dates, quotes in zip(all_dates, calendars):
+            values = np.array([value for _, value in quotes], dtype=float)
+            first += [sum(map(len, series))] * len(news_dates)
+            length += [len(values)] * len(news_dates)
+            anchor += np.searchsorted(dates, news_dates).tolist()
+            queries += [(dates, values, d) for d in news_dates.tolist()]
+            series.append(values)
+        pre, post = block_changes(
+            np.concatenate(series), np.array(first), np.array(length), np.array(anchor), w)
+        for changes, period in ((pre, PRE), (post, POST)):
+            reference = [reference_change(*query, w, period) for query in queries]
+            assert np.isnan(changes).tolist() == [r is None for r in reference]
+            assert all(c == r for c, r in zip(changes.tolist(), reference) if r is not None)
+
+    def test_batched_gather_is_bit_identical(self, monkeypatch, rng):
+        values = 100.0 * np.exp(rng.normal(0.0, 0.02, 300).cumsum())
+        anchor = np.arange(-2, 305)
+        for w in (1, 4, 33):
+            whole = block_changes(values, 0, len(values), anchor, w)
+            monkeypatch.setattr(market, "_GATHER_BATCH", 5)
+            batched = block_changes(values, 0, len(values), anchor, w)
+            monkeypatch.undo()
+            for a, b in zip(whole, batched):
+                assert np.array_equal(a, b, equal_nan=True)
 
 
 class TestMarketControl:

@@ -15,9 +15,10 @@ from conftest import (
     simple_firm,
     weekday_dates,
 )
+from newsprop import market
 from newsprop.firms import FirmRegistry
 from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
-from newsprop.market import PRE, POST, IndexSeries
+from newsprop.market import PRE, POST, IndexSeries, PriceSeries
 from newsprop.panel import MODES, Panel, Stores, build_panel, panel_summary, write_panel
 from newsprop.sim import SimConfig, simulate
 
@@ -365,6 +366,12 @@ class TestReference:
                 ]
                 assert panel.y.tolist() == [p[3] for p in kept]
                 assert panel.market_x.tolist() == [p[4] for p in kept]
+                records = [stores.firms.get(p[1]) for p in kept]
+                events = [stores.news.events[p[0]] for p in kept]
+                assert panel.sector.tolist() == [r.sector_code for r in records]
+                assert panel.market.tolist() == [r.market_id for r in records]
+                assert panel.p_pos.tolist() == [e.p_pos for e in events]
+                assert panel.p_neg.tolist() == [e.p_neg for e in events]
                 assert [(d.news_id, d.firm_id, d.reason) for d in panel.drops] == [
                     p[:3] for p in pairs if p[2] is not None
                 ]
@@ -372,3 +379,81 @@ class TestReference:
         assert reasons == {"no-snapshot", "unknown-firm", "missing-sector", "missing-market",
                            "price-window", "index-window"}
         assert all(len(build_panel(stores, m, "positive", 1)) > 0 for m in MODES)
+
+
+def assert_same_panel(a: Panel, b: Panel) -> None:
+    """Field for field, dtypes and drop lists included."""
+    for f in dataclasses.fields(Panel):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def fresh(stores: Stores) -> Stores:
+    """The same inputs in a new ``Stores``, so nothing built before is reused."""
+    return Stores(firms=stores.firms, prices=stores.prices, indices=stores.indices,
+                  news=stores.news, graph=stores.graph)
+
+
+class TestStackedBuild:
+    """Every series laid end to end, and the per-mode tables memoised on ``Stores``."""
+
+    def test_blocks_never_read_a_neighbouring_series(self):
+        # A, B and C lie end to end in that order, and C is followed by the index
+        # values. Each has its own price level, so a block that read into a
+        # neighbour would give a finite, wrong change instead of a drop.
+        dates = weekday_dates(START, 12)
+        trend = np.exp(np.linspace(0.0, 0.1, 12))
+        prices = {f: make_series(f, dates, level * trend)
+                  for f, level in (("A", 10.0), ("B", 200.0), ("C", 3000.0))}
+        indices = {"M0": make_index("M0", dates, 500.0 * trend[::-1]),
+                   "M1": make_index("M1", dates[3:], 900.0 * trend[3:])}
+        events = [simple_event(f"{f}{k:02d}", day, {f})
+                  for f in prices for k, day in enumerate([*dates, dates[-1] + dt.timedelta(days=1)])]
+        stores = make_stores(
+            firms=[simple_firm("A"), simple_firm("B"), simple_firm("C", market="M1")],
+            prices=prices, indices=indices, events=events,
+        )
+        for w in (1, 2, 3, 4):
+            panel = build_panel(stores, "own", "positive", w)
+            reasons = {(d.news_id, d.firm_id): d.reason for d in panel.drops}
+            for f in prices:
+                # anchors 0..2w-1 lack block A, and anchors past n - w lack block C
+                for k in [*range(2 * w), *range(12 - w + 1, 13)]:
+                    assert reasons[f"{f}{k:02d}", f] == "price-window"
+            pairs = reference_pairs(stores, "own", w)
+            kept = [p for p in pairs if p[2] is None]
+            assert panel.news_id.tolist() == [p[0] for p in kept]
+            assert panel.y.tolist() == [p[3] for p in kept]
+            assert panel.market_x.tolist() == [p[4] for p in kept]
+            assert [(d.news_id, d.firm_id, d.reason) for d in panel.drops] == [
+                p[:3] for p in pairs if p[2] is not None]
+            assert {d.reason for d in panel.drops} == {"price-window", "index-window"}
+
+    def test_memoised_builds_equal_fresh_builds(self):
+        stores = perturbed_sim_stores()
+        for mode in MODES:
+            for w in (30, 1, 5, 1):
+                assert_same_panel(build_panel(stores, mode, "positive", w),
+                                  build_panel(fresh(stores), mode, "positive", w))
+        assert set(stores._memo) >= set(MODES)  # the builds above did share one table per mode
+
+    def test_replace_does_not_reuse_the_memo(self):
+        stores = perturbed_sim_stores()
+        before = build_panel(stores, "supplier", "positive", 2)
+        prices = {f: PriceSeries(f, s.dates, s.closes[::-1].copy())
+                  for f, s in stores.prices.items() if f != "F00005"}
+        replaced = dataclasses.replace(stores, prices=prices)
+        after = build_panel(replaced, "supplier", "positive", 2)
+        assert_same_panel(after, build_panel(fresh(replaced), "supplier", "positive", 2))
+        assert "F00005" in before.firm_id and "F00005" not in after.firm_id
+        assert not np.array_equal(before.y, after.y)
+
+    def test_small_gather_batch_changes_nothing(self, monkeypatch):
+        stores = perturbed_sim_stores()
+        expected = {(m, w): build_panel(stores, m, "positive", w) for m in MODES for w in (1, 3, 7)}
+        monkeypatch.setattr(market, "_GATHER_BATCH", 4)  # one block per gather for w > 4
+        for (mode, w), panel in expected.items():
+            assert_same_panel(build_panel(stores, mode, "positive", w), panel)
