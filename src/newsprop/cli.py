@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import graph, market, panel, regress, report, sentiment, sim
-from .csvio import atomic_write_text
+from .csvio import atomic_write_text, write_rows
 from .errors import LoadError
 from .firms import load_firms
 
@@ -266,9 +266,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
+        # every row is computed before any file is written, so a window that
+        # fails leaves no half-written bundle behind
+        config.validate()
+        expected = sim.expected_beta_rows(config, windows)
         bundle = sim.simulate(config)
         paths = bundle.write(outdir)
-        sim.write_expected_betas(config, windows, outdir / "expected_betas.csv")
+        write_rows(outdir / "expected_betas.csv", sim.EXPECTED_HEADER, expected)
     except (OSError, ValueError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1

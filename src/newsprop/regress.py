@@ -112,8 +112,10 @@ def within_transform(panel: Panel) -> WithinDesign:
     codes = np.repeat(codes, 2)
     n_groups = len(labels)
     counts = np.bincount(codes, minlength=n_groups).astype(float)
-    sums = np.zeros((n_groups, 4))
-    np.add.at(sums, codes, stacked)
+    # bincount adds each group's rows one at a time in row order
+    sums = np.column_stack(
+        [np.bincount(codes, weights=stacked[:, j], minlength=n_groups) for j in range(4)]
+    )
     means = sums / counts[:, None]
     demeaned = stacked - means[codes]
     return WithinDesign(

@@ -15,7 +15,7 @@ fixed order, into
                           triples, in that order)
 
 so per-firm generation could run on any number of workers without changing a
-single draw.
+single draw. The per-firm loop only draws; everything after it is array code.
 
 Effect injection: an event about firm j with positiveness q adds
 gamma_pre * (q - 0.5) / leak_window percent to j's daily log return on each
@@ -24,15 +24,21 @@ gamma_post * (q - 0.5) / effect_window percent on each of the effect_window
 trading days from the anchor on. Suppliers and clients of j receive the same
 pattern with gamma_sup / gamma_cli replacing both direct coefficients. The
 anchor is the event's trading position; weekend-dated events shift forward
-exactly as the panel's anchor rule does.
+exactly as the panel's anchor rule does. Injection is one array pass: every
+event's anchor comes from one searchsorted, each firm's targets (itself, then
+its suppliers, then its clients) are flat arrays expanded over the tradable
+events with np.repeat, and the drifts go into the returns through unbuffered
+np.add.at batches, which add in injection order, so every return gets the same
+float additions as one slice-add per drift would give it.
 
 ``expected_betas`` turns a configuration into the coefficients the pooled
 regression is expected to recover. Two pieces feed it:
 
-* block loadings, found by enumerating the pre/post blocks on the position
-  axis and averaging the cumulated injected drift inside each block (for
-  w >= 2 the log of the block's average price is linearized to the average
-  of its log prices; exact for w = 1);
+* block loadings: the cumulated injected drift averaged inside each pre/post
+  block of the position axis (for w >= 2 the log of the block's average
+  price is linearized to the average of its log prices; exact for w = 1),
+  in closed form, by counting for each injection day the block positions at
+  or after it, so the cost does not grow with w;
 * the population least-squares projection. Because the injected driver is
   centered (q - 0.5) while the regressor is the raw probability, the data
   contain a period-level term -A/2 per row that the intercept-free model
@@ -175,6 +181,12 @@ def _trading_calendar(config: SimConfig) -> list[dt.date]:
     return days
 
 
+def _concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + length) laid end to end, as one int array."""
+    slots = np.cumsum(lengths) - lengths  # each range's first slot in the result
+    return np.arange(int(lengths.sum())) + np.repeat(start - slots, lengths)
+
+
 def simulate(config: SimConfig) -> SimBundle:
     """Generate one dataset bundle, deterministically for a given seed."""
     config.validate()
@@ -219,75 +231,86 @@ def simulate(config: SimConfig) -> SimBundle:
     market_factor = rng_market.normal(0.0, config.market_vol, size=(config.n_markets, n_trading))
 
     returns = np.empty((n, n_trading))
-    events: list[tuple[int, dt.date, np.ndarray]] = []  # (firm index, date, triple)
+    event_offsets = []  # per firm, its events' day offsets from start_date
+    event_triples = []  # per firm, its events' (p_pos, p_neu, p_neg) rows
     for i, child in enumerate(ss_firms.spawn(n)):
         rng = np.random.default_rng(child)
         returns[i] = rng.normal(0.0, config.idio_vol, size=n_trading)
         n_events = int(rng.poisson(config.news_rate))
-        offsets = rng.integers(0, config.n_days, size=n_events)
-        triples = rng.dirichlet(config.sentiment_alpha, size=n_events)
-        for k in range(n_events):
-            events.append((i, config.start_date + dt.timedelta(days=int(offsets[k])), triples[k]))
+        event_offsets.append(rng.integers(0, config.n_days, size=n_events))
+        event_triples.append(rng.dirichlet(config.sentiment_alpha, size=n_events))
     for i in range(n):
         returns[i] += market_factor[i % config.n_markets]
 
-    # every injection adds a pre drift to returns[firm, anchor-leak:anchor] and a
-    # post drift to returns[firm, anchor:anchor+effect], clipped to the calendar.
-    # They are collected in injection order and applied in batches by one
-    # unbuffered np.add.at each, which adds in index order, so every element
-    # gets the same float additions in the same order as one slice-add per
-    # drift would give it. Batches keep the expanded index arrays small.
-    drift_firm: list[int] = []
-    drift_anchor: list[int] = []
-    drift_pre: list[float] = []
-    drift_post: list[float] = []
+    # events in serial order: firm by firm, each firm's in draw order
+    event_firm = np.repeat(np.arange(n), [len(o) for o in event_offsets])
+    event_day = np.datetime64(config.start_date, "D") + np.concatenate(event_offsets)
+    triples = np.concatenate(event_triples)
+    news_events = [
+        NewsEvent(
+            news_id=f"N{serial:07d}",
+            date=date,
+            mentions=frozenset({firm_ids[i]}),
+            p_pos=p_pos,
+            p_neu=p_neu,
+            p_neg=p_neg,
+        )
+        for serial, (i, date, (p_pos, p_neu, p_neg)) in enumerate(
+            zip(event_firm.tolist(), event_day.tolist(), triples.tolist())
+        )
+    ]
 
-    def inject(firm: int, anchor: int, pre_coef: float, post_coef: float, q: float) -> None:
+    # an event injects into its firm, then the firm's suppliers, then its
+    # clients: each target adds a pre drift to returns[target, anchor-leak:anchor]
+    # and a post drift to returns[target, anchor:anchor+effect], clipped to the
+    # calendar. Events disclosed after the horizon have no tradable reaction.
+    n_targets = np.array([1 + len(suppliers_of[i]) + len(clients_of[i]) for i in range(n)])
+    first_target = np.cumsum(n_targets) - n_targets
+    targets = [
+        target
+        for i in range(n)
+        for target in (
+            [(i, config.gamma_pre, config.gamma_post)]
+            + [(s, config.gamma_sup, config.gamma_sup) for s in suppliers_of[i]]
+            + [(c, config.gamma_cli, config.gamma_cli) for c in clients_of[i]]
+        )
+    ]
+    target_firm, target_pre, target_post = zip(*targets)
+    target_firm = np.array(target_firm, dtype=np.int64)
+    target_pre = np.array(target_pre, dtype=float)
+    target_post = np.array(target_post, dtype=float)
+
+    anchor = np.searchsorted(date_index, event_day, side="left")
+    tradable = anchor < n_trading
+    source, anchor, q = event_firm[tradable], anchor[tradable], triples[tradable, 0]
+    reps = n_targets[source]
+    # expanded (firm, day) additions, at most, up to and including each tradable event
+    expanded = np.cumsum(reps) * (config.leak_window + config.effect_window)
+
+    # The injections are applied in batches of whole events by one unbuffered
+    # np.add.at each, which adds in index order, so every element gets the
+    # same float additions in the same order as one slice-add per drift in
+    # injection order would give it. Batches keep the expanded arrays small.
+    lo = 0
+    while lo < len(reps):
+        done = int(expanded[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(expanded, done + _DRIFT_BATCH, side="right")))
+        k = _concat_ranges(first_target[source[lo:hi]], reps[lo:hi])  # into the targets
+        drift_q = np.repeat(q[lo:hi], reps[lo:hi]) - 0.5
         # coefficients are percent per day; returns are in log units
-        drift_firm.append(firm)
-        drift_anchor.append(anchor)
-        drift_pre.append(pre_coef * (q - 0.5) / (100.0 * config.leak_window))
-        drift_post.append(post_coef * (q - 0.5) / (100.0 * config.effect_window))
-
-    def apply_drifts() -> None:
-        anchor = np.array(drift_anchor, dtype=np.int64)
-        pre_lo = np.maximum(anchor - config.leak_window, 0)
-        post_hi = np.minimum(anchor + config.effect_window, n_trading)
-        # [lo, hi) day spans, each injection's pre drift then its post drift
-        lo = np.column_stack((pre_lo, anchor)).ravel()
-        lengths = np.column_stack((anchor, post_hi)).ravel() - lo
-        offsets = np.cumsum(lengths) - lengths  # each span's first slot in the expansion
-        days = np.arange(int(lengths.sum())) + np.repeat(lo - offsets, lengths)
-        rows = np.repeat(np.repeat(np.array(drift_firm, dtype=np.int64), 2), lengths)
+        drift_pre = target_pre[k] * drift_q / (100.0 * config.leak_window)
+        drift_post = target_post[k] * drift_q / (100.0 * config.effect_window)
+        drift_anchor = np.repeat(anchor[lo:hi], reps[lo:hi])
+        pre_lo = np.maximum(drift_anchor - config.leak_window, 0)
+        post_hi = np.minimum(drift_anchor + config.effect_window, n_trading)
+        # [start, stop) day spans, each injection's pre drift then its post drift
+        span_start = np.column_stack((pre_lo, drift_anchor)).ravel()
+        lengths = np.column_stack((drift_anchor, post_hi)).ravel() - span_start
+        days = _concat_ranges(span_start, lengths)
+        rows = np.repeat(np.repeat(target_firm[k], 2), lengths)
         values = np.repeat(np.column_stack((drift_pre, drift_post)).ravel(), lengths)
         np.add.at(returns, (rows, days), values)
-        for column in (drift_firm, drift_anchor, drift_pre, drift_post):
-            column.clear()
-
-    news_events: list[NewsEvent] = []
-    for serial, (i, date, triple) in enumerate(events):
-        news_events.append(
-            NewsEvent(
-                news_id=f"N{serial:07d}",
-                date=date,
-                mentions=frozenset({firm_ids[i]}),
-                p_pos=float(triple[0]),
-                p_neu=float(triple[1]),
-                p_neg=float(triple[2]),
-            )
-        )
-        anchor = int(np.searchsorted(date_index, np.datetime64(date, "D"), side="left"))
-        if anchor >= n_trading:
-            continue  # disclosed after the horizon; no tradable reaction to inject
-        q = float(triple[0])
-        inject(i, anchor, config.gamma_pre, config.gamma_post, q)
-        for s in suppliers_of[i]:
-            inject(s, anchor, config.gamma_sup, config.gamma_sup, q)
-        for c in clients_of[i]:
-            inject(c, anchor, config.gamma_cli, config.gamma_cli, q)
-        if len(drift_firm) * (config.leak_window + config.effect_window) >= _DRIFT_BATCH:
-            apply_drifts()
-    apply_drifts()
+        lo = hi
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)
     prices = {
@@ -330,38 +353,32 @@ class ExpectedBetas:
 
 
 def drift_block_loadings(w: int, leak_window: int, effect_window: int) -> np.ndarray:
-    """Per-unit-gamma drift loadings of the pre/post changes, by enumeration.
+    """Per-unit-gamma drift loadings of the pre/post changes, in closed form.
 
     Returns a 2x2 matrix M with rows (pre change, post change) and columns
     (gamma_pre, gamma_post): the expected windowed change in percent per day
     contributed by a unit gamma at unit centered positiveness. Positions are
-    enumerated relative to the anchor at 0; daily log drift of an injection
-    day is 1 / (100 * window length), and a block's log mean collects every
-    injection day at or before each of its positions.
+    relative to the anchor at 0, blocks are A = [-2w, -w), B = [-w, 0) and
+    C = [0, w), and the leak days are [-leak_window, 0) and the effect days
+    [0, effect_window). Daily log drift of an injection day is
+    1 / (100 * window length), and a block's log mean collects every
+    injection day at or before each of its positions. So a block's summed
+    drift is the count, over injection days, of block positions at or after
+    the day, over 100 * window length: integer work in the window lengths,
+    none in w, and each loading is one correctly rounded integer ratio.
     """
     if w < 1 or leak_window < 1 or effect_window < 1:
         raise ValueError("windows must be >= 1")
-    pre_days = range(-leak_window, 0)
-    post_days = range(0, effect_window)
 
-    def cumulated(position: int, days: range, length: int) -> float:
-        return sum(1 for d in days if d <= position) / (100.0 * length)
+    def positions_at_or_after(days: range, lo: int, hi: int) -> int:
+        return sum(max(0, hi - max(lo, d)) for d in days)
 
-    def block_mean(block: range, days: range, length: int) -> float:
-        return sum(cumulated(k, days, length) for k in block) / len(block)
-
-    block_a = range(-2 * w, -w)
-    block_b = range(-w, 0)
-    block_c = range(0, w)
     loadings = np.zeros((2, 2))
-    for col, (days, length) in enumerate(
-        ((pre_days, leak_window), (post_days, effect_window))
-    ):
-        mean_a = block_mean(block_a, days, length)
-        mean_b = block_mean(block_b, days, length)
-        mean_c = block_mean(block_c, days, length)
-        loadings[0, col] = 100.0 * (mean_b - mean_a) / w
-        loadings[1, col] = 100.0 * (mean_c - mean_b) / w
+    for col, days in enumerate((range(-leak_window, 0), range(0, effect_window))):
+        a, b, c = (positions_at_or_after(days, lo, lo + w) for lo in (-2 * w, -w, 0))
+        # 100 * (mean_b - mean_a) / w with mean = count / (100 * len(days) * w)
+        loadings[0, col] = (b - a) / (len(days) * w * w)
+        loadings[1, col] = (c - b) / (len(days) * w * w)
     return loadings
 
 
@@ -448,12 +465,13 @@ def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> Expec
     )
 
 
-def write_expected_betas(config: SimConfig, windows: Sequence[int], path) -> None:
-    """Sidecar of expected coefficients for every mode/polarity/window cell."""
+def expected_beta_rows(config: SimConfig, windows: Sequence[int]) -> list[tuple]:
+    """Rows of the expected-coefficient sidecar (``EXPECTED_HEADER``), one per
+    mode/polarity/window cell."""
     rows = []
     for mode in MODES:
         for polarity in POLARITIES:
             for w in windows:
                 e = expected_betas(config, w, mode, polarity)
                 rows.append((mode, polarity, w, e.beta_pre, e.beta_post))
-    write_rows(path, EXPECTED_HEADER, rows)
+    return rows

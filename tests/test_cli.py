@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from newsprop import panel
+from newsprop import panel, sim
 from newsprop.cli import main
 from newsprop.sim import SimConfig, simulate
 
@@ -344,6 +346,36 @@ class TestSimulate:
         out = tmp_path / "out"
         err = assert_usage_error(["simulate", "--windows", "0", "--out", str(out)], capsys)
         assert "windows must be positive integers" in err
+        assert not out.exists()
+
+    def test_huge_window_finishes_with_every_file(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        config.write_text("n_firms = 10\nn_days = 40\nseed = 3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "newsprop.cli", "simulate", "--config", str(config),
+             "--windows", "10000000000000000000", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        names = [*sim.BUNDLE_FILES, "expected_betas"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{name}.csv" for name in names)
+        sidecar = (out / "expected_betas.csv").read_text(encoding="utf-8").splitlines()
+        assert len(sidecar) == 1 + 6
+        assert all(row.split(",")[2] == "10000000000000000000" for row in sidecar[1:])
+
+    def test_failing_expectation_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("no expectation")
+
+        monkeypatch.setattr(sim, "expected_betas", fail)
+        config = tmp_path / "sim.cfg"
+        config.write_text("n_firms = 10\nn_days = 40\nseed = 3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--windows", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "simulate: no expectation\n"
         assert not out.exists()
 
     def test_validate_accepts_simulated_bundle(self, tmp_path, capsys):

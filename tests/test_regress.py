@@ -103,6 +103,31 @@ class TestWithinTransform:
         with pytest.raises(EmptyPanelError):
             within_transform(make_panel([], [], np.empty((0, 2)), np.empty((0, 2))))
 
+    @pytest.mark.parametrize("sizes", [[1], [1, 1, 1], [1, 2, 40], [3, 1, 17, 1, 90, 5, 1, 2]])
+    def test_group_sums_equal_add_at_reference(self, sizes, rng):
+        # unbalanced sectors, singletons included, in shuffled row order, with
+        # magnitudes spread wide enough that the order of additions shows
+        sector = rng.permutation([f"S{g:02d}" for g, size in enumerate(sizes) for _ in range(size)])
+        n = len(sector)
+        scale = 10.0 ** rng.uniform(-8, 8, size=(n, 2))
+        panel = make_panel(
+            sector, rng.uniform(0.0, 1.0, n), rng.normal(size=(n, 2)) * scale,
+            rng.normal(size=(n, 2)) * scale,
+        )
+        rows = observation_rows(panel)
+        stacked = np.array([
+            (y, news if is_pre else 0.0, 0.0 if is_pre else news, x)
+            for _, is_pre, news, x, y in rows
+        ])
+        labels, codes = np.unique([row[0] for row in rows], return_inverse=True)
+        sums = np.zeros((len(labels), 4))
+        np.add.at(sums, codes, stacked)
+        demeaned = stacked - (sums / np.bincount(codes)[:, None])[codes]
+        design = within_transform(panel)
+        assert design.y.tobytes() == demeaned[:, 0].tobytes()
+        assert design.X.tobytes() == np.ascontiguousarray(demeaned[:, 1:]).tobytes()
+        assert design.sector_labels == labels.tolist()
+
     def test_matches_dummy_solver(self, rng):
         panel = random_panel(rng, n_pairs=25, n_sectors=6)
         design = within_transform(panel)

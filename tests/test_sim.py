@@ -2,20 +2,25 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from newsprop import market, panel, regress, sentiment
+from newsprop import market, panel, regress, sentiment, sim
+from newsprop.csvio import write_rows
 from newsprop.errors import SimConfigError
 from newsprop.firms import load_firms
 from newsprop.graph import load_edges
 from newsprop.sim import (
+    EXPECTED_HEADER,
     SimConfig,
     drift_block_loadings,
+    expected_beta_rows,
     expected_betas,
     simulate,
-    write_expected_betas,
 )
 
 SMALL = SimConfig(
@@ -47,7 +52,8 @@ def dense_reference(config):
     """The simulator's draws, with the edges drawn as one dense (n, n) matrix
     and every drift applied as its own slice-add, in injection order.
 
-    Returns the adjacency matrix and the (n_firms, n_trading) closes.
+    Returns the adjacency matrix, the (n_firms, n_trading) closes and the
+    events as (news_id, date, mentions, p_pos, p_neu, p_neg) tuples.
     """
     _, ss_edges, ss_market, ss_firms = np.random.SeedSequence(config.seed).spawn(4)
     n = config.n_firms
@@ -69,7 +75,7 @@ def dense_reference(config):
         k = int(rng.poisson(config.news_rate))
         offsets = rng.integers(0, config.n_days, size=k)
         triples = rng.dirichlet(config.sentiment_alpha, size=k)
-        events += [(i, int(offsets[e]), float(triples[e, 0])) for e in range(k)]
+        events += [(i, int(offsets[e]), triples[e]) for e in range(k)]
     for i in range(n):
         returns[i] += market[i % config.n_markets]
 
@@ -81,9 +87,12 @@ def dense_reference(config):
         if anchor < hi:
             returns[firm, anchor:hi] += post_coef * (q - 0.5) / (100.0 * config.effect_window)
 
-    for i, offset, q in events:
-        date = np.datetime64(config.start_date + dt.timedelta(days=offset), "D")
-        anchor = int(np.searchsorted(calendar, date, side="left"))
+    records = []
+    for serial, (i, offset, triple) in enumerate(events):
+        date = config.start_date + dt.timedelta(days=offset)
+        q = float(triple[0])
+        records.append((f"N{serial:07d}", date, frozenset({f"F{i:05d}"}), *map(float, triple)))
+        anchor = int(np.searchsorted(calendar, np.datetime64(date, "D"), side="left"))
         if anchor >= t:
             continue
         inject(i, anchor, config.gamma_pre, config.gamma_post, q)
@@ -91,7 +100,36 @@ def dense_reference(config):
             inject(int(s), anchor, config.gamma_sup, config.gamma_sup, q)
         for c in np.flatnonzero(adjacency[i]):
             inject(int(c), anchor, config.gamma_cli, config.gamma_cli, q)
-    return adjacency, np.exp(np.log(100.0) + np.cumsum(returns, axis=1))
+    return adjacency, np.exp(np.log(100.0) + np.cumsum(returns, axis=1)), records
+
+
+def event_fields(bundle):
+    return [(e.news_id, e.date, e.mentions, e.p_pos, e.p_neu, e.p_neg) for e in bundle.events]
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs with windows of 1 to 5 days on a calendar of about 4x the
+    longest, so drifts overlap and are clipped at both ends of the calendar."""
+    leak, effect = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n_firms = draw(st.integers(1, 12))
+    return SimConfig(
+        n_firms=n_firms,
+        n_sectors=3,
+        n_markets=draw(st.integers(1, min(2, n_firms))),
+        n_days=4 * max(leak, effect) + draw(st.integers(0, 3)),
+        weekend_pattern=draw(st.booleans()),
+        edge_prob=draw(st.sampled_from([0.3, 1.0, 0.0])),
+        news_rate=draw(st.sampled_from([3.0, 10.0, 0.5, 0.0])),
+        gamma_pre=0.3,
+        gamma_post=-0.9,
+        gamma_sup=0.1,
+        gamma_cli=0.05,
+        leak_window=leak,
+        effect_window=effect,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        start_date=draw(st.dates(dt.date(2016, 1, 1), dt.date(2016, 1, 7))),
+    )
 
 
 class TestSimulate:
@@ -110,13 +148,32 @@ class TestSimulate:
         if batch is not None:  # many np.add.at batches instead of one
             monkeypatch.setattr("newsprop.sim._DRIFT_BATCH", batch)
         bundle = simulate(OVERLAPPING)
-        _, closes = dense_reference(OVERLAPPING)
+        _, closes, _ = dense_reference(OVERLAPPING)
+        for i, firm_id in enumerate(sorted(bundle.prices)):
+            assert bundle.prices[firm_id].closes.tobytes() == closes[i].tobytes()
+
+    @pytest.mark.parametrize("config", [
+        SMALL,
+        OVERLAPPING,
+        dataclasses.replace(OVERLAPPING, weekend_pattern=False, news_rate=0.0),
+        dataclasses.replace(OVERLAPPING, start_date=dt.date(2016, 1, 2), n_days=20),  # a Saturday
+    ])
+    def test_events_equal_reference(self, config):
+        assert event_fields(simulate(config)) == dense_reference(config)[2]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(config=small_configs(), batch=st.sampled_from([1, 5, 40, sim._DRIFT_BATCH]))
+    def test_small_configs_equal_reference(self, config, batch):
+        with mock.patch.object(sim, "_DRIFT_BATCH", batch):
+            bundle = simulate(config)
+        _, closes, events = dense_reference(config)
+        assert event_fields(bundle) == events
         for i, firm_id in enumerate(sorted(bundle.prices)):
             assert bundle.prices[firm_id].closes.tobytes() == closes[i].tobytes()
 
     def test_edges_equal_dense_draw(self):
         bundle = simulate(OVERLAPPING)
-        adjacency, _ = dense_reference(OVERLAPPING)
+        adjacency, _, _ = dense_reference(OVERLAPPING)
         ids = sorted(bundle.prices)
         year = OVERLAPPING.start_date.year
         assert bundle.edges == [(year, ids[i], ids[j]) for i, j in np.argwhere(adjacency)]
@@ -194,7 +251,42 @@ class TestSimulate:
         assert np.allclose(np.log(bundle.indices["M00"].values), stacked.mean(axis=0))
 
 
+def enumerated_loadings(w, leak_window, effect_window):
+    """drift_block_loadings by enumerating every block position."""
+    pre_days = range(-leak_window, 0)
+    post_days = range(0, effect_window)
+
+    def cumulated(position, days, length):
+        return sum(1 for d in days if d <= position) / (100.0 * length)
+
+    def block_mean(block, days, length):
+        return sum(cumulated(k, days, length) for k in block) / len(block)
+
+    loadings = np.zeros((2, 2))
+    for col, (days, length) in enumerate(((pre_days, leak_window), (post_days, effect_window))):
+        mean_a, mean_b, mean_c = (
+            block_mean(block, days, length)
+            for block in (range(-2 * w, -w), range(-w, 0), range(0, w))
+        )
+        loadings[0, col] = 100.0 * (mean_b - mean_a) / w
+        loadings[1, col] = 100.0 * (mean_c - mean_b) / w
+    return loadings
+
+
 class TestDriftBlockLoadings:
+    def test_closed_form_equals_enumeration(self):
+        for w, leak, effect in itertools.product(range(1, 13), range(1, 7), range(1, 7)):
+            np.testing.assert_allclose(
+                drift_block_loadings(w, leak, effect), enumerated_loadings(w, leak, effect),
+                rtol=1e-14, atol=0.0, err_msg=f"w={w} leak={leak} effect={effect}",
+            )
+
+    def test_huge_window_is_instant_and_finite(self):
+        # the enumeration takes about 6 s at w = 10**6
+        for w in (10**6, 10**18, 10**19, 10**40):
+            loadings = drift_block_loadings(w, 3, 5)
+            assert np.isfinite(loadings).all()
+            assert loadings[1, 1] == pytest.approx(1.0 / w, rel=1e-5)
     def test_unit_windows_identity(self):
         assert np.allclose(drift_block_loadings(1, 1, 1), np.eye(2))
 
@@ -281,7 +373,7 @@ class TestExpectedBetas:
 
     def test_sidecar_schema(self, tmp_path):
         out = tmp_path / "expected.csv"
-        write_expected_betas(SMALL, [1, 5], out)
+        write_rows(out, EXPECTED_HEADER, expected_beta_rows(SMALL, [1, 5]))
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "mode,polarity,w,beta_pre,beta_post"
         assert len(lines) == 1 + 3 * 2 * 2
