@@ -43,7 +43,7 @@ print(f"pre-news change : {pre:+.4f} percent/day")
 print(f"post-news change: {post:+.4f} percent/day")
 
 # the same by hand: log of the block averages, differenced, per day, in percent
-closes = series.closes
+closes = series.values
 mean_a = closes[p - 2 * w : p - w].mean()
 mean_b = closes[p - w : p].mean()
 hand_pre = (math.log(mean_b) - math.log(mean_a)) / w * 100.0

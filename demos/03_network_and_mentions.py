@@ -26,7 +26,7 @@ some_firm = next(iter(sorted(stores.prices)))
 print(f"\nfirm {some_firm}: suppliers {sorted(stores.graph.suppliers_of(some_firm, year))}")
 print(f"firm {some_firm}: clients   {sorted(stores.graph.clients_of(some_firm, year))}")
 
-hist = mention_histogram(stores.news, registry_firms=stores.firms.firm_ids)
+hist = mention_histogram(stores.news, registry_firms=stores.firms)
 print("\nfirms mentioned per article:")
 for k, count in hist.mentions_per_article.items():
     print(f"  {k} firms: {count} articles")

@@ -221,38 +221,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-_SIM_FIELD_PARSERS = {
-    "n_firms": int,
-    "n_sectors": int,
-    "n_markets": int,
-    "n_days": int,
-    "weekend_pattern": _parse_bool,
-    "edge_prob": float,
-    "news_rate": float,
-    "sentiment_alpha": lambda t: tuple(float(x) for x in t.split(",")),
-    "gamma_pre": float,
-    "gamma_post": float,
-    "gamma_sup": float,
-    "gamma_cli": float,
-    "market_vol": float,
-    "idio_vol": float,
-    "leak_window": int,
-    "effect_window": int,
-    "seed": int,
-    "start_date": dt.date.fromisoformat,
-}
+def _sim_field_parser(default):
+    """The config-file parser of a ``SimConfig`` field, chosen by its default's type."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return lambda text: tuple(float(x) for x in text.split(","))
+    if isinstance(default, dt.date):
+        return dt.date.fromisoformat
+    return type(default)  # int or float
 
 
 def sim_config_from_mapping(values: dict[str, str]) -> sim.SimConfig:
     """Parse simulation keys; an unknown key or unparsable value is a UsageError."""
+    defaults = {f.name: f.default for f in dataclasses.fields(sim.SimConfig)}
     kwargs = {}
     for key, value in values.items():
         if key in ("out", "windows", "strict", "robust_se"):
             continue
-        if key not in _SIM_FIELD_PARSERS:
+        if key not in defaults:
             raise UsageError(f"--config {key} = {value!r}: unknown simulation key")
         try:
-            kwargs[key] = _SIM_FIELD_PARSERS[key](value)
+            kwargs[key] = _sim_field_parser(defaults[key])(value)
         except ValueError as exc:
             raise UsageError(f"--config {key} = {value!r}: {exc}") from None
     return sim.SimConfig(**kwargs)

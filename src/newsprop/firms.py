@@ -1,9 +1,12 @@
-"""Firm registry: identity, listing market, sector code, country."""
+"""Firm registry: identity, listing market, sector code, country.
+
+The registry is a plain ``dict[str, FirmRecord]`` keyed by firm_id, in the
+order of the accepted rows.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .csvio import read_rows
 from .errors import RowRejection
@@ -19,29 +22,12 @@ class FirmRecord:
     country: str
 
 
-class FirmRegistry:
-    def __init__(self, records: dict[str, FirmRecord]):
-        self._records = dict(records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, firm_id: str) -> bool:
-        return firm_id in self._records
-
-    def get(self, firm_id: str) -> Optional[FirmRecord]:
-        return self._records.get(firm_id)
-
-    @property
-    def firm_ids(self) -> set[str]:
-        return set(self._records)
-
-
-def load_firms(path) -> tuple[FirmRegistry, list[RowRejection]]:
+def load_firms(path) -> tuple[dict[str, FirmRecord], list[RowRejection]]:
     """Load a registry file (header ``firm_id,market_id,sector_code,country``).
 
-    market_id and sector_code may be empty (the panel skips such firms with an
-    audit record); an empty firm_id or a duplicate firm_id rejects the row.
+    Returns ``({firm_id: FirmRecord}, rejections)``. market_id and sector_code
+    may be empty (the panel skips such firms with an audit record); an empty
+    firm_id or a duplicate firm_id rejects the row.
     """
     records: dict[str, FirmRecord] = {}
     rejections: list[RowRejection] = []
@@ -57,4 +43,4 @@ def load_firms(path) -> tuple[FirmRegistry, list[RowRejection]]:
             rejections.append(RowRejection(i, f"duplicate firm_id {firm_id}"))
             continue
         records[firm_id] = FirmRecord(firm_id, market_id, sector_code, country)
-    return FirmRegistry(records), rejections
+    return records, rejections

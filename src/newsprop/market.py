@@ -23,7 +23,12 @@ block once, as one ``sliding_window_view`` gather done in batches of at most
 ``_GATHER_BATCH`` elements, so the memory it takes does not grow with the
 block count times w. A block that would leave its own series is masked, never
 read from a neighbour. ``window_changes`` is its single-series form, and
-``window_change`` and ``market_control`` are one-date forms of that.
+``window_change`` its one-date form.
+
+A firm's closes and a market's index are one ``Series`` type, because the
+same windowed change applies to both: on an index it is the market-index
+control. ``market_control`` is a second name for ``window_change``, kept
+only because the benchmark harness counts calls to it by that name.
 """
 
 from __future__ import annotations
@@ -49,24 +54,12 @@ _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Per-firm daily closes, strictly date-ascending, all positive."""
+class Series:
+    """One firm's daily closes or one market's index values, strictly
+    date-ascending and all positive; the key it is stored under names it."""
 
-    firm_id: str
     dates: np.ndarray  # datetime64[D]
-    closes: np.ndarray  # float64
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
-class IndexSeries:
-    """Per-market daily index values on the market's own trading calendar."""
-
-    market_id: str
-    dates: np.ndarray
-    values: np.ndarray
+    values: np.ndarray  # float64
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -126,39 +119,31 @@ def window_changes(
     return block_changes(values, 0, len(values), anchor, w)
 
 
-def _one_change(dates, values, news_date: dt.date, w: int, period: str) -> Optional[float]:
-    if period not in (PRE, POST):
-        raise ValueError(f"period must be {PRE!r} or {POST!r}, got {period!r}")
-    pre, post = window_changes(dates, values, np.array([news_date], dtype="datetime64[D]"), w)
-    value = float((pre if period == PRE else post)[0])
-    return None if math.isnan(value) else value
-
-
-def window_change(
-    series: PriceSeries, news_date: dt.date, w: int, period: str
-) -> Optional[float]:
-    """Pre- or post-news daily percentage change for one firm, or None.
+def window_change(series: Series, news_date: dt.date, w: int, period: str) -> Optional[float]:
+    """Pre- or post-news daily percentage change on one series, or None.
 
     None when any required block extends beyond the series (the observation
     is dropped rather than computed from a partial block), including a news
     date after the last trading date.
     """
-    return _one_change(series.dates, series.closes, news_date, w, period)
+    if period not in (PRE, POST):
+        raise ValueError(f"period must be {PRE!r} or {POST!r}, got {period!r}")
+    news_dates = np.array([news_date], dtype="datetime64[D]")
+    pre, post = window_changes(series.dates, series.values, news_dates, w)
+    value = float((pre if period == PRE else post)[0])
+    return None if math.isnan(value) else value
 
 
-def market_control(
-    index: IndexSeries, news_date: dt.date, w: int, period: str
-) -> Optional[float]:
-    """Same windowed change applied to a market index, anchored on its own calendar."""
-    return _one_change(index.dates, index.values, news_date, w, period)
+# the market-index control: the same change on an index series (module docstring)
+market_control = window_change
 
 
 def _load_dated_values(path, header: tuple[str, str, str]):
     """Shared loader for the price and index schemas.
 
-    Returns ``({id: (dates, values)}, rejections)``: per id, in the order of
-    its first accepted row, a strictly ascending datetime64[D] array and the
-    float64 values on those dates. Rows need not be sorted; duplicate
+    Returns ``({id: Series}, rejections)``: per id, in the order of its first
+    accepted row, a ``Series`` of strictly ascending datetime64[D] dates and
+    the float64 values on those dates. Rows need not be sorted; duplicate
     (id, date) pairs reject the later row.
     """
     day_of: dict[str, int] = {}  # date text -> days since 1970-01-01
@@ -194,30 +179,20 @@ def _load_dated_values(path, header: tuple[str, str, str]):
             rejections.append(RowRejection(i, f"duplicate ({ident}, {date.isoformat()})"))
             continue
         series[day] = value
-    arrays = {}
+    store = {}
     for ident, points in by_id.items():
         days = np.fromiter(points.keys(), dtype=np.int64, count=len(points))
         values = np.fromiter(points.values(), dtype=np.float64, count=len(points))
         order = np.argsort(days)  # days are unique, so the order is unambiguous
-        arrays[ident] = (days[order].astype("datetime64[D]"), values[order])
-    return arrays, rejections
+        store[ident] = Series(days[order].astype("datetime64[D]"), values[order])
+    return store, rejections
 
 
-def load_prices(path) -> tuple[dict[str, PriceSeries], list[RowRejection]]:
+def load_prices(path) -> tuple[dict[str, Series], list[RowRejection]]:
     """Load a price file (header ``firm_id,date,close``) into per-firm series."""
-    by_id, rejections = _load_dated_values(path, PRICE_HEADER)
-    store = {
-        firm_id: PriceSeries(firm_id=firm_id, dates=dates, closes=closes)
-        for firm_id, (dates, closes) in by_id.items()
-    }
-    return store, rejections
+    return _load_dated_values(path, PRICE_HEADER)
 
 
-def load_indices(path) -> tuple[dict[str, IndexSeries], list[RowRejection]]:
+def load_indices(path) -> tuple[dict[str, Series], list[RowRejection]]:
     """Load an index file (header ``market_id,date,value``) into per-market series."""
-    by_id, rejections = _load_dated_values(path, INDEX_HEADER)
-    store = {
-        market_id: IndexSeries(market_id=market_id, dates=dates, values=values)
-        for market_id, (dates, values) in by_id.items()
-    }
-    return store, rejections
+    return _load_dated_values(path, INDEX_HEADER)

@@ -13,6 +13,10 @@ article, keeping the indirect estimates uncontaminated by the direct effect,
 and an exposed firm reachable from several mentioned firms in one article
 contributes a single pair for that article.
 
+A build reads plain data from a ``Stores``: the firm registry is a dict of
+``FirmRecord`` by firm_id, and the closes and index values are dicts of the
+one ``market.Series`` type, by firm_id and by market_id.
+
 A build splits into work done once per mode and work done once per window.
 Once per mode, memoised on the ``Stores``, one Python pass over the sorted
 events and their exposed firms makes the graph lookups and registry checks and
@@ -43,9 +47,9 @@ import numpy as np
 
 from . import market
 from .csvio import write_rows
-from .firms import FirmRegistry
+from .firms import FirmRecord
 from .graph import SupplyChainNetwork
-from .market import _EPOCH_ORDINAL, IndexSeries, PRE, POST, PriceSeries
+from .market import _EPOCH_ORDINAL, PRE, POST, Series
 from .sentiment import NewsStore
 
 MODES = ("own", "supplier", "client")
@@ -73,9 +77,9 @@ class DropRecord:
 class Stores:
     """The loaded inputs a panel build reads from."""
 
-    firms: FirmRegistry
-    prices: dict[str, PriceSeries]
-    indices: dict[str, IndexSeries]
+    firms: dict[str, FirmRecord]
+    prices: dict[str, Series]
+    indices: dict[str, Series]
     news: NewsStore
     graph: SupplyChainNetwork
     # per-mode pair tables and the stacked series; see the module docstring
@@ -174,7 +178,7 @@ def _stack(stores: Stores) -> tuple[np.ndarray, dict[tuple[str, str], int]]:
     and the first index of each ("price", firm_id) and ("index", market_id)."""
     stack = stores._memo.get("stack")
     if stack is None:
-        columns = [s.closes for s in stores.prices.values()] + [s.values for s in stores.indices.values()]
+        columns = [s.values for s in (*stores.prices.values(), *stores.indices.values())]
         keys = [("price", f) for f in stores.prices] + [("index", m) for m in stores.indices]
         firsts = np.cumsum([0] + [len(column) for column in columns]).tolist()
         stack = stores._memo["stack"] = (np.concatenate([np.empty(0), *columns]), dict(zip(keys, firsts)))

@@ -84,14 +84,6 @@ class FitResult:
     diff_p: float
 
 
-@dataclass(frozen=True)
-class DiffTest:
-    diff: float
-    diff_se: float
-    diff_t: float
-    diff_p: float
-
-
 def within_transform(panel: Panel) -> WithinDesign:
     """Subtract sector-group means from the response and every regressor.
 
@@ -125,7 +117,12 @@ def within_transform(panel: Panel) -> WithinDesign:
     )
 
 
-def _diff_fields(beta: np.ndarray, cov: np.ndarray, dof: int) -> DiffTest:
+def _diff_fields(beta: np.ndarray, cov: np.ndarray, dof: int) -> tuple[float, float, float, float]:
+    """(diff, diff_se, diff_t, diff_p) of the net-disclosure test beta_post - beta_pre.
+
+    diff_se comes from var_pre + var_post - 2 cov_prepost; the p value is the
+    two-sided t tail with ``dof`` degrees of freedom.
+    """
     diff = float(beta[1] - beta[0])
     var_diff = float(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
     if var_diff < 0.0:
@@ -136,12 +133,12 @@ def _diff_fields(beta: np.ndarray, cov: np.ndarray, dof: int) -> DiffTest:
     if diff_se == 0.0:
         if diff != 0.0:
             raise DegenerateVarianceError("zero variance with nonzero difference")
-        return DiffTest(diff=0.0, diff_se=0.0, diff_t=0.0, diff_p=1.0)
+        return 0.0, 0.0, 0.0, 1.0
     diff_t = diff / diff_se
     # scipy.stats.t.sf(x, dof) is stdtr(dof, -x); importing scipy.stats for it
     # would take longer than importing the rest of the package
     diff_p = float(2.0 * stdtr(dof, -abs(diff_t)))
-    return DiffTest(diff=diff, diff_se=diff_se, diff_t=diff_t, diff_p=diff_p)
+    return diff, diff_se, diff_t, diff_p
 
 
 def fit(panel: Panel, robust: bool = False) -> FitResult:
@@ -194,7 +191,7 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
             cov = float(resid @ resid) / dof * xtx_inv
 
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    d = _diff_fields(beta, cov, dof)
+    diff, diff_se, diff_t, diff_p = _diff_fields(beta, cov, dof)
     return FitResult(
         mode=panel.mode,
         polarity=panel.polarity,
@@ -208,27 +205,11 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
         cov_prepost=float(cov[0, 1]),
         n_obs=n,
         dof=dof,
-        diff=d.diff,
-        diff_se=d.diff_se,
-        diff_t=d.diff_t,
-        diff_p=d.diff_p,
+        diff=diff,
+        diff_se=diff_se,
+        diff_t=diff_t,
+        diff_p=diff_p,
     )
-
-
-def diff_test(result: FitResult) -> DiffTest:
-    """Net-disclosure test beta_post - beta_pre from a finished fit.
-
-    diff_se comes from se_pre^2 + se_post^2 - 2 cov_prepost; the p value is
-    the two-sided t tail with the fit's degrees of freedom.
-    """
-    beta = np.array([result.beta_pre, result.beta_post])
-    cov = np.array(
-        [
-            [result.se_pre**2, result.cov_prepost],
-            [result.cov_prepost, result.se_post**2],
-        ]
-    )
-    return _diff_fields(beta, cov, result.dof)
 
 
 def write_fits(results: Sequence[FitResult], path) -> None:

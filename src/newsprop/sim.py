@@ -56,7 +56,9 @@ first order in 1/market size and in edge_prob.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -64,9 +66,9 @@ import numpy as np
 
 from .csvio import write_rows
 from .errors import SimConfigError
-from .firms import FIRM_HEADER, FirmRecord, FirmRegistry
+from .firms import FIRM_HEADER, FirmRecord
 from .graph import EDGE_HEADER, SupplyChainNetwork, SupplyChainSnapshot
-from .market import INDEX_HEADER, PRICE_HEADER, IndexSeries, PriceSeries
+from .market import INDEX_HEADER, PRICE_HEADER, Series
 from .panel import MODES, POLARITIES, Stores
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 
@@ -99,6 +101,10 @@ class SimConfig:
     start_date: dt.date = dt.date(2016, 1, 4)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise SimConfigError(f"{f.name} must be finite, got {value}")
         if self.n_firms < 1 or self.n_sectors < 1 or self.n_markets < 1:
             raise SimConfigError("n_firms, n_sectors, n_markets must be positive")
         if self.n_markets > self.n_firms:
@@ -110,14 +116,21 @@ class SimConfig:
                 f"n_days={self.n_days} cannot hold windows up to "
                 f"{max(self.leak_window, self.effect_window)} days (need >= 4x)"
             )
+        try:
+            self.start_date + dt.timedelta(days=self.n_days - 1)
+        except OverflowError:
+            raise SimConfigError(
+                f"start_date {self.start_date} plus n_days={self.n_days} runs past {dt.date.max}"
+            ) from None
         if not 0.0 <= self.edge_prob <= 1.0:
             raise SimConfigError("edge_prob must lie in [0, 1]")
         if self.news_rate < 0.0:
             raise SimConfigError("news_rate must be nonnegative")
         if self.market_vol < 0.0 or self.idio_vol < 0.0:
             raise SimConfigError("volatilities must be nonnegative")
-        if len(self.sentiment_alpha) != 3 or any(a <= 0.0 for a in self.sentiment_alpha):
-            raise SimConfigError("sentiment_alpha must be three positive reals")
+        alpha = self.sentiment_alpha
+        if len(alpha) != 3 or not all(0.0 < a < math.inf for a in alpha):
+            raise SimConfigError("sentiment_alpha must be three positive finite reals")
 
 
 @dataclass
@@ -127,14 +140,13 @@ class SimBundle:
     config: SimConfig
     firm_records: list[FirmRecord]
     trading_dates: list[dt.date]
-    prices: dict[str, PriceSeries]
-    indices: dict[str, IndexSeries]
+    prices: dict[str, Series]
+    indices: dict[str, Series]
     events: list[NewsEvent]
     edges: list[tuple[int, str, str]]
 
     def stores(self) -> Stores:
         """Wrap the bundle as panel-ready stores without a file round trip."""
-        registry = FirmRegistry({r.firm_id: r for r in self.firm_records})
         by_year: dict[int, set[tuple[str, str]]] = {}
         for year, supplier, client in self.edges:
             by_year.setdefault(year, set()).add((supplier, client))
@@ -142,7 +154,7 @@ class SimBundle:
             {y: SupplyChainSnapshot.from_edges(y, e) for y, e in by_year.items()}
         )
         return Stores(
-            firms=registry,
+            firms={r.firm_id: r for r in self.firm_records},
             prices=dict(self.prices),
             indices=dict(self.indices),
             news=NewsStore({e.news_id: e for e in self.events}),
@@ -155,16 +167,8 @@ class SimBundle:
         write_rows(paths["firms"], FIRM_HEADER, (
             (r.firm_id, r.market_id, r.sector_code, r.country) for r in self.firm_records
         ))
-        write_rows(paths["prices"], PRICE_HEADER, (
-            (firm_id, date.item().isoformat(), close)
-            for firm_id, series in sorted(self.prices.items())
-            for date, close in zip(series.dates, series.closes)
-        ))
-        write_rows(paths["indices"], INDEX_HEADER, (
-            (market_id, date.item().isoformat(), value)
-            for market_id, series in sorted(self.indices.items())
-            for date, value in zip(series.dates, series.values)
-        ))
+        write_rows(paths["prices"], PRICE_HEADER, _series_rows(self.prices))
+        write_rows(paths["indices"], INDEX_HEADER, _series_rows(self.indices))
         write_rows(paths["news"], NEWS_HEADER, (
             (e.news_id, e.date.isoformat(), firm_id, e.p_pos, e.p_neu, e.p_neg)
             for e in self.events
@@ -172,6 +176,14 @@ class SimBundle:
         ))
         write_rows(paths["edges"], EDGE_HEADER, self.edges)
         return paths
+
+
+def _series_rows(store: dict[str, Series]):
+    """(id, ISO date, value) rows, series by series in id order, each series'
+    dates and values converted to Python objects in one call each."""
+    for ident, series in sorted(store.items()):
+        dates = np.datetime_as_string(series.dates).tolist()
+        yield from zip(repeat(ident), dates, series.values.tolist())
 
 
 def _trading_calendar(config: SimConfig) -> list[dt.date]:
@@ -313,20 +325,11 @@ def simulate(config: SimConfig) -> SimBundle:
         lo = hi
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)
-    prices = {
-        firm_ids[i]: PriceSeries(
-            firm_id=firm_ids[i], dates=date_index.copy(), closes=np.exp(log_prices[i])
-        )
-        for i in range(n)
-    }
+    prices = {firm_ids[i]: Series(date_index.copy(), np.exp(log_prices[i])) for i in range(n)}
     indices = {}
     for m, market_id in enumerate(market_ids):
         members = np.arange(m, n, config.n_markets)
-        indices[market_id] = IndexSeries(
-            market_id=market_id,
-            dates=date_index.copy(),
-            values=np.exp(log_prices[members].mean(axis=0)),
-        )
+        indices[market_id] = Series(date_index.copy(), np.exp(log_prices[members].mean(axis=0)))
 
     return SimBundle(
         config=config,

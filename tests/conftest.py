@@ -10,24 +10,15 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from newsprop.firms import FirmRecord, FirmRegistry
+from newsprop.firms import FirmRecord
 from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
-from newsprop.market import IndexSeries, PRE, PriceSeries
+from newsprop.market import PRE, Series
 from newsprop.panel import Panel, Stores
 from newsprop.sentiment import NewsEvent, NewsStore
 
 
-def make_series(firm_id: str, dates, closes) -> PriceSeries:
-    return PriceSeries(
-        firm_id=firm_id,
-        dates=np.array([np.datetime64(d, "D") for d in dates]),
-        closes=np.array(closes, dtype=float),
-    )
-
-
-def make_index(market_id: str, dates, values) -> IndexSeries:
-    return IndexSeries(
-        market_id=market_id,
+def make_series(dates, values) -> Series:
+    return Series(
         dates=np.array([np.datetime64(d, "D") for d in dates]),
         values=np.array(values, dtype=float),
     )
@@ -47,14 +38,13 @@ def weekday_dates(start: dt.date, n: int) -> list[dt.date]:
 def make_stores(
     firms=None, prices=None, indices=None, events=None, edges_by_year=None
 ) -> Stores:
-    registry = FirmRegistry({r.firm_id: r for r in (firms or [])})
     news = NewsStore({e.news_id: e for e in (events or [])})
     snapshots = {
         year: SupplyChainSnapshot.from_edges(year, edges)
         for year, edges in (edges_by_year or {}).items()
     }
     return Stores(
-        firms=registry,
+        firms={r.firm_id: r for r in (firms or [])},
         prices=dict(prices or {}),
         indices=dict(indices or {}),
         news=news,

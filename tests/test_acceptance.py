@@ -89,7 +89,7 @@ def test_criterion_1_window_arithmetic_oracle():
     # trading calendar around Friday June 11th; weekends carry no entry
     days = [dt.date(2021, 6, d) for d in (3, 4, 7, 8, 9, 10, 11, 14, 15)]
     closes = [101.0, 103.0, 107.0, 109.0, 113.0, 127.0, 131.0, 137.0, 139.0]
-    series = make_series("A", days, closes)
+    series = make_series(days, closes)
     mean_a = sum(closes[0:3]) / 3.0  # June 3, 4, 7
     mean_b = sum(closes[3:6]) / 3.0  # June 8, 9, 10
     mean_c = sum(closes[6:9]) / 3.0  # June 11, 14, 15
@@ -99,7 +99,7 @@ def test_criterion_1_window_arithmetic_oracle():
     ok_post = abs(post - (math.log(mean_c) - math.log(mean_b)) / 3.0 * 100.0) <= 1e-9
 
     # single-day blocks, hand evaluation on closes 100, 102, 105
-    short = make_series("B", weekday_dates(dt.date(2021, 6, 7), 3), [100.0, 102.0, 105.0])
+    short = make_series(weekday_dates(dt.date(2021, 6, 7), 3), [100.0, 102.0, 105.0])
     anchor = weekday_dates(dt.date(2021, 6, 7), 3)[2]
     ok_hand = (
         abs(window_change(short, anchor, 1, PRE) - (math.log(102.0) - math.log(100.0)) * 100.0) <= 1e-9
@@ -200,7 +200,7 @@ def test_criterion_6_size_control():
 
 def _complete_pair(series, index, date, w):
     """Independent window completeness check by linear scan."""
-    for store, values in ((series.dates, series.closes), (index.dates, index.values)):
+    for store, values in ((series.dates, series.values), (index.dates, index.values)):
         anchor = None
         for k in range(len(store)):
             if store[k] >= np.datetime64(date, "D"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import datetime as dt
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from newsprop import panel, sim
-from newsprop.cli import main
+from newsprop.cli import main, read_config_file, sim_config_from_mapping
 from newsprop.sim import SimConfig, simulate
 
 BUNDLE_CONFIG = SimConfig(
@@ -331,6 +333,36 @@ class TestSimulate:
         key, _, value = (part.strip() for part in line.partition("="))
         assert f"{key} = {value!r}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["gamma_post = nan", "start_date = 9999-12-01"])
+    def test_unusable_setting_exits_1_without_output(self, tmp_path, capsys, line):
+        config = tmp_path / "sim.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: ") and line.split()[0] in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_every_field_parses_from_a_config_file(self, tmp_path):
+        changed = SimConfig(
+            n_firms=7, n_sectors=3, n_markets=1, n_days=90, weekend_pattern=False,
+            edge_prob=0.5, news_rate=2.5, sentiment_alpha=(0.5, 1.5, 2.0), gamma_pre=0.125,
+            gamma_post=-0.25, gamma_sup=0.0625, gamma_cli=0.75, market_vol=0.02, idio_vol=0.03,
+            leak_window=2, effect_window=3, seed=99, start_date=dt.date(2020, 2, 3),
+        )
+        # a field added later keeps its default above, and so fails here until it is listed
+        fields = dataclasses.fields(SimConfig)
+        assert [f.name for f in fields if getattr(changed, f.name) == f.default] == []
+        lines = []
+        for f in fields:
+            value = getattr(changed, f.name)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{f.name} = {text}\n")
+        config = tmp_path / "sim.cfg"
+        config.write_text("".join(lines), encoding="utf-8")
+        assert sim_config_from_mapping(read_config_file(config)) == changed
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

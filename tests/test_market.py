@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_index, make_series, reference_change, weekday_dates
+from conftest import make_series, reference_change, weekday_dates
 from newsprop.csvio import parse_date, read_rows
 from newsprop import market
 from newsprop.errors import LoadError, RowRejection
@@ -33,12 +33,12 @@ class TestAnchorPosition:
     CLOSES = [1.0, 3.0, 4.0, 10.0, 11.0]
 
     def test_trading_day_anchors_on_itself(self):
-        series = make_series("A", self.DAYS, self.CLOSES)
+        series = make_series(self.DAYS, self.CLOSES)
         assert window_change(series, JUN(11), 1, PRE) == pytest.approx(math.log(3.0) * 100.0)
         assert window_change(series, JUN(11), 1, POST) == pytest.approx(math.log(4.0 / 3.0) * 100.0)
 
     def test_weekend_shifts_to_next_trading_day(self):
-        series = make_series("A", self.DAYS, self.CLOSES)
+        series = make_series(self.DAYS, self.CLOSES)
         for period in (PRE, POST):  # Saturday -> Monday the 14th, not Friday the 11th
             saturday = window_change(series, JUN(12), 1, period)
             assert saturday == window_change(series, JUN(14), 1, period)
@@ -46,7 +46,7 @@ class TestAnchorPosition:
 
     def test_after_last_date_gives_none(self):
         dates = weekday_dates(dt.date(2021, 6, 1), 5)
-        series = make_series("A", dates, [1.0] * 5)
+        series = make_series(dates, [1.0] * 5)
         for period in (PRE, POST):
             assert window_change(series, dates[-1] + dt.timedelta(days=1), 1, period) is None
 
@@ -54,7 +54,7 @@ class TestAnchorPosition:
 class TestWindowChange:
     def test_constant_series_is_zero(self):
         dates = weekday_dates(dt.date(2021, 1, 4), 30)
-        series = make_series("A", dates, [100.0] * 30)
+        series = make_series(dates, [100.0] * 30)
         for w in (1, 2, 5):
             for period in (PRE, POST):
                 change = window_change(series, dates[15], w, period)
@@ -64,7 +64,7 @@ class TestWindowChange:
     def test_hand_computed_w1(self):
         # closes at positions p-2, p-1, p are 100, 102, 105
         dates = weekday_dates(dt.date(2021, 6, 7), 3)
-        series = make_series("A", dates, [100.0, 102.0, 105.0])
+        series = make_series(dates, [100.0, 102.0, 105.0])
         anchor = dates[2]
         pre = window_change(series, anchor, 1, PRE)
         post = window_change(series, anchor, 1, POST)
@@ -78,7 +78,7 @@ class TestWindowChange:
         # skipping the 5th/6th and 12th/13th (weekends)
         days = [3, 4, 7, 8, 9, 10, 11, 14, 15]
         closes = [101.0, 103.0, 107.0, 109.0, 113.0, 127.0, 131.0, 137.0, 139.0]
-        series = make_series("A", [JUN(d) for d in days], closes)
+        series = make_series([JUN(d) for d in days], closes)
         pre = window_change(series, JUN(11), 3, PRE)
         post = window_change(series, JUN(11), 3, POST)
         mean_a = (101.0 + 103.0 + 107.0) / 3
@@ -89,7 +89,7 @@ class TestWindowChange:
 
     def test_partial_block_drops_observation(self):
         dates = weekday_dates(dt.date(2021, 6, 1), 5)
-        series = make_series("A", dates, [100.0] * 5)
+        series = make_series(dates, [100.0] * 5)
         assert window_change(series, dates[1], 1, PRE) is None  # A would start at -1
         assert window_change(series, dates[4], 1, POST) is not None
         assert window_change(series, dates[4], 2, POST) is None  # C would pass the end
@@ -97,8 +97,8 @@ class TestWindowChange:
     def test_scale_invariance(self, rng):
         dates = weekday_dates(dt.date(2020, 3, 2), 60)
         closes = np.exp(rng.normal(0.0, 0.02, 60).cumsum()) * 50.0
-        series = make_series("A", dates, closes)
-        scaled = make_series("A", dates, closes * 37.5)
+        series = make_series(dates, closes)
+        scaled = make_series(dates, closes * 37.5)
         for w in (1, 3, 7):
             for period in (PRE, POST):
                 a = window_change(series, dates[30], w, period)
@@ -108,7 +108,7 @@ class TestWindowChange:
     def test_time_reversal_consistency(self, rng):
         dates = weekday_dates(dt.date(2020, 3, 2), 60)
         closes = np.exp(rng.normal(0.0, 0.02, 60).cumsum()) * 50.0
-        series = make_series("A", dates, closes)
+        series = make_series(dates, closes)
         for w in (1, 2, 5):
             pre = window_change(series, dates[30], w, PRE)
             post = window_change(series, dates[30 - w], w, POST)
@@ -117,7 +117,7 @@ class TestWindowChange:
     def test_outputs_finite_on_positive_inputs(self, rng):
         dates = weekday_dates(dt.date(2020, 3, 2), 40)
         closes = np.exp(rng.normal(0.0, 0.1, 40).cumsum())
-        series = make_series("A", dates, closes)
+        series = make_series(dates, closes)
         for w in (1, 2, 3, 5, 9):
             for period in (PRE, POST):
                 for anchor in dates:
@@ -126,7 +126,7 @@ class TestWindowChange:
                         assert math.isfinite(change)
 
     def test_bad_window_rejected(self):
-        series = make_series("A", [JUN(10)], [1.0])
+        series = make_series([JUN(10)], [1.0])
         with pytest.raises(ValueError):
             window_change(series, JUN(10), 0, PRE)
         with pytest.raises(ValueError):
@@ -220,14 +220,14 @@ class TestBlockChanges:
 class TestMarketControl:
     def test_constant_index_is_zero(self):
         dates = weekday_dates(dt.date(2021, 1, 4), 10)
-        index = make_index("M", dates, [500.0] * 10)
+        index = make_series(dates, [500.0] * 10)
         assert market_control(index, dates[5], 1, PRE) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_window_change_on_same_values(self, rng):
         dates = weekday_dates(dt.date(2021, 1, 4), 30)
         values = np.exp(rng.normal(0.0, 0.01, 30).cumsum()) * 100.0
-        series = make_series("A", dates, values)
-        index = make_index("M", dates, values)
+        series = make_series(dates, values)
+        index = make_series(dates, values)
         for period in (PRE, POST):
             assert market_control(index, dates[12], 3, period) == pytest.approx(
                 window_change(series, dates[12], 3, period), abs=1e-12
@@ -236,7 +236,7 @@ class TestMarketControl:
     def test_doubling_index_post_is_log_two(self):
         dates = weekday_dates(dt.date(2021, 1, 4), 6)
         # doubles once between block B (position 2) and block C (position 3)
-        index = make_index("M", dates, [100.0, 100.0, 100.0, 200.0, 200.0, 200.0])
+        index = make_series(dates, [100.0, 100.0, 100.0, 200.0, 200.0, 200.0])
         post = market_control(index, dates[3], 1, POST)
         assert post == pytest.approx(math.log(2.0) * 100.0, abs=1e-9)
         assert post == pytest.approx(69.31472, abs=5e-6)
@@ -339,10 +339,9 @@ class TestLoaders:
         assert list(store) == list(expected)
         for ident, (dates, values) in expected.items():
             series = store[ident]
-            got = (series.dates, series.closes if load is load_prices else series.values)
-            assert got[0].dtype == np.dtype("datetime64[D]")
-            assert got[0].tobytes() == dates.tobytes()
-            assert got[1].tobytes() == values.tobytes()
+            assert series.dates.dtype == np.dtype("datetime64[D]")
+            assert series.dates.tobytes() == dates.tobytes()
+            assert series.values.tobytes() == values.tobytes()
         assert store["ZZ"].dates.tolist() == [dt.date(1950, 1, 2)]
 
     def test_load_sorts_and_rejects_duplicates(self, tmp_path):
@@ -358,7 +357,7 @@ class TestLoaders:
         store, rejections = load_prices(path)
         assert [r.row for r in rejections] == [3]
         assert "duplicate" in rejections[0].reason
-        assert list(store["A"].closes) == [100.0, 101.5]
+        assert list(store["A"].values) == [100.0, 101.5]
         assert len(store["B"]) == 1
 
     def test_malformed_rows_collected(self, tmp_path):

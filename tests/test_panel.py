@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    make_index,
     make_series,
     make_stores,
     reference_change,
@@ -16,9 +15,8 @@ from conftest import (
     weekday_dates,
 )
 from newsprop import market
-from newsprop.firms import FirmRegistry
 from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
-from newsprop.market import PRE, POST, IndexSeries, PriceSeries
+from newsprop.market import PRE, POST, Series
 from newsprop.panel import MODES, Panel, Stores, build_panel, panel_summary, write_panel
 from newsprop.sim import SimConfig, simulate
 
@@ -27,8 +25,8 @@ START = dt.date(2016, 1, 4)
 
 def flat_market(firm_ids, n_days=40, markets=("M0",), close=100.0):
     dates = weekday_dates(START, n_days)
-    prices = {f: make_series(f, dates, [close] * n_days) for f in firm_ids}
-    indices = {m: make_index(m, dates, [1000.0] * n_days) for m in markets}
+    prices = {f: make_series(dates, [close] * n_days) for f in firm_ids}
+    indices = {m: make_series(dates, [1000.0] * n_days) for m in markets}
     return dates, prices, indices
 
 
@@ -227,7 +225,7 @@ class TestPanelShape:
         dates, prices, indices = flat_market(firm_ids, n_days=60)
         # jitter prices so y values differ
         prices = {
-            f: make_series(f, dates, 100.0 * np.exp(rng.normal(0, 0.01, 60).cumsum()))
+            f: make_series(dates, 100.0 * np.exp(rng.normal(0, 0.01, 60).cumsum()))
             for f in firm_ids
         }
         events = [
@@ -299,18 +297,18 @@ def perturbed_sim_stores() -> Stores:
         start_date=dt.date(2016, 6, 1), seed=11,
     )
     stores = simulate(config).stores()
-    records = {f: stores.firms.get(f) for f in stores.firms.firm_ids}
+    records = dict(stores.firms)
     del records["F00000"]  # unknown-firm
     records["F00001"] = dataclasses.replace(records["F00001"], sector_code="")
     records["F00002"] = dataclasses.replace(records["F00002"], market_id="")
     prices = dict(stores.prices)
     del prices["F00003"]  # price-window without a series
     m1 = stores.indices["M01"]  # starts 60 quotes late: index-window
-    indices = {**stores.indices, "M01": IndexSeries("M01", m1.dates[60:], m1.values[60:])}
+    indices = {**stores.indices, "M01": Series(m1.dates[60:], m1.values[60:])}
     # the only snapshot is a year after the first events: no-snapshot
     graph = SupplyChainNetwork(
         {2017: SupplyChainSnapshot.from_edges(2017, stores.graph.snapshot(2016).edges)})
-    return Stores(firms=FirmRegistry(records), prices=prices, indices=indices,
+    return Stores(firms=records, prices=prices, indices=indices,
                   news=stores.news, graph=graph)
 
 
@@ -332,7 +330,7 @@ def reference_pairs(stores: Stores, mode: str, w: int):
             record = stores.firms.get(firm_id)
             series = stores.prices.get(firm_id)
             index = stores.indices.get(record.market_id) if record else None
-            y = [reference_change(series.dates, series.closes, event.date, w, period)
+            y = [reference_change(series.dates, series.values, event.date, w, period)
                  for period in (PRE, POST)] if series else [None]
             x = [reference_change(index.dates, index.values, event.date, w, period)
                  for period in (PRE, POST)] if index else [None]
@@ -406,10 +404,10 @@ class TestStackedBuild:
         # neighbour would give a finite, wrong change instead of a drop.
         dates = weekday_dates(START, 12)
         trend = np.exp(np.linspace(0.0, 0.1, 12))
-        prices = {f: make_series(f, dates, level * trend)
+        prices = {f: make_series(dates, level * trend)
                   for f, level in (("A", 10.0), ("B", 200.0), ("C", 3000.0))}
-        indices = {"M0": make_index("M0", dates, 500.0 * trend[::-1]),
-                   "M1": make_index("M1", dates[3:], 900.0 * trend[3:])}
+        indices = {"M0": make_series(dates, 500.0 * trend[::-1]),
+                   "M1": make_series(dates[3:], 900.0 * trend[3:])}
         events = [simple_event(f"{f}{k:02d}", day, {f})
                   for f in prices for k, day in enumerate([*dates, dates[-1] + dt.timedelta(days=1)])]
         stores = make_stores(
@@ -443,7 +441,7 @@ class TestStackedBuild:
     def test_replace_does_not_reuse_the_memo(self):
         stores = perturbed_sim_stores()
         before = build_panel(stores, "supplier", "positive", 2)
-        prices = {f: PriceSeries(f, s.dates, s.closes[::-1].copy())
+        prices = {f: Series(s.dates, s.values[::-1].copy())
                   for f, s in stores.prices.items() if f != "F00005"}
         replaced = dataclasses.replace(stores, prices=prices)
         after = build_panel(replaced, "supplier", "positive", 2)

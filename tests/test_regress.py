@@ -17,7 +17,7 @@ from newsprop.errors import (
     EmptyPanelError,
     InsufficientDataError,
 )
-from newsprop.regress import FIT_HEADER, diff_test, fit, within_transform, write_fits
+from newsprop.regress import FIT_HEADER, _diff_fields, fit, within_transform, write_fits
 
 
 def observation_rows(panel):
@@ -234,24 +234,9 @@ class TestDiffTest:
     def test_equal_betas_give_unit_p(self, rng):
         panel = random_panel(rng, n_pairs=30, n_sectors=3)
         result = fit(panel)
-        forced = dataclasses.replace(
-            result,
-            beta_post=result.beta_pre,
-            se_post=result.se_pre,
-            cov_prepost=result.se_pre**2,
-        )
-        d = diff_test(forced)
-        assert (d.diff, d.diff_t, d.diff_p) == (0.0, 0.0, 1.0)
-
-    def test_matches_fit_fields(self, rng):
-        panel = random_panel(rng, n_pairs=50, n_sectors=5)
-        result = fit(panel)
-        d = diff_test(result)
-        assert d.diff == pytest.approx(result.diff, abs=1e-12)
-        assert d.diff_se == pytest.approx(result.diff_se, abs=1e-12)
-        assert d.diff_t == pytest.approx(result.diff_t, abs=1e-12)
-        assert d.diff_p == pytest.approx(result.diff_p, abs=1e-12)
-        assert result.diff == result.beta_post - result.beta_pre
+        beta = np.array([result.beta_pre, result.beta_pre])
+        cov = np.full((2, 2), result.se_pre**2)
+        assert _diff_fields(beta, cov, result.dof) == (0.0, 0.0, 0.0, 1.0)
 
     def test_reparameterization_oracle(self, rng):
         for _ in range(10):
@@ -264,13 +249,14 @@ class TestDiffTest:
     def test_degenerate_variance_raises(self, rng):
         panel = random_panel(rng, n_pairs=30, n_sectors=3)
         result = fit(panel)
-        broken = dataclasses.replace(result, se_pre=0.0, se_post=0.0, cov_prepost=0.0)
+        beta = np.array([result.beta_pre, result.beta_post])
         with pytest.raises(DegenerateVarianceError):
-            diff_test(broken)
+            _diff_fields(beta, np.zeros((2, 2)), result.dof)
 
     def test_diff_se_identity(self, rng):
         panel = random_panel(rng, n_pairs=70, n_sectors=6)
         r = fit(panel)
+        assert r.diff == r.beta_post - r.beta_pre
         assert r.diff_se**2 == pytest.approx(
             r.se_pre**2 + r.se_post**2 - 2.0 * r.cov_prepost, abs=1e-12
         )

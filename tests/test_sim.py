@@ -150,7 +150,7 @@ class TestSimulate:
         bundle = simulate(OVERLAPPING)
         _, closes, _ = dense_reference(OVERLAPPING)
         for i, firm_id in enumerate(sorted(bundle.prices)):
-            assert bundle.prices[firm_id].closes.tobytes() == closes[i].tobytes()
+            assert bundle.prices[firm_id].values.tobytes() == closes[i].tobytes()
 
     @pytest.mark.parametrize("config", [
         SMALL,
@@ -169,7 +169,7 @@ class TestSimulate:
         _, closes, events = dense_reference(config)
         assert event_fields(bundle) == events
         for i, firm_id in enumerate(sorted(bundle.prices)):
-            assert bundle.prices[firm_id].closes.tobytes() == closes[i].tobytes()
+            assert bundle.prices[firm_id].values.tobytes() == closes[i].tobytes()
 
     def test_edges_equal_dense_draw(self):
         bundle = simulate(OVERLAPPING)
@@ -190,7 +190,7 @@ class TestSimulate:
         )
         bundle = simulate(config)
         for series in bundle.prices.values():
-            assert np.allclose(series.closes, series.closes[0])
+            assert np.allclose(series.values, series.values[0])
         stores = bundle.stores()
         result = regress.fit(panel.build_panel(stores, "own", "positive", 1))
         assert result.beta_pre == pytest.approx(0.0, abs=1e-9)
@@ -213,6 +213,16 @@ class TestSimulate:
             simulate(dataclasses.replace(SMALL, sentiment_alpha=(1.0, -1.0, 1.0)))
         with pytest.raises(SimConfigError):
             simulate(dataclasses.replace(SMALL, idio_vol=-0.1))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [
+        "edge_prob", "news_rate", "gamma_pre", "gamma_post", "gamma_sup", "gamma_cli",
+        "market_vol", "idio_vol", "sentiment_alpha",
+    ])
+    def test_non_finite_setting_rejected(self, name, value):
+        bad = (value, 1.0, 1.0) if name == "sentiment_alpha" else value
+        with pytest.raises(SimConfigError, match=name):
+            simulate(dataclasses.replace(SMALL, **{name: bad}))
 
     def test_round_trip_loads_without_rejections(self, tmp_path):
         paths = simulate(SMALL).write(tmp_path)
@@ -247,7 +257,7 @@ class TestSimulate:
     def test_index_is_mean_log_price(self):
         bundle = simulate(SMALL)
         members = [f for i, f in enumerate(sorted(bundle.prices)) if i % SMALL.n_markets == 0]
-        stacked = np.log([bundle.prices[f].closes for f in members])
+        stacked = np.log([bundle.prices[f].values for f in members])
         assert np.allclose(np.log(bundle.indices["M00"].values), stacked.mean(axis=0))
 
 
