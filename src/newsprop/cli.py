@@ -20,10 +20,12 @@ from typing import Optional, Sequence
 
 from . import graph, market, panel, regress, report, sentiment, sim
 from .csvio import atomic_write_text, write_rows
-from .errors import LoadError
 from .firms import load_firms
 
 DEFAULT_WINDOWS = (1, 2, 3, 4, 5, 30, 180, 365)
+# the config-file keys of run; validate accepts them too, so one file serves both
+RUN_KEYS = ("firms", "prices", "indices", "news", "edges", "strict", "robust_se",
+            "export_panel", "threads", "windows", "mode", "polarity", "out")
 
 
 class UsageError(Exception):
@@ -92,6 +94,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _read_run_config(args: argparse.Namespace) -> dict[str, str]:
+    """The --config values of run or validate; an unknown key is a UsageError."""
+    values = read_config_file(args.config) if args.config else {}
+    for key, value in values.items():
+        if key not in RUN_KEYS:
+            raise UsageError(f"--config {key} = {value!r}: unknown key")
+    return values
+
+
 def _merge(args: argparse.Namespace, file_values: dict[str, str], key: str, parse=str):
     """Flag value if given, else config-file value, else None."""
     flag = getattr(args, key, None)
@@ -105,7 +116,7 @@ def _merge(args: argparse.Namespace, file_values: dict[str, str], key: str, pars
         raise UsageError(f"--config {key} = {file_values[key]!r}: {exc}") from None
 
 
-def _load_bundle(paths: dict[str, str], strict: bool):
+def _load_bundle(paths: dict[str, str]):
     """Run every loader in audit mode; returns (stores, report lines, n rejected)."""
     lines = []
     total_rejected = 0
@@ -129,8 +140,6 @@ def _load_bundle(paths: dict[str, str], strict: bool):
     audit("edges", f"{len(network.years)} snapshots / {n_links} links", [])
 
     stores = panel.Stores(firms=firms, prices=prices, indices=indices, news=news, graph=network)
-    if strict and total_rejected:
-        raise LoadError(f"strict mode: {total_rejected} rejected rows")
     return stores, lines, total_rejected
 
 
@@ -145,11 +154,11 @@ def _bundle_paths(args, file_values) -> dict[str, str]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
+    file_values = _read_run_config(args)
     strict = bool(_merge(args, file_values, "strict", _parse_bool))
     try:
         paths = _bundle_paths(args, file_values)
-        _, lines, rejected = _load_bundle(paths, strict=False)
+        _, lines, rejected = _load_bundle(paths)
     except (OSError, ValueError) as exc:
         print(f"validate: {exc}", file=sys.stderr)
         return 1
@@ -162,11 +171,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
+    file_values = _read_run_config(args)
     strict = bool(_merge(args, file_values, "strict", _parse_bool))
     robust = bool(_merge(args, file_values, "robust_se", _parse_bool))
     export_panel = bool(_merge(args, file_values, "export_panel", _parse_bool))
-    _merge(args, file_values, "threads", int)  # accepted and ignored for one release
+    _merge(args, file_values, "threads", int)  # accepted and ignored
     windows = _merge(args, file_values, "windows", _parse_windows) or list(DEFAULT_WINDOWS)
     modes = _merge(args, file_values, "mode", _parse_modes) or ["own"]
     polarities = _merge(args, file_values, "polarity", _parse_polarities) or ["positive"]
@@ -174,9 +183,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         paths = _bundle_paths(args, file_values)
-        stores, _, _ = _load_bundle(paths, strict=strict)
+        stores, _, rejected = _load_bundle(paths)
     except (OSError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
+        return 1
+    if strict and rejected:
+        print(f"run: strict mode: {rejected} rejected rows", file=sys.stderr)
         return 1
 
     cells = sorted((m, p, w) for m in modes for p in polarities for w in windows)
@@ -306,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="HC1 covariance instead of homoskedastic")
     p_run.add_argument("--export-panel", dest="export_panel", action="store_true", default=None,
                        help="also write one panel CSV per cell")
-    p_run.add_argument("--threads", type=int, help="ignored; accepted for one more release")
+    p_run.add_argument("--threads", type=int, help="accepted and ignored")
     p_run.set_defaults(func=cmd_run, usage_error=p_run.error)
 
     p_sim = sub.add_parser("simulate", help="emit a synthetic bundle with known effects")

@@ -21,11 +21,11 @@ A build splits into work done once per mode and work done once per window.
 Once per mode, memoised on the ``Stores``, one Python pass over the sorted
 events and their exposed firms makes the graph lookups and registry checks and
 yields the mode's pair table: integer-coded news, firm, sector and market
-columns, both sentiment probabilities, the event day, the registry drops, and
-each pair's anchor position on its price series and on its market's index
-series, found with one ``searchsorted`` per series and kept once per distinct
-(series, anchor). Every price series and then every index series are laid end
-to end in one array, once per ``Stores``. Once per window, one
+columns, both sentiment probabilities, the registry drops, and each pair's
+anchor position on its price series and on its market's index series, found
+with one ``searchsorted`` per series and kept once per distinct (series,
+anchor). Every price series and then every index series are laid end to end
+in one array, once per ``Stores``. Once per window, one
 ``market.block_changes`` call over that array gives every pair's four
 changes, so a window costs one kernel pass whatever the number of firms. A
 ``Stores`` is therefore read-only once a panel has been built from it;
@@ -49,7 +49,7 @@ from . import market
 from .csvio import write_rows
 from .firms import FirmRecord
 from .graph import SupplyChainNetwork
-from .market import _EPOCH_ORDINAL, PRE, POST, Series
+from .market import PRE, POST, Series
 from .sentiment import NewsStore
 
 MODES = ("own", "supplier", "client")
@@ -133,12 +133,10 @@ def _exposed_firms(stores: Stores, event, mode: str) -> Optional[list[str]]:
     snap_year = stores.graph.snapshot_year_at_or_before(event.date.year)
     if snap_year is None:
         return None
+    neighbours = stores.graph.suppliers_of if mode == "supplier" else stores.graph.clients_of
     exposed: set[str] = set()
     for mentioned in event.mentions:
-        if mode == "supplier":
-            exposed |= stores.graph.suppliers_of(mentioned, snap_year)
-        else:
-            exposed |= stores.graph.clients_of(mentioned, snap_year)
+        exposed |= neighbours(mentioned, snap_year)
     exposed -= event.mentions
     return sorted(exposed)
 
@@ -160,7 +158,6 @@ class _PairTable:
     news_labels: np.ndarray  # str, per news code
     p_pos: np.ndarray  # float64, per news code
     p_neg: np.ndarray
-    day: np.ndarray  # int64 days since 1970-01-01, per news code
     firm_labels: np.ndarray  # str, per firm code
     sector: np.ndarray  # int64, per firm code
     market: np.ndarray
@@ -219,7 +216,7 @@ def _anchor_queries(stores: Stores, kind: str, labels: np.ndarray, code: np.ndar
         if series is not None:
             rows = order[bounds[k] : bounds[k + 1]]
             first[rows], length[rows] = firsts[kind, ident], len(series)
-            anchor[rows] = np.searchsorted(series.dates, day[rows].view("datetime64[D]"))
+            anchor[rows] = np.searchsorted(series.dates, day[rows])
     return first, length, anchor
 
 
@@ -263,7 +260,9 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     sector_labels, sector = _encode([record.sector_code for record in records])
     market_labels, market = _encode([record.market_id for record in records])
     firm_labels = np.array(firm_ids, dtype=str)
-    day = np.array([e.date.toordinal() - _EPOCH_ORDINAL for e in events], dtype=np.int64)
+    # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
+    ordinals = np.array([e.date.toordinal() for e in events], dtype=np.int64)
+    day = np.datetime64("0000-12-31") + ordinals
     queries = zip(_anchor_queries(stores, "price", firm_labels, firm, day[news]),
                   _anchor_queries(stores, "index", market_labels, market[firm], day[news]))
     first, length, anchor = (np.concatenate(pair) for pair in queries)
@@ -277,7 +276,6 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
         news_labels=np.array([e.news_id for e in events], dtype=str),
         p_pos=np.array([e.p_pos for e in events], dtype=float),
         p_neg=np.array([e.p_neg for e in events], dtype=float),
-        day=day,
         firm_labels=firm_labels,
         sector=sector,
         market=market,

@@ -41,21 +41,14 @@ class MentionHistogram:
     articles_per_firm: dict[str, int]
 
 
+@dataclass(frozen=True)
 class NewsStore:
     """Validated events keyed by news_id."""
 
-    def __init__(self, events: dict[str, NewsEvent]):
-        self._events = dict(events)
+    events: dict[str, NewsEvent]
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    @property
-    def events(self) -> dict[str, NewsEvent]:
-        return self._events
-
-    def get(self, news_id: str) -> Optional[NewsEvent]:
-        return self._events.get(news_id)
+        return len(self.events)
 
 
 def _validate_triple(p_pos: float, p_neu: float, p_neg: float) -> Optional[str]:

@@ -67,7 +67,7 @@ import numpy as np
 from .csvio import write_rows
 from .errors import SimConfigError
 from .firms import FIRM_HEADER, FirmRecord
-from .graph import EDGE_HEADER, SupplyChainNetwork, SupplyChainSnapshot
+from .graph import EDGE_HEADER, SupplyChainNetwork
 from .market import INDEX_HEADER, PRICE_HEADER, Series
 from .panel import MODES, POLARITIES, Stores
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
@@ -150,15 +150,12 @@ class SimBundle:
         by_year: dict[int, set[tuple[str, str]]] = {}
         for year, supplier, client in self.edges:
             by_year.setdefault(year, set()).add((supplier, client))
-        network = SupplyChainNetwork(
-            {y: SupplyChainSnapshot.from_edges(y, e) for y, e in by_year.items()}
-        )
         return Stores(
             firms={r.firm_id: r for r in self.firm_records},
             prices=dict(self.prices),
             indices=dict(self.indices),
             news=NewsStore({e.news_id: e for e in self.events}),
-            graph=network,
+            graph=SupplyChainNetwork(by_year),
         )
 
     def write(self, outdir) -> dict[str, Path]:

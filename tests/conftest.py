@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from newsprop.firms import FirmRecord
-from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
+from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, Series
 from newsprop.panel import Panel, Stores
 from newsprop.sentiment import NewsEvent, NewsStore
@@ -38,17 +38,12 @@ def weekday_dates(start: dt.date, n: int) -> list[dt.date]:
 def make_stores(
     firms=None, prices=None, indices=None, events=None, edges_by_year=None
 ) -> Stores:
-    news = NewsStore({e.news_id: e for e in (events or [])})
-    snapshots = {
-        year: SupplyChainSnapshot.from_edges(year, edges)
-        for year, edges in (edges_by_year or {}).items()
-    }
     return Stores(
         firms={r.firm_id: r for r in (firms or [])},
         prices=dict(prices or {}),
         indices=dict(indices or {}),
-        news=news,
-        graph=SupplyChainNetwork(snapshots),
+        news=NewsStore({e.news_id: e for e in (events or [])}),
+        graph=SupplyChainNetwork(edges_by_year or {}),
     )
 
 

@@ -18,7 +18,7 @@ from conftest import make_series, random_panel, weekday_dates
 from newsprop import panel as panel_mod
 from newsprop import sim
 from newsprop.cli import main
-from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
+from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, POST, window_change
 from newsprop.regress import fit
 from test_regress import dummy_ols, reparameterized_fit
@@ -266,7 +266,7 @@ def test_criterion_8_network_statistics():
         pairs = rng.integers(0, n_nodes, size=(n_draws, 2))
         edges = {(firms[i], firms[j]) for i, j in pairs if i != j}
         assert len(edges) <= 10**4
-        net = SupplyChainNetwork({2016: SupplyChainSnapshot.from_edges(2016, edges)})
+        net = SupplyChainNetwork({2016: edges})
         stats = net.network_stats(2016)
         indeg, outdeg, nodes = {}, {}, set()
         for s, c in edges:

@@ -88,6 +88,25 @@ class TestValidate:
         flags[flags.index("--prices") + 1] = str(bundle_dir / "missing.csv")
         assert main(["validate", *flags]) == 1
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("windos = 1,2\n", encoding="utf-8")
+        err = assert_usage_error(["validate", *MISSING_INPUTS, "--config", str(config)], capsys)
+        assert "--config windos = '1,2': unknown key" in err
+
+    def test_one_config_file_serves_run_and_validate(self, bundle_dir, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("windows = 1\nmode = own\n", encoding="utf-8")
+        assert main(["validate", *bundle_flags(bundle_dir), "--config", str(config)]) == 0
+        lines = [f"{key} = {bundle_dir / (key + '.csv')}"
+                 for key in ("firms", "prices", "indices", "news", "edges")]
+        lines += ["strict = yes", "robust_se = no", "export_panel = no", "threads = 2",
+                  "windows = 1", "mode = own", "polarity = negative", f"out = {tmp_path / 'out'}"]
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["run", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "fits.csv").exists()
+
 
 class TestRun:
     def test_default_grid_shapes(self, bundle_dir, tmp_path, capsys):
@@ -211,6 +230,8 @@ class TestRun:
         "windows = abc",
         "strict = maybe",
         "no equals sign here",
+        "no_such_key = 1",
+        "windos = 1,2",
     ])
     def test_bad_config_line_exits_2(self, tmp_path, capsys, line):
         config = tmp_path / "run.cfg"

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from newsprop.errors import LoadError, NoSnapshotError
-from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot, load_edges
-
-
-def network(edges_by_year):
-    return SupplyChainNetwork(
-        {y: SupplyChainSnapshot.from_edges(y, e) for y, e in edges_by_year.items()}
-    )
+from newsprop.graph import SupplyChainNetwork, load_edges
 
 
 def write_edges(tmp_path, rows):
@@ -55,32 +49,32 @@ class TestLoadEdges:
 
 class TestNeighborQueries:
     def test_suppliers_definition(self):
-        net = network({2016: [("A", "B"), ("C", "B")]})
+        net = SupplyChainNetwork({2016: [("A", "B"), ("C", "B")]})
         assert net.suppliers_of("B", 2016) == {"A", "C"}
 
     def test_no_incoming_edges(self):
-        net = network({2016: [("A", "B")]})
+        net = SupplyChainNetwork({2016: [("A", "B")]})
         assert net.suppliers_of("A", 2016) == set()
 
     def test_suppliers_brute_force(self):
         edges = [("A", "B"), ("A", "C"), ("B", "C")]
-        net = network({2016: edges})
+        net = SupplyChainNetwork({2016: edges})
         expected = {s for s, c in edges if c == "C"}
         assert net.suppliers_of("C", 2016) == expected == {"A", "B"}
 
     def test_clients_definition(self):
-        net = network({2016: [("A", "B"), ("A", "C")]})
+        net = SupplyChainNetwork({2016: [("A", "B"), ("A", "C")]})
         assert net.clients_of("A", 2016) == {"B", "C"}
         assert net.clients_of("B", 2016) == set()
 
     def test_clients_brute_force(self):
         edges = [("A", "B"), ("B", "C"), ("A", "C")]
-        net = network({2016: edges})
+        net = SupplyChainNetwork({2016: edges})
         expected = {c for s, c in edges if s == "A"}
         assert net.clients_of("A", 2016) == expected == {"B", "C"}
 
     def test_missing_year_raises(self):
-        net = network({2016: [("A", "B")]})
+        net = SupplyChainNetwork({2016: [("A", "B")]})
         with pytest.raises(NoSnapshotError):
             net.suppliers_of("A", 2014)
 
@@ -92,7 +86,7 @@ class TestNeighborQueries:
             for i, j in rng.integers(0, 30, size=(200, 2))
             if i != j
         }
-        net = network({2016: edges})
+        net = SupplyChainNetwork({2016: edges})
         for f in firms:
             for g in net.clients_of(f, 2016):
                 assert f in net.suppliers_of(g, 2016)
@@ -102,7 +96,7 @@ class TestNeighborQueries:
 
 class TestSnapshotFallback:
     def test_exact_then_earlier_then_none(self):
-        net = network({2014: [("A", "B")], 2016: [("B", "C")]})
+        net = SupplyChainNetwork({2014: [("A", "B")], 2016: [("B", "C")]})
         assert net.snapshot_year_at_or_before(2016) == 2016
         assert net.snapshot_year_at_or_before(2015) == 2014
         assert net.snapshot_year_at_or_before(2013) is None
@@ -110,7 +104,7 @@ class TestSnapshotFallback:
 
 class TestNetworkStats:
     def test_small_graph_counts(self):
-        net = network({2016: [("A", "B"), ("A", "C"), ("B", "C")]})
+        net = SupplyChainNetwork({2016: [("A", "B"), ("A", "C"), ("B", "C")]})
         stats = net.network_stats(2016)
         assert stats.n_firms == 3
         assert stats.n_links == 3
@@ -118,29 +112,15 @@ class TestNetworkStats:
         assert stats.max_outdegree == 2
 
     def test_empty_snapshot(self):
-        net = network({2016: []})
+        net = SupplyChainNetwork({2016: []})
         stats = net.network_stats(2016)
         assert (stats.n_firms, stats.n_links, stats.max_indegree, stats.max_outdegree) == (0, 0, 0, 0)
 
     def test_table_schema_fields(self):
         # schema: the four per-year statistics reported for a listed-firm subgraph
-        net = network({2003: [("A", "B")]})
+        net = SupplyChainNetwork({2003: [("A", "B")]})
         stats = net.network_stats(2003)
         assert {"n_firms", "n_links", "max_indegree", "max_outdegree"} <= set(vars(stats))
-
-    def test_filter_induces_subgraph(self):
-        net = network({2016: [("A", "B"), ("A", "C"), ("C", "D")]})
-        stats = net.network_stats(2016, firm_filter={"A", "B", "C"})
-        assert stats.n_links == 2
-        assert stats.n_firms == 3
-
-    def test_filter_counts_isolated_registry_firms(self):
-        net = network({2016: [("A", "B"), ("C", "D")]})
-        stats = net.network_stats(
-            2016, firm_filter={"A", "B", "E"}, registry_firms={"A", "B", "E", "F"}
-        )
-        assert stats.n_links == 1
-        assert stats.n_firms == 3  # A, B incident; E isolated but filtered and registered
 
     def test_degree_sums_equal_links(self):
         rng = np.random.default_rng(11)
@@ -150,7 +130,7 @@ class TestNetworkStats:
             for i, j in rng.integers(0, 40, size=(300, 2))
             if i != j
         }
-        net = network({2016: edges})
+        net = SupplyChainNetwork({2016: edges})
         snap = net.snapshot(2016)
         indeg_total = sum(len(v) for v in snap.suppliers_by_client.values())
         outdeg_total = sum(len(v) for v in snap.clients_by_supplier.values())
@@ -164,7 +144,7 @@ class TestNetworkStats:
             for i, j in rng.integers(0, 60, size=(800, 2))
             if i != j
         }
-        net = network({2016: edges})
+        net = SupplyChainNetwork({2016: edges})
         stats = net.network_stats(2016)
         indeg, outdeg, nodes = {}, {}, set()
         for s, c in edges:

@@ -15,7 +15,7 @@ from conftest import (
     weekday_dates,
 )
 from newsprop import market
-from newsprop.graph import SupplyChainNetwork, SupplyChainSnapshot
+from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, POST, Series
 from newsprop.panel import MODES, Panel, Stores, build_panel, panel_summary, write_panel
 from newsprop.sim import SimConfig, simulate
@@ -306,8 +306,7 @@ def perturbed_sim_stores() -> Stores:
     m1 = stores.indices["M01"]  # starts 60 quotes late: index-window
     indices = {**stores.indices, "M01": Series(m1.dates[60:], m1.values[60:])}
     # the only snapshot is a year after the first events: no-snapshot
-    graph = SupplyChainNetwork(
-        {2017: SupplyChainSnapshot.from_edges(2017, stores.graph.snapshot(2016).edges)})
+    graph = SupplyChainNetwork({2017: stores.graph.snapshot(2016).edges})
     return Stores(firms=records, prices=prices, indices=indices,
                   news=stores.news, graph=graph)
 

@@ -21,7 +21,7 @@ class TestLoadNews:
             write_news(tmp_path, [("n1", "2008-09-11", "A", 0.93, 0.01, 0.06)])
         )
         assert rejections == []
-        event = store.get("n1")
+        event = store.events["n1"]
         assert event.p_pos + event.p_neu + event.p_neg == pytest.approx(1.0, abs=0.0)
         assert event.p_pos == pytest.approx(0.93, abs=1e-9)
 
@@ -30,7 +30,7 @@ class TestLoadNews:
             write_news(tmp_path, [("n1", "2016-05-02", "A", 0.5002, 0.2999, 0.1999)])
         )
         assert rejections == []
-        event = store.get("n1")
+        event = store.events["n1"]
         assert event.p_pos + event.p_neu + event.p_neg == 1.0
 
     def test_simplex_violation_rejected(self, tmp_path):
@@ -49,7 +49,7 @@ class TestLoadNews:
         ]
         store, rejections = load_news(write_news(tmp_path, rows))
         assert rejections == []
-        assert store.get("n1").mentions == {"A", "B", "C"}
+        assert store.events["n1"].mentions == {"A", "B", "C"}
 
     def test_inconsistent_repeat_rows_rejected(self, tmp_path):
         rows = [
@@ -60,7 +60,7 @@ class TestLoadNews:
         ]
         store, rejections = load_news(write_news(tmp_path, rows))
         assert [r.row for r in rejections] == [2, 3, 4]
-        assert store.get("n1").mentions == {"A"}
+        assert store.events["n1"].mentions == {"A"}
 
     def test_malformed_rows_rejected(self, tmp_path):
         rows = [
@@ -77,7 +77,7 @@ class TestLoadNews:
         store, _ = load_news(
             write_news(tmp_path, [("n1", "2016-05-02T09:30:15", "A", 0.5, 0.3, 0.2)])
         )
-        assert store.get("n1").date == dt.date(2016, 5, 2)
+        assert store.events["n1"].date == dt.date(2016, 5, 2)
 
 
 class TestMentionHistogram:

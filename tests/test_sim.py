@@ -44,6 +44,17 @@ OVERLAPPING = dataclasses.replace(
 )
 
 
+def load_stores(paths) -> panel.Stores:
+    """The stores a file round trip of a written bundle gives."""
+    firms, _ = load_firms(paths["firms"])
+    prices, _ = market.load_prices(paths["prices"])
+    indices, _ = market.load_indices(paths["indices"])
+    news, _ = sentiment.load_news(paths["news"])
+    return panel.Stores(
+        firms=firms, prices=prices, indices=indices, news=news, graph=load_edges(paths["edges"])
+    )
+
+
 def read_bytes(paths):
     return {name: path.read_bytes() for name, path in paths.items()}
 
@@ -239,20 +250,36 @@ class TestSimulate:
 
     def test_round_trip_panel_matches_in_memory(self, tmp_path):
         bundle = simulate(SMALL)
-        paths = bundle.write(tmp_path)
-        firms, _ = load_firms(paths["firms"])
-        prices, _ = market.load_prices(paths["prices"])
-        indices, _ = market.load_indices(paths["indices"])
-        news, _ = sentiment.load_news(paths["news"])
-        loaded = panel.Stores(
-            firms=firms, prices=prices, indices=indices, news=news, graph=load_edges(paths["edges"])
-        )
         a = panel.build_panel(bundle.stores(), "own", "positive", 1)
-        b = panel.build_panel(loaded, "own", "positive", 1)
+        b = panel.build_panel(load_stores(bundle.write(tmp_path)), "own", "positive", 1)
         assert len(a) == len(b)
         assert np.array_equal(a.firm_id, b.firm_id)
         assert np.array_equal(a.news_id, b.news_id)
         assert a.y == pytest.approx(b.y, abs=1e-7)  # file precision is 12 significant digits
+
+    @pytest.mark.parametrize("config", [
+        dataclasses.replace(SMALL, edge_prob=0.0),
+        SMALL,
+        dataclasses.replace(SMALL, n_firms=12, edge_prob=1.0, weekend_pattern=False),
+    ], ids=["edge_prob=0", "edge_prob=0.05", "edge_prob=1"])
+    def test_round_trip_graph_and_news_match_in_memory(self, tmp_path, config):
+        bundle = simulate(config)
+        memory, loaded = bundle.stores(), load_stores(bundle.write(tmp_path))
+        assert loaded.graph.years == memory.graph.years
+        assert (memory.graph.years == []) == (config.edge_prob == 0.0)
+        for year in memory.graph.years:
+            a, b = memory.graph.snapshot(year), loaded.graph.snapshot(year)
+            assert a.edges == b.edges
+            assert a.suppliers_by_client == b.suppliers_by_client
+            assert a.clients_by_supplier == b.clients_by_supplier
+        assert {k: (e.date, e.mentions) for k, e in memory.news.events.items()} == {
+            k: (e.date, e.mentions) for k, e in loaded.news.events.items()}
+        for mode in ("supplier", "client"):
+            a = panel.build_panel(memory, mode, "positive", 1)
+            b = panel.build_panel(loaded, mode, "positive", 1)
+            assert np.array_equal(a.news_id, b.news_id)
+            assert np.array_equal(a.firm_id, b.firm_id)
+            assert a.drops == b.drops
 
     def test_index_is_mean_log_price(self):
         bundle = simulate(SMALL)
