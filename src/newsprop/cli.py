@@ -1,11 +1,14 @@
 """Command-line driver: validate inputs, run the estimation grid, simulate.
 
-Configuration comes from flags, optionally backed by a plain key=value file
-(--config); flags override file values, and a bad value in either exits 2
+Each command's settings are one table of keys and value parsers: ``RUN_KEYS``
+for run and validate (so one --config file serves both), ``SIM_KEYS`` for
+simulate. Every value of the plain key=value file (--config) is parsed by its
+key's parser, and flags override file values. An unknown, repeated or
+unparsable key or a bad flag exits 2, and a missing input path exits 1, both
 before any input is read. Every output goes through the atomic writers in
-``csvio``, so an interrupted run never leaves a truncated export. Estimation
-cells (mode, polarity, window) run in sorted order, one panel per (mode,
-window) serving every polarity; no file is written until all are assembled.
+``csvio``, so an interrupted run never leaves a truncated export. Estimation cells (mode,
+polarity, window) run in sorted order, one panel per (mode, window) serving
+every polarity; no file is written until all are assembled.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from .csvio import atomic_write_text, write_rows
 from .firms import load_firms
 
 DEFAULT_WINDOWS = (1, 2, 3, 4, 5, 30, 180, 365)
-# the config-file keys of run; validate accepts them too, so one file serves both
-RUN_KEYS = ("firms", "prices", "indices", "news", "edges", "strict", "robust_se",
-            "export_panel", "threads", "windows", "mode", "polarity", "out")
 
 
 class UsageError(Exception):
@@ -48,7 +48,10 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise UsageError(f"--config {key} = {value.strip()!r}: repeated key")
+        values[key] = value.strip()
     return values
 
 
@@ -94,30 +97,54 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _read_run_config(args: argparse.Namespace) -> dict[str, str]:
-    """The --config values of run or validate; an unknown key is a UsageError."""
-    values = read_config_file(args.config) if args.config else {}
-    for key, value in values.items():
-        if key not in RUN_KEYS:
-            raise UsageError(f"--config {key} = {value!r}: unknown key")
-    return values
+def _sim_field_parser(default):
+    """The config-file parser of a ``SimConfig`` field, chosen by its default's type."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return lambda text: tuple(float(x) for x in text.split(","))
+    if isinstance(default, dt.date):
+        return dt.date.fromisoformat
+    return type(default)  # int or float
 
 
-def _merge(args: argparse.Namespace, file_values: dict[str, str], key: str, parse=str):
-    """Flag value if given, else config-file value, else None."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key not in file_values:
-        return None
-    try:
-        return parse(file_values[key])
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise UsageError(f"--config {key} = {file_values[key]!r}: {exc}") from None
+# each command's settings: its --config keys and the parser of each key's value;
+# validate takes the run keys, so one file serves both
+RUN_KEYS = {
+    **dict.fromkeys(sim.BUNDLE_FILES, str),
+    "strict": _parse_bool, "robust_se": _parse_bool, "export_panel": _parse_bool,
+    "threads": int, "windows": _parse_windows, "mode": _parse_modes,
+    "polarity": _parse_polarities, "out": str,
+}
+SIM_KEYS = {
+    "windows": _parse_windows, "out": str,
+    **{f.name: _sim_field_parser(f.default) for f in dataclasses.fields(sim.SimConfig)},
+}
 
 
-def _load_bundle(paths: dict[str, str]):
+def _settings(args: argparse.Namespace, keys: dict) -> dict:
+    """The --config values, each parsed by its key's parser, with the given flags laid over.
+
+    An unknown key or an unparsable value is a UsageError, whether or not the
+    command goes on to use that key.
+    """
+    settings = {}
+    for key, text in (read_config_file(args.config) if args.config else {}).items():
+        if key not in keys:
+            raise UsageError(f"--config {key} = {text!r}: unknown key")
+        try:
+            settings[key] = keys[key](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"--config {key} = {text!r}: {exc}") from None
+    settings.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    return settings
+
+
+def _load_bundle(settings: dict):
     """Run every loader in audit mode; returns (stores, report lines, n rejected)."""
+    for key in sim.BUNDLE_FILES:  # checked before any file is read; empty is missing
+        if not settings.get(key):
+            raise ValueError(f"missing required input path --{key}")
     lines = []
     total_rejected = 0
 
@@ -127,15 +154,15 @@ def _load_bundle(paths: dict[str, str]):
         lines.extend(f"  {name} {r}" for r in rejected)
         total_rejected += len(rejected)
 
-    firms, rej = load_firms(paths["firms"])
+    firms, rej = load_firms(settings["firms"])
     audit("firms", len(firms), rej)
-    prices, rej = market.load_prices(paths["prices"])
+    prices, rej = market.load_prices(settings["prices"])
     audit("prices", f"{len(prices)} series / {sum(map(len, prices.values()))} quotes", rej)
-    indices, rej = market.load_indices(paths["indices"])
+    indices, rej = market.load_indices(settings["indices"])
     audit("indices", f"{len(indices)} series / {sum(map(len, indices.values()))} quotes", rej)
-    news, rej = sentiment.load_news(paths["news"])
+    news, rej = sentiment.load_news(settings["news"])
     audit("news", f"{len(news)} events", rej)
-    network = graph.load_edges(paths["edges"])
+    network = graph.load_edges(settings["edges"])
     n_links = sum(len(network.snapshot(y).edges) for y in network.years)
     audit("edges", f"{len(network.years)} snapshots / {n_links} links", [])
 
@@ -143,51 +170,34 @@ def _load_bundle(paths: dict[str, str]):
     return stores, lines, total_rejected
 
 
-def _bundle_paths(args, file_values) -> dict[str, str]:
-    paths = {}
-    for key in ("firms", "prices", "indices", "news", "edges"):
-        value = _merge(args, file_values, key)
-        if value is None:
-            raise ValueError(f"missing required input path --{key}")
-        paths[key] = value
-    return paths
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    file_values = _read_run_config(args)
-    strict = bool(_merge(args, file_values, "strict", _parse_bool))
+    settings = _settings(args, RUN_KEYS)
     try:
-        paths = _bundle_paths(args, file_values)
-        _, lines, rejected = _load_bundle(paths)
+        _, lines, rejected = _load_bundle(settings)
     except (OSError, ValueError) as exc:
         print(f"validate: {exc}", file=sys.stderr)
         return 1
     for line in lines:
         print(line)
     print(f"{rejected} rejected")
-    if strict and rejected:
+    if settings.get("strict") and rejected:
         return 1
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    file_values = _read_run_config(args)
-    strict = bool(_merge(args, file_values, "strict", _parse_bool))
-    robust = bool(_merge(args, file_values, "robust_se", _parse_bool))
-    export_panel = bool(_merge(args, file_values, "export_panel", _parse_bool))
-    _merge(args, file_values, "threads", int)  # accepted and ignored
-    windows = _merge(args, file_values, "windows", _parse_windows) or list(DEFAULT_WINDOWS)
-    modes = _merge(args, file_values, "mode", _parse_modes) or ["own"]
-    polarities = _merge(args, file_values, "polarity", _parse_polarities) or ["positive"]
-    outdir = Path(_merge(args, file_values, "out") or "out")
+    settings = _settings(args, RUN_KEYS)  # threads is accepted and ignored
+    windows = settings.get("windows", DEFAULT_WINDOWS)
+    modes = settings.get("mode", ["own"])
+    polarities = settings.get("polarity", ["positive"])
+    outdir = Path(settings.get("out") or "out")
 
     try:
-        paths = _bundle_paths(args, file_values)
-        stores, _, rejected = _load_bundle(paths)
+        stores, _, rejected = _load_bundle(settings)
     except (OSError, ValueError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 1
-    if strict and rejected:
+    if settings.get("strict") and rejected:
         print(f"run: strict mode: {rejected} rejected rows", file=sys.stderr)
         return 1
 
@@ -200,7 +210,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if (mode, w) not in panels:
                 panels[mode, w] = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
             built = dataclasses.replace(panels[mode, w], polarity=polarity)
-            result = regress.fit(built, robust=robust)
+            result = regress.fit(built, robust=settings.get("robust_se", False))
         except Exception as exc:  # cell failures are reported, not fatal
             print(f"cell mode={mode} polarity={polarity} w={w}: ERROR {exc}")
             continue
@@ -212,7 +222,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     results = [result for _, result in fits.values()]
     try:
-        if export_panel:
+        if settings.get("export_panel"):
             for (mode, polarity, w), (built, _) in fits.items():
                 panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
         if results:
@@ -233,41 +243,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sim_field_parser(default):
-    """The config-file parser of a ``SimConfig`` field, chosen by its default's type."""
-    if isinstance(default, bool):
-        return _parse_bool
-    if isinstance(default, tuple):
-        return lambda text: tuple(float(x) for x in text.split(","))
-    if isinstance(default, dt.date):
-        return dt.date.fromisoformat
-    return type(default)  # int or float
-
-
-def sim_config_from_mapping(values: dict[str, str]) -> sim.SimConfig:
-    """Parse simulation keys; an unknown key or unparsable value is a UsageError."""
-    defaults = {f.name: f.default for f in dataclasses.fields(sim.SimConfig)}
-    kwargs = {}
-    for key, value in values.items():
-        if key in ("out", "windows", "strict", "robust_se"):
-            continue
-        if key not in defaults:
-            raise UsageError(f"--config {key} = {value!r}: unknown simulation key")
-        try:
-            kwargs[key] = _sim_field_parser(defaults[key])(value)
-        except ValueError as exc:
-            raise UsageError(f"--config {key} = {value!r}: {exc}") from None
-    return sim.SimConfig(**kwargs)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    windows = _merge(args, file_values, "windows", _parse_windows) or list(DEFAULT_WINDOWS)
-    outdir = Path(_merge(args, file_values, "out") or "out")
-    config = sim_config_from_mapping(file_values)
+    settings = _settings(args, SIM_KEYS)
+    windows = settings.pop("windows", DEFAULT_WINDOWS)
+    outdir = Path(settings.pop("out", None) or "out")
+    config = sim.SimConfig(**settings)  # --seed overrides a file seed like any flag
     try:
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         # every row is computed before any file is written, so a window that
         # fails leaves no half-written bundle behind
         config.validate()

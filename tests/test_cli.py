@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import datetime as dt
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from newsprop import panel, sim
-from newsprop.cli import main, read_config_file, sim_config_from_mapping
+from newsprop.cli import SIM_KEYS, _settings, main
 from newsprop.sim import SimConfig, simulate
 
 BUNDLE_CONFIG = SimConfig(
@@ -63,6 +64,13 @@ def assert_usage_error(argv: list[str], capsys) -> str:
 MISSING_INPUTS = bundle_flags(Path("no-such-bundle"))
 
 
+def config_argv(command: str, config: Path, out: Path) -> list[str]:
+    """Argv of ``command`` reading ``config``, with MISSING_INPUTS unless it simulates."""
+    inputs = [] if command == "simulate" else MISSING_INPUTS
+    outs = [] if command == "validate" else ["--out", str(out)]
+    return [command, *inputs, "--config", str(config), *outs]
+
+
 class TestValidate:
     def test_clean_bundle_exits_zero(self, bundle_dir, capsys):
         assert main(["validate", *bundle_flags(bundle_dir)]) == 0
@@ -93,6 +101,18 @@ class TestValidate:
         config.write_text("windos = 1,2\n", encoding="utf-8")
         err = assert_usage_error(["validate", *MISSING_INPUTS, "--config", str(config)], capsys)
         assert "--config windos = '1,2': unknown key" in err
+
+    @pytest.mark.parametrize("config_line", [None, "edges = "])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_missing_input_path_exits_1(self, tmp_path, capsys, command, config_line):
+        # the other four paths do not exist either: the check comes before any read
+        argv = [command, *MISSING_INPUTS[:MISSING_INPUTS.index("--edges")]]
+        if config_line is not None:  # an empty path counts as missing
+            config = tmp_path / "run.cfg"
+            config.write_text(config_line + "\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert f"{command}: missing required input path --edges" in capsys.readouterr().err
 
     def test_one_config_file_serves_run_and_validate(self, bundle_dir, tmp_path):
         config = tmp_path / "run.cfg"
@@ -237,9 +257,18 @@ class TestRun:
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n", encoding="utf-8")
         out = tmp_path / "out"
-        assert_usage_error(
-            ["run", *MISSING_INPUTS, "--config", str(config), "--out", str(out)], capsys
-        )
+        # validate parses every run key too, so one file fails both the same way
+        for command in ("run", "validate"):
+            assert_usage_error(config_argv(command, config, out), capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate", "simulate"])
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys, command):
+        config = tmp_path / "run.cfg"
+        config.write_text("windows = 1\nwindows = 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        err = assert_usage_error(config_argv(command, config, out), capsys)
+        assert "--config windows = '2': repeated key" in err
         assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
@@ -345,14 +374,19 @@ class TestSimulate:
         "n_firms = abc",
         "no_such_key = 1",
         "start_date = someday",
+        "strict = maybe",
+        "robust_se = banana",
+        "mode = own",
     ])
     def test_bad_config_line_exits_2(self, tmp_path, capsys, line):
         config = tmp_path / "sim.cfg"
         config.write_text(line + "\n", encoding="utf-8")
         out = tmp_path / "out"
-        err = assert_usage_error(["simulate", "--config", str(config), "--out", str(out)], capsys)
+        err = assert_usage_error(config_argv("simulate", config, out), capsys)
         key, _, value = (part.strip() for part in line.partition("="))
         assert f"{key} = {value!r}" in err
+        # simulate takes only the keys it reads; run-only keys are unknown to it
+        assert ("unknown key" in err) == (key not in SIM_KEYS)
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["gamma_post = nan", "start_date = 9999-12-01"])
@@ -383,7 +417,8 @@ class TestSimulate:
             lines.append(f"{f.name} = {text}\n")
         config = tmp_path / "sim.cfg"
         config.write_text("".join(lines), encoding="utf-8")
-        assert sim_config_from_mapping(read_config_file(config)) == changed
+        settings = _settings(argparse.Namespace(config=str(config)), SIM_KEYS)
+        assert SimConfig(**settings) == changed
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"
