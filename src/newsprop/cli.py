@@ -256,7 +256,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         bundle = sim.simulate(config)
         paths = bundle.write(outdir)
         write_rows(outdir / "expected_betas.csv", sim.EXPECTED_HEADER, expected)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
     for name in sim.BUNDLE_FILES:

@@ -22,8 +22,7 @@ length plus its anchor position on that series. It averages each distinct
 block once, as one ``sliding_window_view`` gather done in batches of at most
 ``_GATHER_BATCH`` elements, so the memory it takes does not grow with the
 block count times w. A block that would leave its own series is masked, never
-read from a neighbour. ``window_changes`` is its single-series form, and
-``window_change`` its one-date form.
+read from a neighbour. ``window_change`` is its one-date form on one series.
 
 A firm's closes and a market's index are one ``Series`` type, because the
 same windowed change applies to both: on an index it is the market-index
@@ -105,20 +104,6 @@ def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int)
     return pre, post
 
 
-def window_changes(
-    dates: np.ndarray, values: np.ndarray, news_dates: np.ndarray, w: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre- and post-news daily percentage changes for many dates on one series.
-
-    ``dates`` and ``values`` are one series; ``news_dates`` is any array of
-    datetime64[D]. Returns two float arrays shaped like ``news_dates``, NaN
-    where a required block is not fully inside the series or no trading date
-    on or after the news date exists.
-    """
-    anchor = np.searchsorted(dates, news_dates, side="left")
-    return block_changes(values, 0, len(values), anchor, w)
-
-
 def window_change(series: Series, news_date: dt.date, w: int, period: str) -> Optional[float]:
     """Pre- or post-news daily percentage change on one series, or None.
 
@@ -128,8 +113,8 @@ def window_change(series: Series, news_date: dt.date, w: int, period: str) -> Op
     """
     if period not in (PRE, POST):
         raise ValueError(f"period must be {PRE!r} or {POST!r}, got {period!r}")
-    news_dates = np.array([news_date], dtype="datetime64[D]")
-    pre, post = window_changes(series.dates, series.values, news_dates, w)
+    anchor = np.searchsorted(series.dates, np.array([news_date], dtype="datetime64[D]"))
+    pre, post = block_changes(series.values, 0, len(series), anchor, w)
     value = float((pre if period == PRE else post)[0])
     return None if math.isnan(value) else value
 

@@ -20,8 +20,9 @@ one ``market.Series`` type, by firm_id and by market_id.
 A build splits into work done once per mode and work done once per window.
 Once per mode, memoised on the ``Stores``, one Python pass over the sorted
 events and their exposed firms makes the graph lookups and registry checks and
-yields the mode's pair table: integer-coded news, firm, sector and market
-columns, both sentiment probabilities, the registry drops, and each pair's
+yields the mode's pair table: each pair's news and firm code, the event
+columns per news code (its id and both sentiment probabilities), the firm,
+sector and market labels per firm code, the registry drops, and each pair's
 anchor position on its price series and on its market's index series, found
 with one ``searchsorted`` per series and kept once per distinct (series,
 anchor). Every price series and then every index series are laid end to end
@@ -146,11 +147,11 @@ class _PairTable:
     """The pairs of one mode that pass the registry checks, in event-loop order.
 
     ``news`` and ``firm`` code each pair's event and exposed firm. Event
-    columns are per news code and the sector and market codes per firm code;
-    each code indexes its label array. ``first``, ``length`` and ``anchor``
-    hold the distinct window queries, and ``query`` names the one each pair's
-    price query, then each pair's index query, reads. A market without an
-    index series has length 0, so its pairs get no change.
+    columns are per news code, and the firm, sector and market labels per
+    firm code. ``first``, ``length`` and ``anchor`` hold the distinct window
+    queries, and ``query`` names the one each pair's price query, then each
+    pair's index query, reads. A market without an index series has length 0,
+    so its pairs get no change.
     """
 
     news: np.ndarray  # (n,) int64
@@ -159,10 +160,8 @@ class _PairTable:
     p_pos: np.ndarray  # float64, per news code
     p_neg: np.ndarray
     firm_labels: np.ndarray  # str, per firm code
-    sector: np.ndarray  # int64, per firm code
+    sector: np.ndarray  # str, per firm code
     market: np.ndarray
-    sector_labels: np.ndarray
-    market_labels: np.ndarray
     drops: list[tuple[int, DropRecord]]  # registry drops, each after that many pairs
     first: np.ndarray  # (k,) int64
     length: np.ndarray
@@ -180,13 +179,6 @@ def _stack(stores: Stores) -> tuple[np.ndarray, dict[tuple[str, str], int]]:
         firsts = np.cumsum([0] + [len(column) for column in columns]).tolist()
         stack = stores._memo["stack"] = (np.concatenate([np.empty(0), *columns]), dict(zip(keys, firsts)))
     return stack
-
-
-def _encode(labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct labels, code per entry), codes in order of first appearance."""
-    coder: dict[str, int] = {}
-    codes = [coder.setdefault(label, len(coder)) for label in labels]
-    return np.array(list(coder), dtype=str), np.array(codes, dtype=np.int64)
 
 
 def _registry_reason(stores: Stores, firm_id: str) -> Optional[str]:
@@ -256,15 +248,16 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
 
     news = np.array(news_code, dtype=np.int64)
     firm = np.array(firm_code, dtype=np.int64)
-    records = [stores.firms.get(firm_id) for firm_id in firm_ids]
-    sector_labels, sector = _encode([record.sector_code for record in records])
-    market_labels, market = _encode([record.market_id for record in records])
+    records = [stores.firms[firm_id] for firm_id in firm_ids]
+    sector = np.array([record.sector_code for record in records], dtype=str)
+    market = np.array([record.market_id for record in records], dtype=str)
+    market_labels, market_code = np.unique(market, return_inverse=True)
     firm_labels = np.array(firm_ids, dtype=str)
     # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
     ordinals = np.array([e.date.toordinal() for e in events], dtype=np.int64)
     day = np.datetime64("0000-12-31") + ordinals
     queries = zip(_anchor_queries(stores, "price", firm_labels, firm, day[news]),
-                  _anchor_queries(stores, "index", market_labels, market[firm], day[news]))
+                  _anchor_queries(stores, "index", market_labels, market_code[firm], day[news]))
     first, length, anchor = (np.concatenate(pair) for pair in queries)
     # pairs of one series anchored on one day ask the same query. Queries of two
     # series meet at one block-C start only past the end of one series or at
@@ -279,8 +272,6 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
         firm_labels=firm_labels,
         sector=sector,
         market=market,
-        sector_labels=sector_labels,
-        market_labels=market_labels,
         drops=drops,
         first=first[pick],
         length=length[pick],
@@ -327,8 +318,8 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         w=w,
         news_id=table.news_labels[news],
         firm_id=table.firm_labels[firm],
-        sector=table.sector_labels[table.sector[firm]],
-        market=table.market_labels[table.market[firm]],
+        sector=table.sector[firm],
+        market=table.market[firm],
         p_pos=table.p_pos[news],
         p_neg=table.p_neg[news],
         y=y[keep],

@@ -126,6 +126,8 @@ class SimConfig:
             raise SimConfigError("edge_prob must lie in [0, 1]")
         if self.news_rate < 0.0:
             raise SimConfigError("news_rate must be nonnegative")
+        if self.seed < 0:
+            raise SimConfigError("seed must be nonnegative")
         if self.market_vol < 0.0 or self.idio_vol < 0.0:
             raise SimConfigError("volatilities must be nonnegative")
         alpha = self.sentiment_alpha
@@ -183,13 +185,6 @@ def _series_rows(store: dict[str, Series]):
         yield from zip(repeat(ident), dates, series.values.tolist())
 
 
-def _trading_calendar(config: SimConfig) -> list[dt.date]:
-    days = [config.start_date + dt.timedelta(days=k) for k in range(config.n_days)]
-    if config.weekend_pattern:
-        return [d for d in days if d.weekday() < 5]
-    return days
-
-
 def _concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges [start, start + length) laid end to end, as one int array."""
     slots = np.cumsum(lengths) - lengths  # each range's first slot in the result
@@ -217,24 +212,24 @@ def simulate(config: SimConfig) -> SimBundle:
         for i in range(n)
     ]
 
-    snapshot_year = config.start_date.year
     rng_edges = np.random.default_rng(ss_edges)
     # one row of coin flips at a time: the same draws as one (n, n) draw,
-    # without its n_firms^2 memory
-    edges = []
-    suppliers_of: dict[int, list[int]] = {j: [] for j in range(n)}
-    clients_of: dict[int, list[int]] = {}
+    # without its n_firms^2 memory; edge k runs from supplier[k] to client[k]
+    client_rows = []
     for i in range(n):
         row = rng_edges.random(n) < config.edge_prob
         row[i] = False
-        clients_of[i] = np.flatnonzero(row).tolist()
-        for j in clients_of[i]:
-            suppliers_of[j].append(i)
-            edges.append((snapshot_year, firm_ids[i], firm_ids[j]))
+        client_rows.append(np.flatnonzero(row))
+    supplier = np.repeat(np.arange(n), [len(c) for c in client_rows])
+    client = np.concatenate(client_rows)
+    edges = [(config.start_date.year, firm_ids[s], firm_ids[c])
+             for s, c in zip(supplier.tolist(), client.tolist())]
 
-    trading_dates = _trading_calendar(config)
-    n_trading = len(trading_dates)
-    date_index = np.array([np.datetime64(d, "D") for d in trading_dates])
+    start = np.datetime64(config.start_date, "D")
+    date_index = start + np.arange(config.n_days)
+    if config.weekend_pattern:
+        date_index = date_index[np.is_busday(date_index)]
+    n_trading = len(date_index)
 
     rng_market = np.random.default_rng(ss_market)
     market_factor = rng_market.normal(0.0, config.market_vol, size=(config.n_markets, n_trading))
@@ -248,12 +243,11 @@ def simulate(config: SimConfig) -> SimBundle:
         n_events = int(rng.poisson(config.news_rate))
         event_offsets.append(rng.integers(0, config.n_days, size=n_events))
         event_triples.append(rng.dirichlet(config.sentiment_alpha, size=n_events))
-    for i in range(n):
-        returns[i] += market_factor[i % config.n_markets]
+    returns += market_factor[np.arange(n) % config.n_markets]
 
     # events in serial order: firm by firm, each firm's in draw order
     event_firm = np.repeat(np.arange(n), [len(o) for o in event_offsets])
-    event_day = np.datetime64(config.start_date, "D") + np.concatenate(event_offsets)
+    event_day = start + np.concatenate(event_offsets)
     triples = np.concatenate(event_triples)
     news_events = [
         NewsEvent(
@@ -273,21 +267,20 @@ def simulate(config: SimConfig) -> SimBundle:
     # clients: each target adds a pre drift to returns[target, anchor-leak:anchor]
     # and a post drift to returns[target, anchor:anchor+effect], clipped to the
     # calendar. Events disclosed after the horizon have no tradable reaction.
-    n_targets = np.array([1 + len(suppliers_of[i]) + len(clients_of[i]) for i in range(n)])
+    # Each firm's targets are one run of the target arrays: a stable sort by
+    # (firm, kind) keeps the edge order inside each kind.
+    owner = np.concatenate((np.arange(n), client, supplier))  # the firm whose events reach it
+    kind = np.repeat([0, 1, 2], [n, len(supplier), len(client)])  # self, supplier, client
+    order = np.lexsort((kind, owner))
+    target_firm = np.concatenate((np.arange(n), supplier, client))[order]
+    gammas = np.array([  # (pre, post) coefficients per kind
+        [config.gamma_pre, config.gamma_post],
+        [config.gamma_sup, config.gamma_sup],
+        [config.gamma_cli, config.gamma_cli],
+    ])
+    target_pre, target_post = gammas[kind[order]].T
+    n_targets = np.bincount(owner, minlength=n)
     first_target = np.cumsum(n_targets) - n_targets
-    targets = [
-        target
-        for i in range(n)
-        for target in (
-            [(i, config.gamma_pre, config.gamma_post)]
-            + [(s, config.gamma_sup, config.gamma_sup) for s in suppliers_of[i]]
-            + [(c, config.gamma_cli, config.gamma_cli) for c in clients_of[i]]
-        )
-    ]
-    target_firm, target_pre, target_post = zip(*targets)
-    target_firm = np.array(target_firm, dtype=np.int64)
-    target_pre = np.array(target_pre, dtype=float)
-    target_post = np.array(target_post, dtype=float)
 
     anchor = np.searchsorted(date_index, event_day, side="left")
     tradable = anchor < n_trading
@@ -331,7 +324,7 @@ def simulate(config: SimConfig) -> SimBundle:
     return SimBundle(
         config=config,
         firm_records=firm_records,
-        trading_dates=trading_dates,
+        trading_dates=date_index.tolist(),
         prices=prices,
         indices=indices,
         events=news_events,

@@ -389,7 +389,7 @@ class TestSimulate:
         assert ("unknown key" in err) == (key not in SIM_KEYS)
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["gamma_post = nan", "start_date = 9999-12-01"])
+    @pytest.mark.parametrize("line", ["gamma_post = nan", "start_date = 9999-12-01", "seed = -1"])
     def test_unusable_setting_exits_1_without_output(self, tmp_path, capsys, line):
         config = tmp_path / "sim.cfg"
         config.write_text(line + "\n", encoding="utf-8")
@@ -464,6 +464,16 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--windows", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "simulate: no expectation\n"
+        assert not out.exists()
+
+    def test_out_of_memory_exits_1_without_output(self, tmp_path, capsys, monkeypatch):
+        def exhaust(config):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(sim, "simulate", exhaust)
+        out = tmp_path / "out"
+        assert main(["simulate", "--windows", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "simulate: Unable to allocate 7.28 TiB\n"
         assert not out.exists()
 
     def test_validate_accepts_simulated_bundle(self, tmp_path, capsys):

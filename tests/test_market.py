@@ -21,7 +21,6 @@ from newsprop.market import (
     load_prices,
     market_control,
     window_change,
-    window_changes,
 )
 
 JUN = lambda day: dt.date(2021, 6, day)  # noqa: E731  (June 2021: the 11th is a Friday)
@@ -133,8 +132,14 @@ class TestWindowChange:
             window_change(series, JUN(10), 1, "sideways")
 
 
+def one_series_changes(dates, values, news_dates, w):
+    """``block_changes`` on one series, each news date anchored by ``searchsorted``
+    as a panel build anchors it."""
+    return block_changes(values, 0, len(values), np.searchsorted(dates, news_dates), w)
+
+
 class TestWindowChanges:
-    """The vectorised kernel against the scalar formula, digit for digit."""
+    """The kernel on one series against the scalar formula, digit for digit."""
 
     @pytest.mark.parametrize("scale, seed", [(1e4, 1), (1e-2, 2)])
     def test_equals_scalar_reference(self, scale, seed):
@@ -146,7 +151,7 @@ class TestWindowChanges:
         # every calendar day from before the first quote to after the last
         news = np.arange(dates[0] - 5, dates[-1] + 6)
         for w in (1, 2, 8, 9, 30, 128, 129, 365):
-            pre, post = window_changes(dates, values, news, w)
+            pre, post = one_series_changes(dates, values, news, w)
             for changes, period in ((pre, PRE), (post, POST)):
                 reference = [reference_change(dates, values, d, w, period) for d in news.tolist()]
                 assert np.isnan(changes).tolist() == [r is None for r in reference]
@@ -155,17 +160,17 @@ class TestWindowChanges:
 
     def test_empty_series_and_no_dates(self):
         empty = np.array([], dtype="datetime64[D]")
-        pre, post = window_changes(empty, np.array([]), np.array([JUN(1)], dtype="datetime64[D]"), 1)
+        news = np.array([JUN(1)], dtype="datetime64[D]")
+        pre, post = one_series_changes(empty, np.array([]), news, 1)
         assert np.isnan(pre).all() and np.isnan(post).all()
         dates = np.array(weekday_dates(JUN(1), 10), dtype="datetime64[D]")
-        pre, post = window_changes(dates, np.ones(10), empty, 2)
+        pre, post = one_series_changes(dates, np.ones(10), empty, 2)
         assert pre.shape == post.shape == (0,)
-
 
     @pytest.mark.parametrize("w", [2**62, 2**63, 2**64 - 1, 10**40])
     def test_huge_window_is_all_nan(self, w):
         dates = np.array(weekday_dates(JUN(1), 10), dtype="datetime64[D]")
-        pre, post = window_changes(dates, np.ones(10), dates, w)
+        pre, post = one_series_changes(dates, np.ones(10), dates, w)
         assert pre.shape == post.shape == (10,)
         assert np.isnan(pre).all() and np.isnan(post).all()
 

@@ -63,8 +63,9 @@ def dense_reference(config):
     """The simulator's draws, with the edges drawn as one dense (n, n) matrix
     and every drift applied as its own slice-add, in injection order.
 
-    Returns the adjacency matrix, the (n_firms, n_trading) closes and the
-    events as (news_id, date, mentions, p_pos, p_neu, p_neg) tuples.
+    Returns the adjacency matrix, the (n_firms, n_trading) closes, the events
+    as (news_id, date, mentions, p_pos, p_neu, p_neg) tuples and the calendar
+    as a list of dates.
     """
     _, ss_edges, ss_market, ss_firms = np.random.SeedSequence(config.seed).spawn(4)
     n = config.n_firms
@@ -111,24 +112,34 @@ def dense_reference(config):
             inject(int(s), anchor, config.gamma_sup, config.gamma_sup, q)
         for c in np.flatnonzero(adjacency[i]):
             inject(int(c), anchor, config.gamma_cli, config.gamma_cli, q)
-    return adjacency, np.exp(np.log(100.0) + np.cumsum(returns, axis=1)), records
+    return adjacency, np.exp(np.log(100.0) + np.cumsum(returns, axis=1)), records, days
 
 
 def event_fields(bundle):
     return [(e.news_id, e.date, e.mentions, e.p_pos, e.p_neu, e.p_neg) for e in bundle.events]
 
 
+# days that follow a year end or the end of February, in leap years (2016,
+# 2024) and in a year that is not one (2100)
+CALENDAR_LANDMARKS = (dt.date(2016, 3, 1), dt.date(2017, 1, 1), dt.date(2024, 1, 1),
+                      dt.date(2024, 3, 1), dt.date(2100, 1, 1), dt.date(2100, 3, 1))
+
+
 @st.composite
 def small_configs(draw):
     """Small configs with windows of 1 to 5 days on a calendar of about 4x the
-    longest, so drifts overlap and are clipped at both ends of the calendar."""
+    longest, so drifts overlap and are clipped at both ends of the calendar.
+    Every calendar holds a landmark and the day before it, so it crosses a year
+    end or the end of February."""
     leak, effect = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     n_firms = draw(st.integers(1, 12))
+    n_days = 4 * max(leak, effect) + draw(st.integers(0, 3))
+    landmark = draw(st.sampled_from(CALENDAR_LANDMARKS))
     return SimConfig(
         n_firms=n_firms,
         n_sectors=3,
         n_markets=draw(st.integers(1, min(2, n_firms))),
-        n_days=4 * max(leak, effect) + draw(st.integers(0, 3)),
+        n_days=n_days,
         weekend_pattern=draw(st.booleans()),
         edge_prob=draw(st.sampled_from([0.3, 1.0, 0.0])),
         news_rate=draw(st.sampled_from([3.0, 10.0, 0.5, 0.0])),
@@ -139,7 +150,7 @@ def small_configs(draw):
         leak_window=leak,
         effect_window=effect,
         seed=draw(st.integers(0, 2**32 - 1)),
-        start_date=draw(st.dates(dt.date(2016, 1, 1), dt.date(2016, 1, 7))),
+        start_date=landmark - dt.timedelta(days=draw(st.integers(1, n_days - 1))),
     )
 
 
@@ -159,7 +170,7 @@ class TestSimulate:
         if batch is not None:  # many np.add.at batches instead of one
             monkeypatch.setattr("newsprop.sim._DRIFT_BATCH", batch)
         bundle = simulate(OVERLAPPING)
-        _, closes, _ = dense_reference(OVERLAPPING)
+        _, closes, _, _ = dense_reference(OVERLAPPING)
         for i, firm_id in enumerate(sorted(bundle.prices)):
             assert bundle.prices[firm_id].values.tobytes() == closes[i].tobytes()
 
@@ -177,14 +188,17 @@ class TestSimulate:
     def test_small_configs_equal_reference(self, config, batch):
         with mock.patch.object(sim, "_DRIFT_BATCH", batch):
             bundle = simulate(config)
-        _, closes, events = dense_reference(config)
+        adjacency, closes, events, calendar = dense_reference(config)
         assert event_fields(bundle) == events
+        assert bundle.trading_dates == calendar
+        year = config.start_date.year
+        assert bundle.edges == [(year, f"F{i:05d}", f"F{j:05d}") for i, j in np.argwhere(adjacency)]
         for i, firm_id in enumerate(sorted(bundle.prices)):
             assert bundle.prices[firm_id].values.tobytes() == closes[i].tobytes()
 
     def test_edges_equal_dense_draw(self):
         bundle = simulate(OVERLAPPING)
-        adjacency, _, _ = dense_reference(OVERLAPPING)
+        adjacency, _, _, _ = dense_reference(OVERLAPPING)
         ids = sorted(bundle.prices)
         year = OVERLAPPING.start_date.year
         assert bundle.edges == [(year, ids[i], ids[j]) for i, j in np.argwhere(adjacency)]
