@@ -25,14 +25,21 @@ def read_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Check the header, then yield ``(row number, fields)`` per data row.
 
     Row numbers count data rows from 1; the header is row 0. Raises LoadError
-    when the file is empty or its header is not ``header``.
+    when the file is empty, its header is not ``header``, or a row is not
+    valid CSV (such as a field longer than the csv module's field limit).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        head = next(reader, None)
-        if head is None or tuple(h.strip() for h in head) != header:
-            raise LoadError(f"{path}: expected header {','.join(header)}")
-        yield from enumerate(reader, start=1)
+        i = -1  # the last row read
+        try:
+            head = next(reader, None)
+            i = 0
+            if head is None or tuple(h.strip() for h in head) != header:
+                raise LoadError(f"{path}: expected header {','.join(header)}")
+            for i, row in enumerate(reader, start=1):
+                yield i, row
+        except csv.Error as exc:
+            raise LoadError(f"{path}: {exc} at row {i + 1}") from None
 
 
 def parse_date(text: str) -> dt.date:

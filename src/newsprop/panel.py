@@ -19,18 +19,21 @@ one ``market.Series`` type, by firm_id and by market_id.
 
 A build splits into work done once per mode and work done once per window.
 Once per mode, memoised on the ``Stores``, one Python pass over the sorted
-events and their exposed firms makes the graph lookups and registry checks and
-yields the mode's pair table: each pair's news and firm code, the event
-columns per news code (its id and both sentiment probabilities), the firm,
-sector and market labels per firm code, the registry drops, and each pair's
-anchor position on its price series and on its market's index series, found
-with one ``searchsorted`` per series and kept once per distinct (series,
-anchor). Every price series and then every index series are laid end to end
-in one array, once per ``Stores``. Once per window, one
+events and their exposed firms makes the graph lookups and yields the mode's
+pair table: every candidate pair, each with its news and firm code and a
+reason code, the event columns per news code (its id and both sentiment
+probabilities), the firm, sector and market labels per firm code, and each
+pair's anchor position on its price series and on its market's index series,
+found with one ``searchsorted`` per series and kept once per distinct (series,
+anchor). A pair's reason code is its snapshot or registry reason, or 0 when
+only its windows decide. Every price series and then every index series are
+laid end to end in one array, once per ``Stores``. Once per window, one
 ``market.block_changes`` call over that array gives every pair's four
 changes, so a window costs one kernel pass whatever the number of firms. A
-``Stores`` is therefore read-only once a panel has been built from it;
-``dataclasses.replace`` gives a copy with a fresh memo.
+pair then drops for the first reason that applies, in the order of
+``REASONS``: its snapshot or registry reason, then its price window, then its
+index window. A ``Stores`` is therefore read-only once a panel has been built
+from it; ``dataclasses.replace`` gives a copy with a fresh memo.
 
 The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
 pre and post side by side in ``y`` and ``market_x``, and both sentiment
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -58,13 +60,10 @@ POLARITIES = ("positive", "negative")
 
 PANEL_HEADER = ("firm_id", "news_id", "w", "period", "y", "news_value", "market_x", "sector", "market")
 
-# audit reasons, in evaluation order
-DROP_NO_SNAPSHOT = "no-snapshot"
-DROP_UNKNOWN_FIRM = "unknown-firm"
-DROP_MISSING_SECTOR = "missing-sector"
-DROP_MISSING_MARKET = "missing-market"
-DROP_PRICE_WINDOW = "price-window"
-DROP_INDEX_WINDOW = "index-window"
+# audit reasons in order of precedence; a reason code indexes this, and 0 keeps a pair
+REASONS = (None, "no-snapshot", "unknown-firm", "missing-sector", "missing-market",
+           "price-window", "index-window")
+NO_SNAPSHOT, UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET, PRICE_WINDOW, INDEX_WINDOW = range(1, 7)
 
 
 @dataclass(frozen=True)
@@ -94,6 +93,7 @@ class Panel:
     Column 0 of ``y`` and ``market_x`` is the pre period, column 1 the post
     period; each pair stands for two observations, pre then post.
     ``news_value`` is ``p_pos`` or ``p_neg``, whichever ``polarity`` names.
+    ``drops`` holds every dropped candidate pair, in event-loop order.
     """
 
     mode: str
@@ -144,25 +144,29 @@ def _exposed_firms(stores: Stores, event, mode: str) -> Optional[list[str]]:
 
 @dataclass(frozen=True)
 class _PairTable:
-    """The pairs of one mode that pass the registry checks, in event-loop order.
+    """Every candidate pair of one mode, in event-loop order.
 
-    ``news`` and ``firm`` code each pair's event and exposed firm. Event
-    columns are per news code, and the firm, sector and market labels per
-    firm code. ``first``, ``length`` and ``anchor`` hold the distinct window
-    queries, and ``query`` names the one each pair's price query, then each
-    pair's index query, reads. A market without an index series has length 0,
+    ``news`` and ``firm`` code each pair's event and exposed firm; for an event
+    without a snapshot, the exposed firms are its mentioned firms. ``reason``
+    is the pair's ``NO_SNAPSHOT`` or registry code (unknown firm, empty sector,
+    empty market), or 0 when only its windows decide. Event columns are per
+    news code, and the firm, sector and market labels per firm code; an
+    unknown firm's sector and market are empty. ``first``, ``length`` and
+    ``anchor`` hold the distinct window queries, and ``query`` names the one
+    each pair's price query, then each pair's index query, reads. A firm
+    without a price series, or a market without an index series, has length 0,
     so its pairs get no change.
     """
 
     news: np.ndarray  # (n,) int64
     firm: np.ndarray
+    reason: np.ndarray  # (n,) int8
     news_labels: np.ndarray  # str, per news code
     p_pos: np.ndarray  # float64, per news code
     p_neg: np.ndarray
     firm_labels: np.ndarray  # str, per firm code
     sector: np.ndarray  # str, per firm code
     market: np.ndarray
-    drops: list[tuple[int, DropRecord]]  # registry drops, each after that many pairs
     first: np.ndarray  # (k,) int64
     length: np.ndarray
     anchor: np.ndarray
@@ -179,20 +183,6 @@ def _stack(stores: Stores) -> tuple[np.ndarray, dict[tuple[str, str], int]]:
         firsts = np.cumsum([0] + [len(column) for column in columns]).tolist()
         stack = stores._memo["stack"] = (np.concatenate([np.empty(0), *columns]), dict(zip(keys, firsts)))
     return stack
-
-
-def _registry_reason(stores: Stores, firm_id: str) -> Optional[str]:
-    """Why every pair of a firm drops before its windows are read, or None."""
-    record = stores.firms.get(firm_id)
-    if record is None:
-        return DROP_UNKNOWN_FIRM
-    if not record.sector_code:
-        return DROP_MISSING_SECTOR
-    if not record.market_id:
-        return DROP_MISSING_MARKET
-    if firm_id not in stores.prices:
-        return DROP_PRICE_WINDOW
-    return None
 
 
 def _anchor_queries(stores: Stores, kind: str, labels: np.ndarray, code: np.ndarray, day: np.ndarray):
@@ -216,43 +206,32 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     table = stores._memo.get(mode)
     if table is not None:
         return table
-    drops: list[tuple[int, DropRecord]] = []
-    verdicts: dict[str, int | str] = {}  # firm_id -> firm code, or its registry reason
-    firm_ids: list[str] = []
-    events = []  # the events with at least one pair, by news code
+    events = [stores.news.events[news_id] for news_id in sorted(stores.news.events)]
+    firm_codes: dict[str, int] = {}  # firm_id -> firm code, in first-seen order
+    snapless: list[bool] = []  # per news code
     news_code: list[int] = []
     firm_code: list[int] = []
-    for news_id in sorted(stores.news.events):
-        event = stores.news.events[news_id]
+    for k, event in enumerate(events):
         exposed = _exposed_firms(stores, event, mode)
-        if exposed is None:
-            for mentioned in sorted(event.mentions):
-                drops.append((len(firm_code), DropRecord(news_id, mentioned, DROP_NO_SNAPSHOT)))
-            continue
-        before = len(firm_code)
-        for firm_id in exposed:
-            verdict = verdicts.get(firm_id)
-            if verdict is None:
-                verdict = _registry_reason(stores, firm_id)
-                if verdict is None:
-                    verdict = len(firm_ids)
-                    firm_ids.append(firm_id)
-                verdicts[firm_id] = verdict
-            if isinstance(verdict, str):
-                drops.append((len(firm_code), DropRecord(news_id, firm_id, verdict)))
-            else:
-                news_code.append(len(events))
-                firm_code.append(verdict)
-        if len(firm_code) > before:
-            events.append(event)
+        snapless.append(exposed is None)
+        for firm_id in sorted(event.mentions) if exposed is None else exposed:
+            code = firm_codes.get(firm_id)
+            if code is None:
+                code = firm_codes[firm_id] = len(firm_codes)
+            news_code.append(k)
+            firm_code.append(code)
 
     news = np.array(news_code, dtype=np.int64)
     firm = np.array(firm_code, dtype=np.int64)
-    records = [stores.firms[firm_id] for firm_id in firm_ids]
-    sector = np.array([record.sector_code for record in records], dtype=str)
-    market = np.array([record.market_id for record in records], dtype=str)
+    records = [stores.firms.get(firm_id) for firm_id in firm_codes]
+    sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
+    market = np.array([record.market_id if record else "" for record in records], dtype=str)
+    registry = np.select(
+        [np.array([record is None for record in records], dtype=bool), sector == "", market == ""],
+        [UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET]).astype(np.int8)
+    reason = np.where(np.array(snapless, dtype=bool)[news], np.int8(NO_SNAPSHOT), registry[firm])
     market_labels, market_code = np.unique(market, return_inverse=True)
-    firm_labels = np.array(firm_ids, dtype=str)
+    firm_labels = np.array(list(firm_codes), dtype=str)
     # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
     ordinals = np.array([e.date.toordinal() for e in events], dtype=np.int64)
     day = np.datetime64("0000-12-31") + ordinals
@@ -266,13 +245,13 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     table = stores._memo[mode] = _PairTable(
         news=news,
         firm=firm,
+        reason=reason,
         news_labels=np.array([e.news_id for e in events], dtype=str),
         p_pos=np.array([e.p_pos for e in events], dtype=float),
         p_neg=np.array([e.p_neg for e in events], dtype=float),
         firm_labels=firm_labels,
         sector=sector,
         market=market,
-        drops=drops,
         first=first[pick],
         length=length[pick],
         anchor=anchor[pick],
@@ -296,21 +275,15 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
     pre, post = pre[table.query], post[table.query]
     y = np.column_stack((pre[:n], post[:n]))
     market_x = np.column_stack((pre[n:], post[n:]))
-    has_price = ~np.isnan(y).any(axis=1)
-    keep = has_price & ~np.isnan(market_x).any(axis=1)
-
-    dropped = np.flatnonzero(~keep)
+    reason = np.select(
+        [table.reason > 0, np.isnan(y).any(axis=1), np.isnan(market_x).any(axis=1)],
+        [table.reason, PRICE_WINDOW, INDEX_WINDOW])
+    keep = reason == 0
+    dropped = np.flatnonzero(reason)
     news_labels, firm_labels = table.news_labels.tolist(), table.firm_labels.tolist()
-    window_drops = [
-        (i, DropRecord(news_labels[news], firm_labels[firm],
-                       DROP_INDEX_WINDOW if price_ok else DROP_PRICE_WINDOW))
-        for i, news, firm, price_ok in zip(
-            dropped.tolist(), table.news[dropped].tolist(), table.firm[dropped].tolist(),
-            has_price[dropped].tolist())
-    ]
-    # a stable sort on the pair count keeps a registry drop recorded before
-    # pair i ahead of pair i's window drop: the order of the event loop
-    drops = [record for _, record in sorted(table.drops + window_drops, key=itemgetter(0))]
+    drops = [DropRecord(news_labels[news], firm_labels[firm], REASONS[code])
+             for news, firm, code in zip(table.news[dropped].tolist(),
+                                         table.firm[dropped].tolist(), reason[dropped].tolist())]
     news, firm = table.news[keep], table.firm[keep]
     return Panel(
         mode=mode,

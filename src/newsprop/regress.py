@@ -182,7 +182,7 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
 
         beta = solve_triangular(R, Q.T @ y)
         resid = y - X @ beta
-        r_inv = solve_triangular(R, np.eye(3))
+        r_inv = np.linalg.inv(R)
         xtx_inv = r_inv @ r_inv.T
         if robust:
             meat = (X * resid[:, None] ** 2).T @ X

@@ -114,6 +114,20 @@ class TestValidate:
         assert main(argv) == 1
         assert f"{command}: missing required input path --edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_field_past_the_csv_limit_exits_1(self, bundle_dir, tmp_path, capsys, command):
+        text = (bundle_dir / "news.csv").read_text(encoding="utf-8")
+        news = tmp_path / "news.csv"
+        news.write_text(text + f"n_long,2016-02-02,{'F' * 200_000},0.2,0.2,0.6\n", encoding="utf-8")
+        flags = bundle_flags(bundle_dir)
+        flags[flags.index("--news") + 1] = str(news)
+        out = tmp_path / "out"
+        assert main([command, *flags, *(["--out", str(out)] if command == "run" else [])]) == 1
+        err = capsys.readouterr().err
+        row = len(text.splitlines())  # the header is row 0
+        assert err == f"{command}: {news}: field larger than field limit (131072) at row {row}\n"
+        assert not out.exists()
+
     def test_one_config_file_serves_run_and_validate(self, bundle_dir, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("windows = 1\nmode = own\n", encoding="utf-8")

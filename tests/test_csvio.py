@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from newsprop.csvio import atomic_write_text, write_rows
+from newsprop.csvio import atomic_write_text, read_rows, write_rows
+from newsprop.errors import LoadError
 
 
 def failing_rows():
@@ -32,3 +33,16 @@ class TestAtomicWriters:
             write_rows(path, ("name", "n", "x"), failing_rows())
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text(encoding="utf-8") == "previous\n"
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("lines, row", [
+        (["a," + "x" * 200_000], 0),
+        (["a,b", "1,2", '"3\n4",' + "x" * 200_000], 2),
+    ], ids=["header", "quoted-row"])
+    def test_csv_error_names_file_and_data_row(self, tmp_path, lines, row):
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            list(read_rows(path, ("a", "b")))
+        assert str(err.value) == f"{path}: field larger than field limit (131072) at row {row}"

@@ -5,6 +5,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     make_series,
@@ -349,33 +350,82 @@ def reference_pairs(stores: Stores, mode: str, w: int):
     return out
 
 
+def assert_matches_reference(stores: Stores, mode: str, w: int) -> Panel:
+    """The built panel's kept columns and full drop list equal ``reference_pairs``."""
+    panel = build_panel(stores, mode, "positive", w)
+    pairs = reference_pairs(stores, mode, w)
+    kept = [p for p in pairs if p[2] is None]
+    assert list(zip(panel.news_id.tolist(), panel.firm_id.tolist())) == [
+        (p[0], p[1]) for p in kept
+    ]
+    assert panel.y.tolist() == [p[3] for p in kept]
+    assert panel.market_x.tolist() == [p[4] for p in kept]
+    records = [stores.firms.get(p[1]) for p in kept]
+    events = [stores.news.events[p[0]] for p in kept]
+    assert panel.sector.tolist() == [r.sector_code for r in records]
+    assert panel.market.tolist() == [r.market_id for r in records]
+    assert panel.p_pos.tolist() == [e.p_pos for e in events]
+    assert panel.p_neg.tolist() == [e.p_neg for e in events]
+    assert [(d.news_id, d.firm_id, d.reason) for d in panel.drops] == [
+        p[:3] for p in pairs if p[2] is not None
+    ]
+    return panel
+
+
 class TestReference:
     def test_columns_and_drops_match_per_pair_reference(self):
         stores = perturbed_sim_stores()
         reasons = set()
         for mode in MODES:
             for w in (1, 3, 7):
-                panel = build_panel(stores, mode, "positive", w)
-                pairs = reference_pairs(stores, mode, w)
-                kept = [p for p in pairs if p[2] is None]
-                assert list(zip(panel.news_id.tolist(), panel.firm_id.tolist())) == [
-                    (p[0], p[1]) for p in kept
-                ]
-                assert panel.y.tolist() == [p[3] for p in kept]
-                assert panel.market_x.tolist() == [p[4] for p in kept]
-                records = [stores.firms.get(p[1]) for p in kept]
-                events = [stores.news.events[p[0]] for p in kept]
-                assert panel.sector.tolist() == [r.sector_code for r in records]
-                assert panel.market.tolist() == [r.market_id for r in records]
-                assert panel.p_pos.tolist() == [e.p_pos for e in events]
-                assert panel.p_neg.tolist() == [e.p_neg for e in events]
-                assert [(d.news_id, d.firm_id, d.reason) for d in panel.drops] == [
-                    p[:3] for p in pairs if p[2] is not None
-                ]
+                panel = assert_matches_reference(stores, mode, w)
                 reasons |= {d.reason for d in panel.drops}
         assert reasons == {"no-snapshot", "unknown-firm", "missing-sector", "missing-market",
                            "price-window", "index-window"}
         assert all(len(build_panel(stores, m, "positive", 1)) > 0 for m in MODES)
+
+
+@st.composite
+def perturbed_small_stores(draw) -> Stores:
+    """A small simulated bundle with registry records dropped, sectors and
+    markets blanked, price series deleted, index series truncated, and its one
+    snapshot moved to a drawn year, each at random."""
+    config = SimConfig(
+        n_firms=draw(st.integers(2, 10)), n_sectors=3, n_markets=draw(st.integers(1, 2)),
+        n_days=draw(st.integers(30, 90)), edge_prob=draw(st.sampled_from([0.2, 0.6])),
+        news_rate=draw(st.sampled_from([1.0, 4.0])), seed=draw(st.integers(0, 2**32 - 1)),
+        start_date=dt.date(2016, 11, 1),
+    )
+    bundle = simulate(config)
+    stores = bundle.stores()
+    firm_ids = sorted(stores.firms)
+
+    def some_firms():
+        return draw(st.sets(st.sampled_from(firm_ids), max_size=3))
+
+    records = {f: r for f, r in stores.firms.items() if f not in some_firms()}
+    for field_name in ("sector_code", "market_id"):
+        for f in some_firms() & set(records):
+            records[f] = dataclasses.replace(records[f], **{field_name: ""})
+    gone = some_firms()
+    prices = {f: s for f, s in stores.prices.items() if f not in gone}
+    indices = {}
+    for m, s in stores.indices.items():
+        head, tail = draw(st.integers(0, 25)), draw(st.integers(0, 25))
+        if head + tail < len(s):
+            indices[m] = Series(s.dates[head : len(s) - tail], s.values[head : len(s) - tail])
+    # 2016 and 2017 hold the events; a snapshot from 2017 on leaves some without one
+    graph = SupplyChainNetwork({draw(st.integers(2015, 2018)): {(a, b) for _, a, b in bundle.edges}})
+    return Stores(firms=records, prices=prices, indices=indices, news=stores.news, graph=graph)
+
+
+class TestReasonProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(stores=perturbed_small_stores())
+    def test_kept_columns_and_drops_match_per_pair_reference(self, stores):
+        for mode in MODES:
+            for w in (1, 3):
+                assert_matches_reference(stores, mode, w)
 
 
 def assert_same_panel(a: Panel, b: Panel) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.special import stdtr
 
 from conftest import make_panel, random_panel
@@ -228,6 +229,33 @@ class TestFit:
         robust = fit(panel, robust=True)
         assert robust.se_pre != plain.se_pre
         assert robust.se_pre == pytest.approx(plain.se_pre, rel=0.2)
+
+    @pytest.mark.parametrize("robust", [False, True], ids=["homoskedastic", "hc1"])
+    def test_covariance_equals_triangular_solve_reference(self, rng, robust):
+        # (X'X)^-1 from R^-1 by a triangular solve against the identity, the way
+        # fit computed it before; column scales spread wide, some near-collinear
+        for k in range(60):
+            panel = random_panel(rng, n_pairs=int(rng.integers(10, 150)),
+                                 n_sectors=int(rng.integers(1, 6)))
+            market_x = panel.market_x
+            if k % 3 == 0:  # market_x close to a mix of the two news columns
+                market_x = panel.news_value[:, None] * [1.0, rng.normal()] + 1e-5 * market_x
+            y_scale, x_scale = 10.0 ** rng.uniform(-6, 6, size=2)
+            panel = dataclasses.replace(panel, y=panel.y * y_scale, market_x=market_x * x_scale)
+            result = fit(panel, robust=robust)
+            design = within_transform(panel)
+            Q, R = np.linalg.qr(design.X)
+            resid = design.y - design.X @ solve_triangular(R, Q.T @ design.y)
+            r_inv = solve_triangular(R, np.eye(3))
+            xtx_inv = r_inv @ r_inv.T
+            if robust:
+                meat = (design.X * resid[:, None] ** 2).T @ design.X
+                cov = xtx_inv @ meat @ xtx_inv * (len(design.y) / result.dof)
+            else:
+                cov = float(resid @ resid) / result.dof * xtx_inv
+            se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+            assert (result.se_pre, result.se_post, result.se_x, result.cov_prepost) == (
+                se[0], se[1], se[2], cov[0, 1])
 
 
 class TestDiffTest:
