@@ -25,8 +25,10 @@ def read_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Check the header, then yield ``(row number, fields)`` per data row.
 
     Row numbers count data rows from 1; the header is row 0. Raises LoadError
-    when the file is empty, its header is not ``header``, or a row is not
-    valid CSV (such as a field longer than the csv module's field limit).
+    when the file is empty, its header is not ``header``, a row is not valid
+    CSV (such as a field longer than the csv module's field limit), or the
+    file is not UTF-8. That last message names no row: the file is decoded a
+    chunk ahead of the rows the reader has handed out.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -40,6 +42,8 @@ def read_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
                 yield i, row
         except csv.Error as exc:
             raise LoadError(f"{path}: {exc} at row {i + 1}") from None
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_date(text: str) -> dt.date:

@@ -12,7 +12,7 @@ directory (which should be empty), through a small fixed matrix:
 Every path is relative, so nothing about the directory reaches stdout. The
 result records each command's argv, exit code and stdout lines, and the sha256
 and size of every file under ``data/`` and ``out/``, together with the numpy
-and scipy versions, since a float digit may move with either.
+version, since a float digit may move with it.
 
 ``tests/test_contract_digests.py`` recomputes the matrix and compares it with
 the committed ``contract_digests.json``. A change that moves bytes on purpose
@@ -32,7 +32,6 @@ import tempfile
 from pathlib import Path
 
 import numpy
-import scipy
 
 from newsprop.cli import main
 
@@ -108,7 +107,6 @@ def run_matrix() -> dict:
                 files[path.as_posix()] = {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
     return {
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "commands": records,
         "files": files,
     }

@@ -128,6 +128,19 @@ class TestValidate:
         assert err == f"{command}: {news}: field larger than field limit (131072) at row {row}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_utf8_file_exits_1_naming_the_file(self, bundle_dir, tmp_path, capsys, command):
+        data = (bundle_dir / "prices.csv").read_bytes()
+        prices = tmp_path / "prices.csv"
+        prices.write_bytes(data + b"F00001,2016-02-02,1\xff5\n")
+        flags = bundle_flags(bundle_dir)
+        flags[flags.index("--prices") + 1] = str(prices)
+        out = tmp_path / "out"
+        assert main([command, *flags, *(["--out", str(out)] if command == "run" else [])]) == 1
+        # the decoder runs a chunk ahead of the rows, so no row number is exact
+        assert capsys.readouterr().err == f"{command}: {prices}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
     def test_one_config_file_serves_run_and_validate(self, bundle_dir, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("windows = 1\nmode = own\n", encoding="utf-8")

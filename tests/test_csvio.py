@@ -46,3 +46,13 @@ class TestReadRows:
         with pytest.raises(LoadError) as err:
             list(read_rows(path, ("a", "b")))
         assert str(err.value) == f"{path}: field larger than field limit (131072) at row {row}"
+
+    @pytest.mark.parametrize("at", ["header", "late-row"])
+    def test_non_utf8_names_file_and_no_row(self, tmp_path, at):
+        rows = [b"a,b"] + [b"%d,%d" % (k, k) for k in range(5000)]
+        rows[0 if at == "header" else -1] += b"\xff"
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(LoadError) as err:
+            list(read_rows(path, ("a", "b")))
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
