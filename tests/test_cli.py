@@ -315,18 +315,27 @@ class TestRun:
         assert main([*args, "--threads", "4", "--out", str(tmp_path / "b")]) == 0
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
-    @pytest.mark.parametrize("key, bad_row", [
-        ("news", "n_bad,2016-02-02,F00002,0.2,0.2,0.2"),
-        ("prices", "F00001,xx,1.0"),
-    ], ids=["news", "prices"])
+    @pytest.mark.parametrize("key, bad_row, reason", [
+        ("news", "n_bad,2016-02-02,F00002,0.2,0.2,0.2", "probabilities sum to 0.6"),
+        ("news", "n_bad,2016-02-02,F00002,0.2,0.8", "wrong column count"),
+        ("news", "n_bad,2016-02-02,F00002,nan,0.5,0.5", "non-finite probability"),
+        ("prices", "F00001,xx,1.0", "malformed date 'xx'"),
+        ("firms", "F99999,M00,S00", "wrong column count"),
+        ("firms", " ,M00,S00,SIM", "empty firm_id"),
+        ("firms", "F00001,M01,S00,SIM", "duplicate firm_id F00001"),
+    ], ids=["news", "news-columns", "news-nan", "prices", "firms-columns", "firms-empty-id",
+            "firms-duplicate"])
     def test_strict_rejected_row_fails_without_outputs(
-        self, bundle_dir, tmp_path, capsys, key, bad_row
+        self, bundle_dir, tmp_path, capsys, key, bad_row, reason
     ):
+        text = (bundle_dir / f"{key}.csv").read_text(encoding="utf-8")
         bad = tmp_path / f"{key}.csv"
-        bad.write_text((bundle_dir / bad.name).read_text(encoding="utf-8") + bad_row + "\n",
-                       encoding="utf-8")
+        bad.write_text(text + bad_row + "\n", encoding="utf-8")
         flags = bundle_flags(bundle_dir)
         flags[flags.index(f"--{key}") + 1] = str(bad)
+        assert main(["validate", *flags]) == 0
+        row = len(text.splitlines())  # the header is row 0
+        assert f"  {key} row {row}: {reason}\n" in capsys.readouterr().out
         out = tmp_path / "out"
         assert main(["run", *flags, "--windows", "1", "--out", str(out)]) == 0
         assert main(["run", *flags, "--windows", "1", "--strict", "--out", str(out / "s")]) == 1
@@ -416,7 +425,10 @@ class TestSimulate:
         assert ("unknown key" in err) == (key not in SIM_KEYS)
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["gamma_post = nan", "start_date = 9999-12-01", "seed = -1"])
+    @pytest.mark.parametrize("line", [
+        "gamma_post = nan", "start_date = 9999-12-01", "seed = -1", "leak_window = 0",
+        "news_rate = -1",
+    ])
     def test_unusable_setting_exits_1_without_output(self, tmp_path, capsys, line):
         config = tmp_path / "sim.cfg"
         config.write_text(line + "\n", encoding="utf-8")

@@ -35,6 +35,8 @@ class TestLoadEdges:
         path.write_text("year,supplier_id,client_id\n2016,A\n", encoding="utf-8")
         with pytest.raises(LoadError, match="wrong column count at row 1"):
             load_edges(path)
+        with pytest.raises(LoadError, match="bad year '20x6' at row 1"):
+            load_edges(write_edges(tmp_path, [("20x6", "A", "B")]))
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "head.csv"

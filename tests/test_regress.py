@@ -296,6 +296,8 @@ class TestDiffTest:
         beta = np.array([result.beta_pre, result.beta_post])
         with pytest.raises(DegenerateVarianceError):
             _diff_fields(beta, np.zeros((2, 2)), result.dof)
+        with pytest.raises(DegenerateVarianceError, match="negative difference variance"):
+            _diff_fields(beta, np.array([[1.0, 2.0], [2.0, 1.0]]), result.dof)
 
     def test_diff_se_identity(self, rng):
         panel = random_panel(rng, n_pairs=70, n_sectors=6)

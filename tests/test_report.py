@@ -117,6 +117,10 @@ class TestCoefficientTable:
         with pytest.raises(ValueError):
             coefficient_table([fake_fit(1, mode="own"), fake_fit(2, mode="supplier")])
 
+    def test_duplicate_window_rejected(self):
+        with pytest.raises(DuplicateFitError):
+            coefficient_table([fake_fit(1), fake_fit(2), fake_fit(1, beta_pre=0.5)])
+
     def test_empty_is_empty(self):
         assert coefficient_table([]) == ""
 

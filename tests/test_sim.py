@@ -238,6 +238,8 @@ class TestSimulate:
             simulate(dataclasses.replace(SMALL, sentiment_alpha=(1.0, -1.0, 1.0)))
         with pytest.raises(SimConfigError):
             simulate(dataclasses.replace(SMALL, idio_vol=-0.1))
+        with pytest.raises(SimConfigError, match="every market needs at least one firm"):
+            simulate(dataclasses.replace(SMALL, n_markets=SMALL.n_firms + 1))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", [
@@ -380,6 +382,11 @@ class TestExpectedBetas:
         e = expected_betas(SMALL, 1, "own", "negative")
         assert e.beta_pre < 0.0
         assert e.beta_post < e.beta_pre
+
+    @pytest.mark.parametrize("mode, polarity", [("neighbour", "positive"), ("own", "neutral")])
+    def test_unknown_mode_or_polarity_rejected(self, mode, polarity):
+        with pytest.raises(ValueError, match="unknown"):
+            expected_betas(SMALL, 1, mode, polarity)
 
     def test_projection_formula_against_monte_carlo(self):
         # brute-force the population regression the formula claims to solve
