@@ -6,20 +6,22 @@ order of the accepted rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .csvio import read_rows
 from .errors import RowRejection
 
-FIRM_HEADER = ("firm_id", "market_id", "sector_code", "country")
 
+class FirmRecord(NamedTuple):
+    """One registry row; the field order is the file's column order."""
 
-@dataclass(frozen=True)
-class FirmRecord:
     firm_id: str
     market_id: str
     sector_code: str
     country: str
+
+
+FIRM_HEADER = FirmRecord._fields
 
 
 def load_firms(path) -> tuple[dict[str, FirmRecord], list[RowRejection]]:
@@ -35,12 +37,12 @@ def load_firms(path) -> tuple[dict[str, FirmRecord], list[RowRejection]]:
         if len(row) != 4:
             rejections.append(RowRejection(i, "wrong column count"))
             continue
-        firm_id, market_id, sector_code, country = (field.strip() for field in row)
-        if not firm_id:
+        record = FirmRecord._make(field.strip() for field in row)
+        if not record.firm_id:
             rejections.append(RowRejection(i, "empty firm_id"))
             continue
-        if firm_id in records:
-            rejections.append(RowRejection(i, f"duplicate firm_id {firm_id}"))
+        if record.firm_id in records:
+            rejections.append(RowRejection(i, f"duplicate firm_id {record.firm_id}"))
             continue
-        records[firm_id] = FirmRecord(firm_id, market_id, sector_code, country)
+        records[record.firm_id] = record
     return records, rejections

@@ -28,6 +28,7 @@ conditioning of a tail whose log is about -t^2 / 2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -305,8 +306,4 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
 
 def write_fits(results: Sequence[FitResult], path) -> None:
     """Export fit rows, one line per estimated cell."""
-    write_rows(path, FIT_HEADER, (
-        (r.mode, r.polarity, r.w, r.beta_pre, r.se_pre, r.beta_post, r.se_post, r.beta_x,
-         r.se_x, r.diff, r.diff_se, r.diff_t, r.diff_p, r.n_obs)
-        for r in results
-    ))
+    write_rows(path, FIT_HEADER, map(operator.attrgetter(*FIT_HEADER), results))

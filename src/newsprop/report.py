@@ -4,23 +4,21 @@ histograms. Output is plotting data, not rendered images."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .csvio import write_rows
 from .errors import BadBinError, DuplicateFitError
 from .regress import FitResult
 
-EFFECTS_HEADER = ("mode", "polarity", "w", "x", "beta", "ci_lo", "ci_hi")
 HIST_HEADER = ("bin", "count")
 
 # 95% normal-based interval half-width per standard error
 CI_MULTIPLIER = 1.96
 
 
-@dataclass(frozen=True)
-class EffectPlotRow:
-    """One dot-and-interval point: x = -w carries beta_pre, x = +w beta_post."""
+class EffectPlotRow(NamedTuple):
+    """One dot-and-interval point: x = -w carries beta_pre, x = +w beta_post.
+    The field order is the column order of effects.csv."""
 
     mode: str
     polarity: str
@@ -29,6 +27,9 @@ class EffectPlotRow:
     beta: float
     ci_lo: float
     ci_hi: float
+
+
+EFFECTS_HEADER = EffectPlotRow._fields
 
 
 def effect_plot_data(fits: Sequence[FitResult]) -> list[EffectPlotRow]:
@@ -42,25 +43,13 @@ def effect_plot_data(fits: Sequence[FitResult]) -> list[EffectPlotRow]:
         seen.add(key)
         for x, beta, se in ((-f.w, f.beta_pre, f.se_pre), (f.w, f.beta_post, f.se_post)):
             half = CI_MULTIPLIER * se
-            rows.append(
-                EffectPlotRow(
-                    mode=f.mode,
-                    polarity=f.polarity,
-                    w=f.w,
-                    x=x,
-                    beta=beta,
-                    ci_lo=beta - half,
-                    ci_hi=beta + half,
-                )
-            )
+            rows.append(EffectPlotRow(f.mode, f.polarity, f.w, x, beta, beta - half, beta + half))
     rows.sort(key=lambda r: (r.mode, r.polarity, r.x))
     return rows
 
 
 def write_effects(rows: Sequence[EffectPlotRow], path) -> None:
-    write_rows(path, EFFECTS_HEADER, (
-        (r.mode, r.polarity, r.w, r.x, r.beta, r.ci_lo, r.ci_hi) for r in rows
-    ))
+    write_rows(path, EFFECTS_HEADER, rows)
 
 
 def sci_notation(value: float) -> str:

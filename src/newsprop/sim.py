@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,8 +73,6 @@ from .panel import MODES, POLARITIES, Stores
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 
 BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
-
-EXPECTED_HEADER = ("mode", "polarity", "w", "beta_pre", "beta_post")
 
 _DRIFT_BATCH = 1 << 20  # expanded (firm, day) additions per np.add.at, at most
 
@@ -163,9 +161,7 @@ class SimBundle:
     def write(self, outdir) -> dict[str, Path]:
         """Emit firms/prices/indices/news/edges CSVs; returns path per file."""
         paths = {name: Path(outdir) / f"{name}.csv" for name in BUNDLE_FILES}
-        write_rows(paths["firms"], FIRM_HEADER, (
-            (r.firm_id, r.market_id, r.sector_code, r.country) for r in self.firm_records
-        ))
+        write_rows(paths["firms"], FIRM_HEADER, self.firm_records)
         write_rows(paths["prices"], PRICE_HEADER, _series_rows(self.prices))
         write_rows(paths["indices"], INDEX_HEADER, _series_rows(self.indices))
         write_rows(paths["news"], NEWS_HEADER, (
@@ -336,13 +332,17 @@ def simulate(config: SimConfig) -> SimBundle:
 # analytic expectations
 
 
-@dataclass(frozen=True)
-class ExpectedBetas:
+class ExpectedBetas(NamedTuple):
+    """One expected-coefficient cell; the field order is the sidecar's column order."""
+
     mode: str
     polarity: str
     w: int
     beta_pre: float
     beta_post: float
+
+
+EXPECTED_HEADER = ExpectedBetas._fields
 
 
 def drift_block_loadings(w: int, leak_window: int, effect_window: int) -> np.ndarray:
@@ -458,13 +458,7 @@ def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> Expec
     )
 
 
-def expected_beta_rows(config: SimConfig, windows: Sequence[int]) -> list[tuple]:
-    """Rows of the expected-coefficient sidecar (``EXPECTED_HEADER``), one per
-    mode/polarity/window cell."""
-    rows = []
-    for mode in MODES:
-        for polarity in POLARITIES:
-            for w in windows:
-                e = expected_betas(config, w, mode, polarity)
-                rows.append((mode, polarity, w, e.beta_pre, e.beta_post))
-    return rows
+def expected_beta_rows(config: SimConfig, windows: Sequence[int]) -> list[ExpectedBetas]:
+    """The expected-coefficient sidecar's rows, one per mode/polarity/window cell."""
+    return [expected_betas(config, w, mode, polarity)
+            for mode in MODES for polarity in POLARITIES for w in windows]

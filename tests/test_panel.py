@@ -300,8 +300,8 @@ def perturbed_sim_stores() -> Stores:
     stores = simulate(config).stores()
     records = dict(stores.firms)
     del records["F00000"]  # unknown-firm
-    records["F00001"] = dataclasses.replace(records["F00001"], sector_code="")
-    records["F00002"] = dataclasses.replace(records["F00002"], market_id="")
+    records["F00001"] = records["F00001"]._replace(sector_code="")
+    records["F00002"] = records["F00002"]._replace(market_id="")
     prices = dict(stores.prices)
     del prices["F00003"]  # price-window without a series
     m1 = stores.indices["M01"]  # starts 60 quotes late: index-window
@@ -406,7 +406,7 @@ def perturbed_small_stores(draw) -> Stores:
     records = {f: r for f, r in stores.firms.items() if f not in some_firms()}
     for field_name in ("sector_code", "market_id"):
         for f in some_firms() & set(records):
-            records[f] = dataclasses.replace(records[f], **{field_name: ""})
+            records[f] = records[f]._replace(**{field_name: ""})
     gone = some_firms()
     prices = {f: s for f, s in stores.prices.items() if f not in gone}
     indices = {}
