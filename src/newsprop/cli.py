@@ -33,9 +33,10 @@ class UsageError(Exception):
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a plain key=value file; '#' starts a comment, blank lines skipped."""
+    """Parse a plain key=value file; '#' starts a comment, blank lines skipped.
+    A leading UTF-8 byte-order mark is skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read --config {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

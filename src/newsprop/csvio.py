@@ -28,9 +28,10 @@ def read_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     when the file is empty, its header is not ``header``, a row is not valid
     CSV (such as a field longer than the csv module's field limit), or the
     file is not UTF-8. That last message names no row: the file is decoded a
-    chunk ahead of the rows the reader has handed out.
+    chunk ahead of the rows the reader has handed out. A leading UTF-8
+    byte-order mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         i = -1  # the last row read
         try:

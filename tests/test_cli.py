@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import datetime as dt
 import os
@@ -95,6 +96,26 @@ class TestValidate:
         flags = bundle_flags(bundle_dir)
         flags[flags.index("--prices") + 1] = str(bundle_dir / "missing.csv")
         assert main(["validate", *flags]) == 1
+
+    @pytest.mark.parametrize("key", sim.BUNDLE_FILES)
+    def test_byte_order_mark_changes_no_report_line(self, bundle_dir, tmp_path, capsys, key):
+        assert main(["validate", *bundle_flags(bundle_dir)]) == 0
+        plain = capsys.readouterr().out
+        marked = tmp_path / f"{key}.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + (bundle_dir / marked.name).read_bytes())
+        flags = bundle_flags(bundle_dir)
+        flags[flags.index(f"--{key}") + 1] = str(marked)
+        assert main(["validate", *flags]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_byte_order_mark_in_config_file_parses(self, bundle_dir, tmp_path, capsys):
+        assert main(["validate", *bundle_flags(bundle_dir)]) == 0
+        plain = capsys.readouterr().out
+        config = tmp_path / "run.cfg"
+        lines = [f"{key} = {bundle_dir / (key + '.csv')}" for key in sim.BUNDLE_FILES]
+        config.write_bytes(codecs.BOM_UTF8 + "\n".join(lines).encode("utf-8") + b"\n")
+        assert main(["validate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
