@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import os
+import re
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,9 +48,19 @@ def read_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
             raise LoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+# YYYY-MM-DD, alone or followed by a time of day (and maybe a UTC offset)
+_DATE = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})(?:[T ][0-9]{2}:[0-9]{2}[0-9:.]*(?:Z|[+-][0-9:]+)?)?"
+)
+
+
 def parse_date(text: str) -> dt.date:
-    # timestamps finer than a date are truncated; the daily grid cannot resolve them
-    return dt.date.fromisoformat(text.strip()[:10])
+    """The day of ``YYYY-MM-DD`` text; a time of day after ``T`` or a space is
+    ignored, since the daily grid cannot resolve it. ValueError on any other text."""
+    match = _DATE.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(match[1])
 
 
 @contextmanager

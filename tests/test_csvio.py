@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
-from newsprop.csvio import atomic_write_text, read_rows, write_rows
+from newsprop.csvio import atomic_write_text, parse_date, read_rows, write_rows
 from newsprop.errors import LoadError
 
 
@@ -56,3 +58,34 @@ class TestReadRows:
         with pytest.raises(LoadError) as err:
             list(read_rows(path, ("a", "b")))
         assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+class TestParseDate:
+    # the same texts on every Python: date.fromisoformat takes 20160104 and
+    # 2016-W01-1 from 3.11 on, and a slice of the text took 2016-01-04x
+    @pytest.mark.parametrize("text, day", [
+        ("2016-01-04", dt.date(2016, 1, 4)),
+        (" 2016-01-04 ", dt.date(2016, 1, 4)),
+        ("2016-01-04T14:31:00", dt.date(2016, 1, 4)),
+        ("2016-01-04 09:30", dt.date(2016, 1, 4)),
+        ("2016-01-04T09:30:00.25+01:00", dt.date(2016, 1, 4)),
+        ("1969-12-31T23:59:59Z", dt.date(1969, 12, 31)),
+        ("20160104", None),
+        ("2016-W01-1", None),
+        ("2016-004", None),
+        ("2016-01-04x", None),
+        ("2016-01-04T", None),
+        ("2016-01-04 noon", None),
+        ("2016-1-4", None),
+        ("\u0662\u0660\u0661\u0666-01-04", None),
+        ("2016-02-30", None),
+        ("2016-13-01", None),
+        ("0000-01-01", None),
+        ("", None),
+    ])
+    def test_accepts_only_a_day_with_an_optional_time(self, text, day):
+        if day is None:
+            with pytest.raises(ValueError):
+                parse_date(text)
+        else:
+            assert parse_date(text) == day
