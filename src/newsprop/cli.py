@@ -4,11 +4,13 @@ Each command's settings are one table of keys and value parsers: ``RUN_KEYS``
 for run and validate (so one --config file serves both), ``SIM_KEYS`` for
 simulate. Every value of the plain key=value file (--config) is parsed by its
 key's parser, and flags override file values. An unknown, repeated or
-unparsable key or a bad flag exits 2, and a missing input path exits 1, both
-before any input is read. Every output goes through the atomic writers in
-``csvio``, so an interrupted run never leaves a truncated export. Estimation cells (mode,
-polarity, window) run in sorted order, one panel per (mode, window) serving
-every polarity; no file is written until all are assembled.
+unparsable key or a bad flag exits 2 before any input is read; ``main`` turns
+any other ``OSError``, ``ValueError`` or ``MemoryError`` a command raises into
+``<command>: <message>`` on stderr and exit 1. Every output goes through the
+atomic writers in ``csvio``, so an interrupted run never leaves a truncated
+export. Estimation cells (mode, polarity, window) run in sorted order, one
+panel per (mode, window) serving every polarity; no file is written until all
+are assembled.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import graph, market, panel, regress, report, sentiment, sim
-from .csvio import atomic_write_text, write_rows
+from .csvio import atomic_write_text, parse_date, write_rows
 from .firms import load_firms
 
 DEFAULT_WINDOWS = (1, 2, 3, 4, 5, 30, 180, 365)
@@ -105,7 +107,7 @@ def _sim_field_parser(default):
     if isinstance(default, tuple):
         return lambda text: tuple(float(x) for x in text.split(","))
     if isinstance(default, dt.date):
-        return dt.date.fromisoformat
+        return parse_date
     return type(default)  # int or float
 
 
@@ -173,11 +175,7 @@ def _load_bundle(settings: dict):
 
 def cmd_validate(args: argparse.Namespace) -> int:
     settings = _settings(args, RUN_KEYS)
-    try:
-        _, lines, rejected = _load_bundle(settings)
-    except (OSError, ValueError) as exc:
-        print(f"validate: {exc}", file=sys.stderr)
-        return 1
+    _, lines, rejected = _load_bundle(settings)
     for line in lines:
         print(line)
     print(f"{rejected} rejected")
@@ -193,14 +191,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     polarities = settings.get("polarity", ["positive"])
     outdir = Path(settings.get("out") or "out")
 
-    try:
-        stores, _, rejected = _load_bundle(settings)
-    except (OSError, ValueError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 1
+    stores, _, rejected = _load_bundle(settings)
     if settings.get("strict") and rejected:
-        print(f"run: strict mode: {rejected} rejected rows", file=sys.stderr)
-        return 1
+        raise ValueError(f"strict mode: {rejected} rejected rows")
 
     cells = sorted((m, p, w) for m in modes for p in polarities for w in windows)
     panels = {}  # (mode, w) -> the panel every polarity of that cell fits
@@ -222,20 +215,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
 
     results = [result for _, result in fits.values()]
-    try:
-        if settings.get("export_panel"):
-            for (mode, polarity, w), (built, _) in fits.items():
-                panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
-        if results:
-            regress.write_fits(results, outdir / "fits.csv")
-            report.write_effects(report.effect_plot_data(results), outdir / "effects.csv")
-            # results follow the sorted cells, so each (mode, polarity) is one run
-            groups = itertools.groupby(results, key=lambda r: (r.mode, r.polarity))
-            sections = [report.coefficient_table(list(group)) for _, group in groups]
-            atomic_write_text(outdir / "table.txt", "\n".join(sections))
-    except OSError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 1
+    if settings.get("export_panel"):
+        for (mode, polarity, w), (built, _) in fits.items():
+            panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
+    if results:
+        regress.write_fits(results, outdir / "fits.csv")
+        report.write_effects(report.effect_plot_data(results), outdir / "effects.csv")
+        # results follow the sorted cells, so each (mode, polarity) is one run
+        groups = itertools.groupby(results, key=lambda r: (r.mode, r.polarity))
+        sections = [report.coefficient_table(list(group)) for _, group in groups]
+        atomic_write_text(outdir / "table.txt", "\n".join(sections))
 
     failed = len(cells) - len(fits)
     if failed:
@@ -249,17 +238,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     windows = settings.pop("windows", DEFAULT_WINDOWS)
     outdir = Path(settings.pop("out", None) or "out")
     config = sim.SimConfig(**settings)  # --seed overrides a file seed like any flag
-    try:
-        # every row is computed before any file is written, so a window that
-        # fails leaves no half-written bundle behind
-        config.validate()
-        expected = sim.expected_beta_rows(config, windows)
-        bundle = sim.simulate(config)
-        paths = bundle.write(outdir)
-        write_rows(outdir / "expected_betas.csv", sim.EXPECTED_HEADER, expected)
-    except (OSError, ValueError, MemoryError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 1
+    # simulate validates the config, and every row is computed before any file
+    # is written, so a bad setting or a failing window leaves no half-written bundle
+    bundle = sim.simulate(config)
+    expected = sim.expected_beta_rows(config, windows)
+    paths = bundle.write(outdir)
+    write_rows(outdir / "expected_betas.csv", sim.EXPECTED_HEADER, expected)
     for name in sim.BUNDLE_FILES:
         print(f"wrote {paths[name]}")
     print(f"wrote {outdir / 'expected_betas.csv'}")
@@ -319,6 +303,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except UsageError as exc:
         args.usage_error(str(exc))  # exits 2
+    except (OSError, ValueError, MemoryError) as exc:
+        print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

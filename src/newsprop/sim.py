@@ -106,7 +106,9 @@ class SimConfig:
         if self.n_firms < 1 or self.n_sectors < 1 or self.n_markets < 1:
             raise SimConfigError("n_firms, n_sectors, n_markets must be positive")
         if self.n_markets > self.n_firms:
-            raise SimConfigError("every market needs at least one firm")
+            raise SimConfigError(
+                "n_markets must be <= n_firms: every market needs at least one firm"
+            )
         if self.leak_window < 1 or self.effect_window < 1:
             raise SimConfigError("leak_window and effect_window must be >= 1")
         if self.n_days < 4 * max(self.leak_window, self.effect_window):
@@ -137,7 +139,6 @@ class SimConfig:
 class SimBundle:
     """An in-memory dataset bundle plus writers for the five file schemas."""
 
-    config: SimConfig
     firm_records: list[FirmRecord]
     trading_dates: list[dt.date]
     prices: dict[str, Series]
@@ -318,7 +319,6 @@ def simulate(config: SimConfig) -> SimBundle:
         indices[market_id] = Series(date_index.copy(), np.exp(log_prices[members].mean(axis=0)))
 
     return SimBundle(
-        config=config,
         firm_records=firm_records,
         trading_dates=date_index.tolist(),
         prices=prices,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from newsprop import panel, sim
+from newsprop import market, panel, report, sim
 from newsprop.cli import SIM_KEYS, _settings, main
 from newsprop.sim import SimConfig, simulate
 
@@ -162,6 +162,26 @@ class TestValidate:
         assert capsys.readouterr().err == f"{command}: {prices}: not UTF-8 text (invalid start byte)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+        ("", "MemoryError"),  # an exception without text is named by its class
+    ], ids=["message", "no-text"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_out_of_memory_while_loading_exits_1(
+        self, bundle_dir, tmp_path, capsys, monkeypatch, command, message, shown
+    ):
+        def exhaust(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(market, "load_prices", exhaust)
+        out = tmp_path / "out"
+        argv = [command, *bundle_flags(bundle_dir), *(["--out", str(out)] if command == "run" else [])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{command}: {shown}\n"
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
     def test_one_config_file_serves_run_and_validate(self, bundle_dir, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("windows = 1\nmode = own\n", encoding="utf-8")
@@ -235,6 +255,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("run: ") and str(out) in err
         assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_failing_report_exits_1_keeping_written_files(
+        self, bundle_dir, tmp_path, capsys, monkeypatch
+    ):
+        def fail(results):
+            raise ValueError("no plot data")
+
+        monkeypatch.setattr(report, "effect_plot_data", fail)
+        out = tmp_path / "out"
+        assert main(["run", *bundle_flags(bundle_dir), "--windows", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "run: no plot data\n"
+        # fits.csv is written before the plot data; what run already wrote stays
+        assert sorted(p.name for p in out.iterdir()) == ["fits.csv"]
 
     def test_rerun_byte_identical(self, bundle_dir, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -431,6 +464,7 @@ class TestSimulate:
         "n_firms = abc",
         "no_such_key = 1",
         "start_date = someday",
+        "start_date = 20160104",  # input files take only YYYY-MM-DD, and so does --config
         "strict = maybe",
         "robust_se = banana",
         "mode = own",
@@ -448,7 +482,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line", [
         "gamma_post = nan", "start_date = 9999-12-01", "seed = -1", "leak_window = 0",
-        "news_rate = -1",
+        "news_rate = -1", "n_markets = 200",
     ])
     def test_unusable_setting_exits_1_without_output(self, tmp_path, capsys, line):
         config = tmp_path / "sim.cfg"
@@ -479,6 +513,12 @@ class TestSimulate:
         config.write_text("".join(lines), encoding="utf-8")
         settings = _settings(argparse.Namespace(config=str(config)), SIM_KEYS)
         assert SimConfig(**settings) == changed
+
+    def test_start_date_takes_the_input_file_date_form(self, tmp_path):
+        config = tmp_path / "sim.cfg"
+        config.write_text("start_date = 2016-01-04 09:30\n", encoding="utf-8")
+        settings = _settings(argparse.Namespace(config=str(config)), SIM_KEYS)
+        assert settings == {"start_date": dt.date(2016, 1, 4)}
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"
