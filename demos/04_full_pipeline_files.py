@@ -6,10 +6,19 @@ simulate -> validate -> run, exactly as the command line drives it. Every
 artifact is a plain CSV or text file; rerunning reproduces the same bytes.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
 from newsprop.cli import main
+
+
+def step(argv):
+    """Run one command; a failed step ends the demo with its exit status."""
+    status = main(argv)
+    if status:
+        sys.exit(status)
+
 
 with tempfile.TemporaryDirectory(prefix="newsprop-demo-") as tmp:
     workdir = Path(tmp)
@@ -36,17 +45,17 @@ with tempfile.TemporaryDirectory(prefix="newsprop-demo-") as tmp:
     out = workdir / "out"
 
     print("== simulate ==")
-    main(["simulate", "--config", str(sim_cfg), "--out", str(data), "--windows", "1,2,3,4,5"])
+    step(["simulate", "--config", str(sim_cfg), "--out", str(data), "--windows", "1,2,3,4,5"])
 
     bundle_flags = []
     for name in ("firms", "prices", "indices", "news", "edges"):
         bundle_flags += [f"--{name}", str(data / f"{name}.csv")]
 
     print("\n== validate ==")
-    main(["validate", *bundle_flags, "--strict"])
+    step(["validate", *bundle_flags, "--strict"])
 
     print("\n== run ==")
-    main(
+    step(
         [
             "run",
             *bundle_flags,

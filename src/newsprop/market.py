@@ -28,13 +28,28 @@ A firm's closes and a market's index are one ``Series`` type, because the
 same windowed change applies to both: on an index it is the market-index
 control. ``market_control`` is a second name for ``window_change``, kept
 only because the benchmark harness counts calls to it by that name.
+
+``load_prices`` and ``load_indices`` read a file in blocks of whole lines.
+``np.loadtxt`` parses the plain lines (two commas among bytes 0x21-0x7e); the
+row rules in ``_Quotes.check`` take the other lines, the rows they would
+reject, and any block ``loadtxt`` refuses. CRLF line ends read as LF. A file
+holding a quote, a NUL, a CR outside a CRLF, bytes that are not UTF-8 or a
+line past the csv field limit goes whole through ``read_rows``, so every
+result and ``LoadError`` text is that of the csv reader. One stable sort on (id, day) rejects the later row of each
+duplicate, and each ``Series`` is a slice of the sorted columns.
 """
 
 from __future__ import annotations
 
+import codecs
+import csv
 import datetime as dt
+import io
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -50,6 +65,7 @@ PRICE_HEADER = ("firm_id", "date", "close")
 INDEX_HEADER = ("market_id", "date", "value")
 
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+_NO_DAY = -(2 ** 31)  # the day of a date text that is not a date; days are int32
 
 
 @dataclass(frozen=True)
@@ -123,6 +139,196 @@ def window_change(series: Series, news_date: dt.date, w: int, period: str) -> Op
 market_control = window_change
 
 
+_BLOCK = 1 << 18  # bytes of whole lines per bulk parse, at most (256 KiB)
+_ODD = np.ones(256, bool)  # the bytes no plain line holds: all but 0x21-0x7e and the newline
+_ODD[0x21:0x7F] = _ODD[10] = False
+
+
+def _csv_free(data: bytes) -> Optional[str]:
+    """``data`` as text with CRLF line ends made LF, or None where only the
+    csv reader reads it as the row path always has: it holds a quote, a NUL,
+    a CR outside a CRLF, or bytes that are not UTF-8."""
+    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    try:
+        return data.replace(b"\r\n", b"\n").decode()
+    except UnicodeDecodeError:
+        return None
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The parts as one array, emptying the list, so that at most two copies
+    of one column are held at a time."""
+    whole = np.concatenate(parts)
+    parts.clear()
+    return whole
+
+
+class _Quotes:
+    """One quote file's rejections, and its accepted rows in any order as
+    parts of three columns: key (id code << 32 | day - _NO_DAY), value and
+    row number."""
+
+    def __init__(self, header: tuple[str, str, str]):
+        self.header = header
+        self.ids: dict[str, int] = {}  # id -> code
+        self.day_of: dict[str, int] = {}  # date text -> days since 1970-01-01, or _NO_DAY
+        self.texts, self.days = np.array([], "S1"), np.array([], np.int64)  # sorted, see day_array
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [])
+        self.rejections: list[RowRejection] = []
+        self.check(())  # an empty first part, so a file without rows has columns
+
+    def day(self, text: str) -> int:
+        if text not in self.day_of:
+            try:
+                self.day_of[text] = parse_date(text).toordinal() - _EPOCH_ORDINAL
+            except ValueError:
+                self.day_of[text] = _NO_DAY
+        return self.day_of[text]
+
+    def day_array(self, texts: np.ndarray) -> np.ndarray:
+        """The days of date texts (bytes), ``_NO_DAY`` where a text is not a
+        date; each distinct text goes through ``day`` once per file."""
+        pos = np.searchsorted(self.texts, texts)
+        known = pos < len(self.texts)
+        known[known] = self.texts[pos[known]] == texts[known]
+        if not known.all():
+            new = sorted(set(texts[~known].tolist()))  # np.unique would import numpy.ma
+            self.texts = np.concatenate((self.texts, new))
+            self.days = np.concatenate((self.days, [self.day(t.decode()) for t in new]))
+            order = np.argsort(self.texts)
+            self.texts, self.days = self.texts[order], self.days[order]
+            pos = np.searchsorted(self.texts, texts)
+        return self.days[pos]
+
+    def check(self, rows) -> None:
+        """The row rules, in their order, on ``(row number, fields)`` pairs."""
+        key, value, row = array("q"), array("d"), array("i")
+        reject, ids, day_of = self.rejections.append, self.ids, self.day_of
+        for i, fields in rows:
+            if len(fields) != 3:
+                reject(RowRejection(i, "wrong column count"))
+                continue
+            ident, date_text, value_text = fields[0].strip(), fields[1].strip(), fields[2].strip()
+            if not ident:
+                reject(RowRejection(i, f"empty {self.header[0]}"))
+                continue
+            d = day_of[date_text] if date_text in day_of else self.day(date_text)
+            if d == _NO_DAY:
+                reject(RowRejection(i, f"malformed date {date_text!r}"))
+                continue
+            try:
+                v = float(value_text)
+            except ValueError:
+                reject(RowRejection(i, f"malformed {self.header[2]} {value_text!r}"))
+                continue
+            if not math.isfinite(v) or v <= 0.0:
+                reject(RowRejection(i, f"nonpositive {self.header[2]} {value_text!r}"))
+                continue
+            key.append(ids.setdefault(ident, len(ids)) << 32 | (d - _NO_DAY))
+            value.append(v)
+            row.append(i)
+        self.add(key, value, row)
+
+    def add(self, *parts) -> None:
+        for column, part in zip(self.columns, parts):
+            column.append(np.asarray(part))
+
+    def parse(self, path) -> bool:
+        """Read the file in blocks of whole lines. False, with the file part
+        read, where only the row path reads it as it always has."""
+        with open(path, "rb") as fh:
+            head = fh.readline(_BLOCK)
+            text = _csv_free(head.removeprefix(codecs.BOM_UTF8))
+            if text is None or len(head) == _BLOCK or len(head) > csv.field_size_limit():
+                return False
+            if tuple(f.strip() for f in text.rstrip("\n").split(",")) != self.header:
+                return False  # read_rows names the fault
+            row = 1
+            while block := fh.read(_BLOCK):
+                cut = block.rfind(b"\n") + 1
+                if cut == 0 and len(block) == _BLOCK:
+                    return False  # a line longer than a block
+                if cut == 0:  # the last line, without its newline
+                    block, cut = block + b"\n", len(block) + 1
+                fh.seek(cut - len(block), io.SEEK_CUR)  # the next block starts on a line
+                block = block[:cut]
+                if not self.parse_block(block, row):
+                    return False
+                row += block.count(b"\n")
+            return True
+
+    def parse_block(self, block: bytes, first_row: int) -> bool:
+        """Parse whole lines, the first of them data row ``first_row``: plain
+        ones with ``np.loadtxt``, the rest and any refused through ``check``."""
+        text = _csv_free(block)
+        if text is None:
+            return False
+        buf = np.frombuffer(text.encode(), np.uint8)
+        ends = np.flatnonzero(buf == 10)
+        starts = np.append(0, ends[:-1] + 1)
+        if np.max(ends - starts) > csv.field_size_limit():
+            return False
+        lines = text.split("\n")
+        lines.pop()  # the empty text after the last newline
+        # a plain line is two commas among bytes 0x21-0x7e: no quote, space or non-ASCII
+        commas = np.flatnonzero(buf == 44)
+        first = np.searchsorted(commas, starts)
+        plain = np.diff(first, append=len(commas)) == 2
+        plain[np.searchsorted(ends, np.flatnonzero(_ODD[buf]))] = False
+        checked = ~plain
+        if plain.any():
+            # field widths from the comma offsets, so no id or date is cut short
+            at, after = commas[first[plain]], commas[first[plain] + 1]
+            dtype = [("id", f"S{max(1, np.max(at - starts[plain]))}"),
+                     ("date", f"S{max(1, np.max(after - at - 1))}"), ("value", "f8")]
+            try:
+                parsed = np.loadtxt(list(compress(lines, plain)), dtype=dtype, delimiter=",",
+                                    comments=None, ndmin=1)
+            except ValueError:  # such as 1_5, which float() takes
+                checked[:] = True
+            else:
+                day, value, ids = self.day_array(parsed["date"]), parsed["value"], parsed["id"]
+                ok = (ids != b"") & (day != _NO_DAY) & (value > 0.0) & (value < np.inf)
+                ids = ids[ok]
+                # one dict lookup per run of equal ids: quote files are mostly grouped by id
+                run = np.flatnonzero(np.append(True, ids[1:] != ids[:-1])[: len(ids)])
+                code = [self.ids.setdefault(t.decode(), len(self.ids)) for t in ids[run].tolist()]
+                code = np.repeat(np.array(code, np.int64), np.diff(run, append=len(ids)))
+                row = first_row + np.flatnonzero(plain)
+                self.add(code << 32 | (day[ok] - _NO_DAY), value[ok], row[ok].astype(np.int32))
+                checked[row[~ok] - first_row] = True
+        self.check((first_row + k, lines[k].split(",")) for k in np.flatnonzero(checked).tolist())
+        return True
+
+    def series(self) -> tuple[dict[str, Series], list[RowRejection]]:
+        """Reject the later row of each duplicate (id, day), then slice one
+        ``Series`` per id, keyed in the order of its first accepted row."""
+        key, value, row = (_joined(parts) for parts in self.columns)
+        if np.any(key[1:] <= key[:-1]):
+            order = np.lexsort((row, key))
+            key = key[order]
+            value = value[order]
+            row = row[order]
+        dup = np.flatnonzero(key[1:] == key[:-1]) + 1
+        names = list(self.ids)
+        for i, k in zip(row[dup].tolist(), key[dup].tolist()):
+            date = dt.date.fromordinal((k & 0xFFFFFFFF) + _NO_DAY + _EPOCH_ORDINAL)
+            self.rejections.append(RowRejection(i, f"duplicate ({names[k >> 32]}, {date.isoformat()})"))
+        if len(dup):
+            key = np.delete(key, dup)
+            value = np.delete(value, dup)
+            row = np.delete(row, dup)
+        # code c's rows are bounds[c]:bounds[c + 1] of the sorted columns
+        bounds = np.searchsorted(key, np.arange(len(names) + 1, dtype=np.int64) << 32).tolist()
+        key &= 0xFFFFFFFF
+        key += _NO_DAY
+        dates = key.view("datetime64[D]")
+        spans = [(row[s:e].min(), c, s, e) for c, (s, e) in enumerate(zip(bounds, bounds[1:])) if s < e]
+        store = {names[c]: Series(dates[s:e], value[s:e]) for _, c, s, e in sorted(spans)}
+        return store, sorted(self.rejections, key=attrgetter("row"))
+
+
 def _load_dated_values(path, header: tuple[str, str, str]):
     """Shared loader for the price and index schemas.
 
@@ -131,46 +337,11 @@ def _load_dated_values(path, header: tuple[str, str, str]):
     the float64 values on those dates. Rows need not be sorted; duplicate
     (id, date) pairs reject the later row.
     """
-    day_of: dict[str, int] = {}  # date text -> days since 1970-01-01
-    by_id: dict[str, dict[int, float]] = {}
-    rejections: list[RowRejection] = []
-    for i, row in read_rows(path, header):
-        if len(row) != 3:
-            rejections.append(RowRejection(i, "wrong column count"))
-            continue
-        ident, date_text, value_text = row[0].strip(), row[1].strip(), row[2].strip()
-        if not ident:
-            rejections.append(RowRejection(i, f"empty {header[0]}"))
-            continue
-        day = day_of.get(date_text)
-        if day is None:
-            try:
-                day = parse_date(date_text).toordinal() - _EPOCH_ORDINAL
-            except ValueError:
-                rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
-                continue
-            day_of[date_text] = day
-        try:
-            value = float(value_text)
-        except ValueError:
-            rejections.append(RowRejection(i, f"malformed {header[2]} {value_text!r}"))
-            continue
-        if not math.isfinite(value) or value <= 0.0:
-            rejections.append(RowRejection(i, f"nonpositive {header[2]} {value_text!r}"))
-            continue
-        series = by_id.setdefault(ident, {})
-        if day in series:
-            date = dt.date.fromordinal(day + _EPOCH_ORDINAL)
-            rejections.append(RowRejection(i, f"duplicate ({ident}, {date.isoformat()})"))
-            continue
-        series[day] = value
-    store = {}
-    for ident, points in by_id.items():
-        days = np.fromiter(points.keys(), dtype=np.int64, count=len(points))
-        values = np.fromiter(points.values(), dtype=np.float64, count=len(points))
-        order = np.argsort(days)  # days are unique, so the order is unambiguous
-        store[ident] = Series(days[order].astype("datetime64[D]"), values[order])
-    return store, rejections
+    quotes = _Quotes(header)
+    if not quotes.parse(path):
+        quotes = _Quotes(header)
+        quotes.check(read_rows(path, header))
+    return quotes.series()
 
 
 def load_prices(path) -> tuple[dict[str, Series], list[RowRejection]]:

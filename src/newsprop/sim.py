@@ -75,6 +75,10 @@ from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
 
 _DRIFT_BATCH = 1 << 20  # expanded (firm, day) additions per np.add.at, at most
+# the largest settings numpy's draws take: Poisson's lam (its POISSON_LAM_MAX),
+# and the exclusive high of an int64 rng.integers
+_MAX_NEWS_RATE = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+_MAX_SECTORS = int(np.iinfo(np.int64).max) + 1
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,10 @@ class SimConfig:
             raise SimConfigError("edge_prob must lie in [0, 1]")
         if self.news_rate < 0.0:
             raise SimConfigError("news_rate must be nonnegative")
+        if self.news_rate > _MAX_NEWS_RATE:
+            raise SimConfigError(f"news_rate must be <= {_MAX_NEWS_RATE:g}, numpy's Poisson limit")
+        if self.n_sectors > _MAX_SECTORS:
+            raise SimConfigError(f"n_sectors must be <= {_MAX_SECTORS}, the int64 draw limit")
         if self.seed < 0:
             raise SimConfigError("seed must be nonnegative")
         if self.market_vol < 0.0 or self.idio_vol < 0.0:

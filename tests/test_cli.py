@@ -482,7 +482,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line", [
         "gamma_post = nan", "start_date = 9999-12-01", "seed = -1", "leak_window = 0",
-        "news_rate = -1", "n_markets = 200",
+        "news_rate = -1", "n_markets = 200", "news_rate = 1e30", "n_sectors = 100000000000000000000",
     ])
     def test_unusable_setting_exits_1_without_output(self, tmp_path, capsys, line):
         config = tmp_path / "sim.cfg"

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_series, reference_change, weekday_dates
 from newsprop.csvio import parse_date, read_rows
@@ -399,3 +401,145 @@ class TestLoaders:
         store, rejections = load_prices(path)
         assert rejections == []
         assert store["A"].dates[0] == np.datetime64("2021-06-10")
+
+
+def same_as_reference(path, header, load):
+    """``load(path)`` equals ``reference_load``: the same LoadError text, or
+    the same rejections, key order, dtypes and array bytes."""
+    try:
+        expected, expected_rejections = reference_load(path, header)
+    except LoadError as exc:
+        with pytest.raises(LoadError) as raised:
+            load(path)
+        assert str(raised.value) == str(exc)
+        return
+    store, rejections = load(path)
+    assert rejections == expected_rejections
+    assert list(store) == list(expected)
+    for ident, (dates, values) in expected.items():
+        assert store[ident].dates.dtype == np.dtype("datetime64[D]")
+        assert store[ident].values.dtype == np.dtype("float64")
+        assert store[ident].dates.tobytes() == dates.tobytes()
+        assert store[ident].values.tobytes() == values.tobytes()
+
+
+# a quote file grammar: mostly rows the bulk parser reads, some it hands to
+# the row rules, and a few rare ones that make np.loadtxt refuse their block
+# (1_5, which float() takes, or an empty value) or send the whole file to the
+# csv reader (a quote, a NUL, a CR outside a CRLF)
+quote_ids = st.sampled_from(["A", "B", "EE", "F0001", " A ", "B\t", "", "  ", "Zürich", "株", "\xa0A"])
+quote_dates = st.sampled_from([
+    "2021-06-10", "2021-06-11", "2021-06-14", "1969-12-31", "0001-01-01", "9999-12-31",
+    " 2021-06-10", "2021-06-10T14:31:00", "2021-06-11 09:30", "2021-06-10T00:00Z",
+    "2021-06-10T09:30+02:00", "2021-13-01", "2023-02-29", "21-06-10", "20210610", "", "x",
+])
+quote_values = st.sampled_from([
+    "25.6638", "0.001", "7", "1e3", "2.5E-2", "1e400", "1e-400", ".5", "5.", "+3", "-0", "0",
+    "0.0", "-1.5", "1234567890123456", "12345678901234567890", "1234567890.1234567", "inf",
+    "-inf", "Infinity", "nan", "NaN", " 7.25 ",
+])
+
+
+def quote_line(fields, shape):
+    ident, date, value = fields
+    return {"plain": f"{ident},{date},{value}", "padded": f" {ident} , {date} ,{value} ",
+            "blank": "", "short": f"{ident},{date}", "long": f"{ident},{date},{value},{value}"}[shape]
+
+
+quote_row = st.builds(quote_line, st.tuples(quote_ids, quote_dates, quote_values),
+                      st.sampled_from(["plain"] * 6 + ["padded", "blank", "short", "long"]))
+rare_row = st.sampled_from([
+    "A,2021-06-15,1_5", "B,2021-06-15,", "EE,2021-06-15,abc", "A,2021-06-15,0x10",
+    '"A,B",2021-06-10,5', '"A",2021-06-11,6', "N\0,2021-06-10,1", "A,2021-06-16,1\rB,2021-06-16,2",
+])
+
+
+@st.composite
+def quote_files(draw):
+    rows = draw(st.lists(quote_row, min_size=20, max_size=60))
+    for row in draw(st.lists(rare_row, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    # duplicates of any row, accepted or rejected, at any position
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)):
+        rows.insert(draw(st.integers(0, len(rows))), rows[k])
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    end = draw(st.sampled_from([newline, ""]))
+    return bom + newline.join(["{header}"] + rows) + end
+
+
+class TestBulkLoader:
+    """The block parser against the row-by-row reference loader."""
+
+    @pytest.mark.parametrize("block", [market._BLOCK, 200], ids=["default-block", "200-byte-block"])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=quote_files(), schema=st.sampled_from([(PRICE_HEADER, load_prices),
+                                                       (INDEX_HEADER, load_indices)]))
+    def test_equals_reference_loader(self, block, text, schema, tmp_path):
+        header, load = schema
+        path = tmp_path / "quotes.csv"
+        path.write_bytes(text.replace("{header}", ",".join(header)).encode())
+        with mock.patch.object(market, "_BLOCK", block):  # rows straddle blocks
+            same_as_reference(path, header, load)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_plain_rows_skip_the_row_rules(self, tmp_path, newline):
+        path = tmp_path / "prices.csv"
+        # Zürich is keyed first: its row comes first, though the row rules see it last
+        text = ("firm_id,date,close\nZürich,2021-06-09,9\n" + "A,2021-06-10,1.5\n" * 3
+                + " A,2021-06-11,2\nA,2021-06-14,-1\nA,2021-06-15\n,2021-06-16,3\nB,2021-06-17,4\n")
+        path.write_bytes(text.replace("\n", newline).encode())
+        checked = []
+        check = market._Quotes.check
+
+        def spy(self, rows):
+            rows = list(rows)
+            checked.extend(i for i, _ in rows)
+            check(self, rows)
+
+        with mock.patch.object(market._Quotes, "check", spy):
+            same_as_reference(path, PRICE_HEADER, load_prices)
+        # the non-ASCII id, the padded row, the bad value, the column count and the empty id
+        assert checked == [1, 5, 6, 7, 8]
+        assert list(load_prices(path)[0]) == ["Zürich", "A", "B"]
+
+    @pytest.mark.parametrize("text", [
+        "firm_id,date,close" + " " * 300 + "\nA,2021-06-10,1.5\n",
+        "firm_id,date,close\nA,2021-06-10,1.5\n" + "B" * 300 + ",2021-06-10,2\nA,2021-06-11,3\n",
+        "firm_id,date,close\nA,2021-06-10,1.5\rB,2021-06-10,2\n",
+        "firm_id,date,close\nA,2021-06-10,1.5\n\"B,C\",2021-06-10,2\n",
+        "firm_id,date,close\nA,2021-06-10,1.5\nB\0,2021-06-10,2\n",
+    ], ids=["long-header", "long-row", "cr", "quote", "nul"])
+    def test_whole_file_fallback_equals_reference(self, tmp_path, text):
+        path = tmp_path / "prices.csv"
+        path.write_text(text)
+        with mock.patch.object(market, "_BLOCK", 200):
+            same_as_reference(path, PRICE_HEADER, load_prices)
+
+    @pytest.mark.parametrize("tail, message", ids=["utf-8", "field-limit"], argvalues=[
+        (b"A,2021-06-11,2\xff\n", "not UTF-8 text (invalid start byte)"),
+        (b"A,2021-06-11," + b"9" * (csv.field_size_limit() + 1) + b"\n",
+         f"field larger than field limit ({csv.field_size_limit()}) at row 20001"),
+    ])
+    def test_late_fault_keeps_the_row_path_error(self, tmp_path, tail, message):
+        path = tmp_path / "prices.csv"
+        # past the first block, which parses before the fault is seen
+        path.write_bytes(b"firm_id,date,close\n" + b"A,2021-06-10,1.5\n" * 20000 + tail)
+        with pytest.raises(LoadError) as raised:
+            load_prices(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["", "id,date,close\nA,2021-06-10,1.5\n"])
+    def test_bad_header_keeps_the_row_path_error(self, tmp_path, text):
+        path = tmp_path / "prices.csv"
+        path.write_text(text)
+        with pytest.raises(LoadError) as raised:
+            load_prices(path)
+        assert str(raised.value) == f"{path}: expected header firm_id,date,close"
+
+    @pytest.mark.parametrize("text", ["firm_id,date,close", "firm_id,date,close\n"])
+    def test_header_only_file_is_empty(self, tmp_path, text):
+        path = tmp_path / "prices.csv"
+        path.write_text(text)
+        assert load_prices(path) == ({}, [])

@@ -241,6 +241,20 @@ class TestSimulate:
         with pytest.raises(SimConfigError, match="every market needs at least one firm"):
             simulate(dataclasses.replace(SMALL, n_markets=SMALL.n_firms + 1))
 
+    def test_largest_sampler_settings_still_simulate(self):
+        # the bounds refuse only what numpy itself refuses
+        bundle = simulate(dataclasses.replace(SMALL, n_sectors=2 ** 63))
+        assert max(int(r.sector_code[1:]) for r in bundle.firm_records) < 2 ** 63
+        dataclasses.replace(SMALL, news_rate=sim._MAX_NEWS_RATE).validate()
+        rng = np.random.default_rng(0)
+        rng.poisson(sim._MAX_NEWS_RATE)
+        with pytest.raises(ValueError):
+            rng.poisson(np.nextafter(sim._MAX_NEWS_RATE, np.inf))
+        for name, value in (("news_rate", np.nextafter(sim._MAX_NEWS_RATE, np.inf)),
+                            ("n_sectors", 2 ** 63 + 1)):
+            with pytest.raises(SimConfigError, match=name):
+                dataclasses.replace(SMALL, **{name: value}).validate()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", [
         "edge_prob", "news_rate", "gamma_pre", "gamma_post", "gamma_sup", "gamma_cli",
