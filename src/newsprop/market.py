@@ -32,11 +32,17 @@ only because the benchmark harness counts calls to it by that name.
 ``load_prices`` and ``load_indices`` read a file in blocks of whole lines.
 ``np.loadtxt`` parses the plain lines (two commas among bytes 0x21-0x7e); the
 row rules in ``_Quotes.check`` take the other lines, the rows they would
-reject, and any block ``loadtxt`` refuses. CRLF line ends read as LF. A file
-holding a quote, a NUL, a CR outside a CRLF, bytes that are not UTF-8 or a
-line past the csv field limit goes whole through ``read_rows``, so every
-result and ``LoadError`` text is that of the csv reader. One stable sort on (id, day) rejects the later row of each
-duplicate, and each ``Series`` is a slice of the sorted columns.
+reject, and any block ``loadtxt`` refuses. One compare, ``byte - 0x21 > 0x5d``
+on uint8 (it wraps the bytes below 0x21 round), marks every byte outside
+0x21-0x7e, and with the commas these marks tell each line's fields and
+whether it is plain. A block without a CR skips all CR work; CRLF line ends
+read as LF. A file holding a quote, a NUL, a CR outside a CRLF, bytes that
+are not UTF-8 or a line past the csv field limit goes whole through
+``read_rows``, so every result and ``LoadError`` text is that of the csv
+reader. A date that is exactly ``DDDD-DD-DD`` is looked up by its int32
+yyyymmdd, any other by its bytes; either way ``parse_date`` decides each
+distinct text once per file. One stable sort on (id, day) rejects the later
+row of each duplicate, and each ``Series`` is a slice of the sorted columns.
 """
 
 from __future__ import annotations
@@ -140,20 +146,72 @@ market_control = window_change
 
 
 _BLOCK = 1 << 18  # bytes of whole lines per bulk parse, at most (256 KiB)
-_ODD = np.ones(256, bool)  # the bytes no plain line holds: all but 0x21-0x7e and the newline
-_ODD[0x21:0x7F] = _ODD[10] = False
+_YMD_LOW = np.frombuffer(b"0000-00-00", np.uint8)  # DDDD-DD-DD, byte by byte: the lowest
+_YMD_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9], np.uint8)  # and how far above it
+_YMD_PLACE = np.array([10**7, 10**6, 10**5, 10**4, 0, 1000, 100, 0, 10, 1], np.int32)
 
 
 def _csv_free(data: bytes) -> Optional[str]:
     """``data`` as text with CRLF line ends made LF, or None where only the
     csv reader reads it as the row path always has: it holds a quote, a NUL,
     a CR outside a CRLF, or bytes that are not UTF-8."""
-    if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+    if b'"' in data or b"\0" in data:
         return None
+    if b"\r" in data:
+        if data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
     try:
-        return data.replace(b"\r\n", b"\n").decode()
+        return data.decode()
     except UnicodeDecodeError:
         return None
+
+
+def _scan(buf: np.ndarray) -> tuple[int, np.ndarray, int, int]:
+    """For the lines of ``buf``, each ended by a newline: the longest length,
+    which lines are plain, and the widest id and date of a plain line (1 at
+    least)."""
+    # a line's marks: its commas, its newline and any byte outside 0x21-0x7e
+    # (one compare: the uint8 subtraction wraps the bytes below 0x21 past 0x5d)
+    odd = buf - 0x21 > 0x5D
+    odd |= buf == 44
+    marks = np.flatnonzero(odd)
+    kind = buf[marks]
+    nl = np.flatnonzero(kind == 10)  # the marks that end a line
+    ends = marks[nl]
+    # a plain line's marks are two commas and its newline: no quote, space or non-ASCII
+    # (a take clips where a line has fewer marks, which the count rules out)
+    comma = kind == 44
+    plain = np.diff(nl, prepend=-1) == 3
+    plain &= comma.take(nl - 1, mode="clip") & comma.take(nl - 2, mode="clip")
+    starts = np.append(0, ends[:-1] + 1)
+    at, after = marks[nl[plain] - 2], marks[nl[plain] - 1]  # the commas of the plain lines
+    return (np.max(ends - starts), plain, np.max(at - starts[plain], initial=1),
+            np.max(after - at - 1, initial=1))
+
+
+def _ymd(texts: np.ndarray) -> np.ndarray:
+    """The int32 yyyymmdd of each date text (bytes) that is exactly
+    ``DDDD-DD-DD``, -1 for any other."""
+    width = texts.dtype.itemsize
+    if width < 10:
+        return np.full(len(texts), -1, np.int32)
+    chars = texts.view((np.uint8, width))
+    digits = chars[:, :10].T.copy()  # one row per place, so each pass is over a whole row
+    digits -= _YMD_LOW[:, None]
+    exact = (digits <= _YMD_SPAN[:, None]).all(axis=0)
+    if width > 10:
+        exact &= chars[:, 10] == 0  # no text holds a NUL, so it ends there
+    # the int32 sum may wrap on a text that is not exact, whose key -1 replaces it
+    return np.where(exact, _YMD_PLACE @ digits, np.int32(-1))
+
+
+def _date_text(key) -> str:
+    """The date text of a day-table key: the text itself (bytes) or the
+    yyyymmdd of a ``DDDD-DD-DD`` text."""
+    if isinstance(key, bytes):
+        return key.decode()
+    return f"{key // 10000:04d}-{key // 100 % 100:02d}-{key % 100:02d}"
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -173,33 +231,50 @@ class _Quotes:
         self.header = header
         self.ids: dict[str, int] = {}  # id -> code
         self.day_of: dict[str, int] = {}  # date text -> days since 1970-01-01, or _NO_DAY
-        self.texts, self.days = np.array([], "S1"), np.array([], np.int64)  # sorted, see day_array
+        # sorted keys and their days, by key dtype: yyyymmdd or bytes; each table
+        # starts with its least key, -1 (a text that is not DDDD-DD-DD) or b""
+        self.tables = {"i": (np.array([-1], np.int32), np.array([_NO_DAY], np.int64)),
+                       "S": (np.array([b""]), np.array([_NO_DAY], np.int64))}
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [])
         self.rejections: list[RowRejection] = []
         self.check(())  # an empty first part, so a file without rows has columns
 
     def day(self, text: str) -> int:
-        if text not in self.day_of:
-            try:
-                self.day_of[text] = parse_date(text).toordinal() - _EPOCH_ORDINAL
-            except ValueError:
-                self.day_of[text] = _NO_DAY
+        """Days since 1970-01-01 of a date text not yet in ``day_of``, or
+        ``_NO_DAY`` where it is not a date; ``parse_date`` decides it."""
+        try:
+            self.day_of[text] = parse_date(text).toordinal() - _EPOCH_ORDINAL
+        except ValueError:
+            self.day_of[text] = _NO_DAY
         return self.day_of[text]
 
     def day_array(self, texts: np.ndarray) -> np.ndarray:
         """The days of date texts (bytes), ``_NO_DAY`` where a text is not a
-        date; each distinct text goes through ``day`` once per file."""
-        pos = np.searchsorted(self.texts, texts)
-        known = pos < len(self.texts)
-        known[known] = self.texts[pos[known]] == texts[known]
-        if not known.all():
-            new = sorted(set(texts[~known].tolist()))  # np.unique would import numpy.ma
-            self.texts = np.concatenate((self.texts, new))
-            self.days = np.concatenate((self.days, [self.day(t.decode()) for t in new]))
-            order = np.argsort(self.texts)
-            self.texts, self.days = self.texts[order], self.days[order]
-            pos = np.searchsorted(self.texts, texts)
-        return self.days[pos]
+        date: a ``DDDD-DD-DD`` text by its yyyymmdd, any other by its bytes."""
+        key = _ymd(texts)
+        days = self.lookup(key)
+        other = key < 0
+        if other.any():
+            days[other] = self.lookup(texts[other])
+        return days
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The days of day-table keys, with one ``searchsorted`` on the sorted
+        table of their dtype; a key new to the file goes through ``day``
+        unless the row rules have decided its text already."""
+        known_keys, days = self.tables[keys.dtype.kind]
+        pos = np.searchsorted(known_keys, keys, "right") - 1  # the last key <= each, so >= 0
+        new = known_keys[pos] != keys
+        if new.any():
+            # sorted(set()) because np.unique imports numpy.ma
+            new = np.array(sorted(set(keys[new].tolist())), keys.dtype)
+            texts = map(_date_text, new.tolist())
+            found = [self.day_of[t] if t in self.day_of else self.day(t) for t in texts]
+            known_keys, days = np.concatenate((known_keys, new)), np.concatenate((days, found))
+            order = np.argsort(known_keys)
+            known_keys, days = self.tables[keys.dtype.kind] = known_keys[order], days[order]
+            pos = np.searchsorted(known_keys, keys)
+        return days[pos]
 
     def check(self, rows) -> None:
         """The row rules, in their order, on ``(row number, fields)`` pairs."""
@@ -253,38 +328,30 @@ class _Quotes:
                     block, cut = block + b"\n", len(block) + 1
                 fh.seek(cut - len(block), io.SEEK_CUR)  # the next block starts on a line
                 block = block[:cut]
-                if not self.parse_block(block, row):
+                row = self.parse_block(block, row)
+                if row is None:
                     return False
-                row += block.count(b"\n")
             return True
 
-    def parse_block(self, block: bytes, first_row: int) -> bool:
+    def parse_block(self, block: bytes, first_row: int) -> Optional[int]:
         """Parse whole lines, the first of them data row ``first_row``: plain
-        ones with ``np.loadtxt``, the rest and any refused through ``check``."""
+        ones with ``np.loadtxt``, the rest and any refused through ``check``.
+        The row number after them, or None where only the row path reads them."""
         text = _csv_free(block)
         if text is None:
-            return False
-        buf = np.frombuffer(text.encode(), np.uint8)
-        ends = np.flatnonzero(buf == 10)
-        starts = np.append(0, ends[:-1] + 1)
-        if np.max(ends - starts) > csv.field_size_limit():
-            return False
+            return None
+        longest, plain, id_width, date_width = _scan(np.frombuffer(text.encode(), np.uint8))
+        if longest > csv.field_size_limit():
+            return None
         lines = text.split("\n")
         lines.pop()  # the empty text after the last newline
-        # a plain line is two commas among bytes 0x21-0x7e: no quote, space or non-ASCII
-        commas = np.flatnonzero(buf == 44)
-        first = np.searchsorted(commas, starts)
-        plain = np.diff(first, append=len(commas)) == 2
-        plain[np.searchsorted(ends, np.flatnonzero(_ODD[buf]))] = False
         checked = ~plain
         if plain.any():
             # field widths from the comma offsets, so no id or date is cut short
-            at, after = commas[first[plain]], commas[first[plain] + 1]
-            dtype = [("id", f"S{max(1, np.max(at - starts[plain]))}"),
-                     ("date", f"S{max(1, np.max(after - at - 1))}"), ("value", "f8")]
+            dtype = [("id", f"S{id_width}"), ("date", f"S{date_width}"), ("value", "f8")]
             try:
-                parsed = np.loadtxt(list(compress(lines, plain)), dtype=dtype, delimiter=",",
-                                    comments=None, ndmin=1)
+                parsed = np.loadtxt(lines if plain.all() else list(compress(lines, plain)),
+                                    dtype=dtype, delimiter=",", comments=None, ndmin=1)
             except ValueError:  # such as 1_5, which float() takes
                 checked[:] = True
             else:
@@ -299,7 +366,7 @@ class _Quotes:
                 self.add(code << 32 | (day[ok] - _NO_DAY), value[ok], row[ok].astype(np.int32))
                 checked[row[~ok] - first_row] = True
         self.check((first_row + k, lines[k].split(",")) for k in np.flatnonzero(checked).tolist())
-        return True
+        return first_row + len(lines)
 
     def series(self) -> tuple[dict[str, Series], list[RowRejection]]:
         """Reject the later row of each duplicate (id, day), then slice one

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from conftest import make_series, reference_change, weekday_dates
 from newsprop.csvio import parse_date, read_rows
@@ -403,6 +405,33 @@ class TestLoaders:
         assert store["A"].dates[0] == np.datetime64("2021-06-10")
 
 
+@contextmanager
+def spying_on_check():
+    """The row numbers that reach ``_Quotes.check``, in the order they do."""
+    checked, check = [], market._Quotes.check
+
+    def spy(self, rows):
+        rows = list(rows)
+        checked.extend(i for i, _ in rows)
+        check(self, rows)
+
+    with mock.patch.object(market._Quotes, "check", spy):
+        yield checked
+
+
+@contextmanager
+def spying_on_day():
+    """The date texts that ``_Quotes.day`` decides, in the order it does."""
+    calls, day = [], market._Quotes.day
+
+    def spy(self, text):
+        calls.append(text)
+        return day(self, text)
+
+    with mock.patch.object(market._Quotes, "day", spy):
+        yield calls
+
+
 def same_as_reference(path, header, load):
     """``load(path)`` equals ``reference_load``: the same LoadError text, or
     the same rejections, key order, dtypes and array bytes."""
@@ -472,7 +501,9 @@ class TestBulkLoader:
     """The block parser against the row-by-row reference loader."""
 
     @pytest.mark.parametrize("block", [market._BLOCK, 200], ids=["default-block", "200-byte-block"])
+    # no shrink phase: a failing example is reported as drawn, in seconds
     @settings(derandomize=True, database=None, deadline=None, max_examples=60,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=quote_files(), schema=st.sampled_from([(PRICE_HEADER, load_prices),
                                                        (INDEX_HEADER, load_indices)]))
@@ -490,19 +521,70 @@ class TestBulkLoader:
         text = ("firm_id,date,close\nZürich,2021-06-09,9\n" + "A,2021-06-10,1.5\n" * 3
                 + " A,2021-06-11,2\nA,2021-06-14,-1\nA,2021-06-15\n,2021-06-16,3\nB,2021-06-17,4\n")
         path.write_bytes(text.replace("\n", newline).encode())
-        checked = []
-        check = market._Quotes.check
-
-        def spy(self, rows):
-            rows = list(rows)
-            checked.extend(i for i, _ in rows)
-            check(self, rows)
-
-        with mock.patch.object(market._Quotes, "check", spy):
+        with spying_on_check() as checked:
             same_as_reference(path, PRICE_HEADER, load_prices)
         # the non-ASCII id, the padded row, the bad value, the column count and the empty id
         assert checked == [1, 5, 6, 7, 8]
         assert list(load_prices(path)[0]) == ["Zürich", "A", "B"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("block", [market._BLOCK, 200], ids=["default-block", "200-byte-block"])
+    def test_ten_byte_dates_equal_reference(self, tmp_path, block, newline):
+        # every date is 10 bytes wide: DDDD-DD-DD ones take the yyyymmdd keys,
+        # the wrong shapes the bytes table, and padded rows the row rules (the
+        # first row's date reaches the keys only in a later block)
+        dates = ["2024-02-29", "0001-01-01", "9999-12-31", "2021-06-10", "2023-02-29", "2021-13-01",
+                 "2021-00-10", "2021-06-31", "0000-01-01", "2021/06/10", "2021-06-1x"]
+        rows = [f"{ident},{date},{k}.5" for k, (ident, date) in enumerate(itertools.product("ABC", dates))]
+        rows = [" E , 2020-01-02 ,1"] + rows + ["A,2024-02-29,9", " B , 2021-06-10 ,3", "D,2021-06-10,4",
+                                                "D,9999-12-31,5", "F,2020-01-02,2"]
+        path = tmp_path / "prices.csv"
+        path.write_bytes(newline.join(["firm_id,date,close"] + rows + [""]).encode())
+        with mock.patch.object(market, "_BLOCK", block), spying_on_day() as calls:
+            same_as_reference(path, PRICE_HEADER, load_prices)
+        assert sorted(calls) == sorted(dates + ["2020-01-02"])  # each distinct text decided once
+
+    def test_yyyymmdd_keys_only_for_ten_byte_dates(self):
+        texts = [b"2024-02-29", b"0000-00-00", b"9999-99-99", b"2021/06/10", b"2021-06-1x",
+                 b"2021-06-10T14:31:00", b"21-06-10", b""]
+        assert market._ymd(np.array(texts)).tolist() == [20240229, 0, 99999999] + [-1] * 5
+        assert market._ymd(np.array([b"21-06-10"])).tolist() == [-1]
+
+    def test_dates_of_two_widths_in_one_file(self, tmp_path):
+        # the first blocks hold only 10-byte dates, later ones mix in a timestamp
+        first = [f"F{k},2021-06-{10 + k % 5},{k + 1}" for k in range(30)]
+        later = [f"G{k},{'2021-06-10T14:31:00' if k % 2 else '2021-06-11'},{k + 1}" for k in range(30)]
+        path = tmp_path / "prices.csv"
+        path.write_text("\n".join(["firm_id,date,close"] + first + later + [""]))
+        with mock.patch.object(market, "_BLOCK", 200), spying_on_day() as calls:
+            same_as_reference(path, PRICE_HEADER, load_prices)
+        assert sorted(calls) == sorted([f"2021-06-{d}" for d in range(10, 15)] + ["2021-06-10T14:31:00"])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_byte_screen_edges(self, tmp_path, newline):
+        path = tmp_path / "prices.csv"
+        # the plain bytes end at ! (0x21) and ~ (0x7e); space, tab, 0x0b, 0x0c,
+        # DEL (0x7f) and non-ASCII send their row to the row rules
+        rows = ["A!,2021-06-10,1", "~B,2021-06-10,2", "C ,2021-06-10,3", "D,2021-06-10\t,4",
+                "E\x0b,2021-06-10,5", "F,2021-06-10,6\x0c", "G\x7f,2021-06-10,7", "H,2021-06-10,8\x7f",
+                "Hé,2021-06-10,9", "~,2021-06-11,10", "I 2021-06-12,11",
+                "J,2021-06-13 12"]
+        path.write_bytes(newline.join(["firm_id,date,close"] + rows + [""]).encode())
+        with spying_on_check() as checked:
+            same_as_reference(path, PRICE_HEADER, load_prices)
+        # the last two rows have one comma among three marks, so loadtxt never sees them
+        assert checked == [3, 4, 5, 6, 7, 8, 9, 11, 12]
+
+    def test_bare_cr_reads_the_whole_file_by_rows(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        # the CR is past the first blocks, which the bulk parser has read by then
+        rows = [f"A,2021-{m:02d}-{d:02d},{d}" for m in range(1, 4) for d in range(1, 29)]
+        rows.insert(70, "B,2021-06-10,1\rB,2021-06-11,2")
+        path.write_text("\n".join(["firm_id,date,close"] + rows + [""]), newline="")
+        with mock.patch.object(market, "_BLOCK", 200), \
+                mock.patch.object(market, "read_rows", wraps=read_rows) as row_path:
+            same_as_reference(path, PRICE_HEADER, load_prices)
+        row_path.assert_called_once_with(path, PRICE_HEADER)
 
     @pytest.mark.parametrize("text", [
         "firm_id,date,close" + " " * 300 + "\nA,2021-06-10,1.5\n",
