@@ -8,9 +8,10 @@ unparsable key or a bad flag exits 2 before any input is read; ``main`` turns
 any other ``OSError``, ``ValueError`` or ``MemoryError`` a command raises into
 ``<command>: <message>`` on stderr and exit 1. Every output goes through the
 atomic writers in ``csvio``, so an interrupted run never leaves a truncated
-export. Estimation cells (mode, polarity, window) run in sorted order, one
-panel per (mode, window) serving every polarity; no file is written until all
-are assembled.
+export. Estimation cells (mode, polarity, window) are reported in sorted order.
+One panel per (mode, window) serves every polarity; its export panels are
+written as soon as it is fitted, and it is released before the next build.
+The three reports are written at the end, from every fitted cell.
 """
 
 from __future__ import annotations
@@ -186,38 +187,38 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _settings(args, RUN_KEYS)  # threads is accepted and ignored
-    windows = settings.get("windows", DEFAULT_WINDOWS)
-    modes = settings.get("mode", ["own"])
-    polarities = settings.get("polarity", ["positive"])
+    windows = sorted(settings.get("windows", DEFAULT_WINDOWS))
+    modes = sorted(settings.get("mode", ["own"]))
+    polarities = sorted(settings.get("polarity", ["positive"]))
     outdir = Path(settings.get("out") or "out")
 
     stores, _, rejected = _load_bundle(settings)
     if settings.get("strict") and rejected:
         raise ValueError(f"strict mode: {rejected} rejected rows")
 
-    cells = sorted((m, p, w) for m in modes for p in polarities for w in windows)
-    panels = {}  # (mode, w) -> the panel every polarity of that cell fits
-    fits = {}
-    for cell in cells:
-        mode, polarity, w = cell
-        try:
-            if (mode, w) not in panels:
-                panels[mode, w] = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
-            built = dataclasses.replace(panels[mode, w], polarity=polarity)
-            result = regress.fit(built, robust=settings.get("robust_se", False))
-        except Exception as exc:  # cell failures are reported, not fatal
-            print(f"cell mode={mode} polarity={polarity} w={w}: ERROR {exc}")
-            continue
-        fits[cell] = built, result
-        print(
-            f"cell mode={mode} polarity={polarity} w={w}: "
-            f"n_obs={result.n_obs} diff={result.diff:.6g} p={result.diff_p:.3g}"
-        )
+    fits = {}  # (mode, polarity, w) -> FitResult of each cell that fitted
+    for mode in modes:
+        status = {}  # (polarity, w) -> the end of that cell's line
+        for w in windows:
+            built = None  # one panel alive at a time; a failed build is retried per polarity
+            for polarity in polarities:
+                try:
+                    if built is None:
+                        built = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
+                    built.polarity = polarity
+                    result = regress.fit(built, robust=settings.get("robust_se", False))
+                except Exception as exc:  # cell failures are reported, not fatal
+                    status[polarity, w] = f"ERROR {exc}"
+                    continue
+                fits[mode, polarity, w] = result
+                status[polarity, w] = (
+                    f"n_obs={result.n_obs} diff={result.diff:.6g} p={result.diff_p:.3g}")
+                if settings.get("export_panel"):
+                    panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
+        for polarity, w in sorted(status):
+            print(f"cell mode={mode} polarity={polarity} w={w}: {status[polarity, w]}")
 
-    results = [result for _, result in fits.values()]
-    if settings.get("export_panel"):
-        for (mode, polarity, w), (built, _) in fits.items():
-            panel.write_panel(built, outdir / f"panel_{mode}_{polarity}_w{w}.csv")
+    results = [fits[cell] for cell in sorted(fits)]
     if results:
         regress.write_fits(results, outdir / "fits.csv")
         report.write_effects(report.effect_plot_data(results), outdir / "effects.csv")
@@ -226,9 +227,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         sections = [report.coefficient_table(list(group)) for _, group in groups]
         atomic_write_text(outdir / "table.txt", "\n".join(sections))
 
-    failed = len(cells) - len(fits)
-    if failed:
-        print(f"{failed} of {len(cells)} cells failed", file=sys.stderr)
+    n_cells = len(modes) * len(polarities) * len(windows)
+    if len(fits) < n_cells:
+        print(f"{n_cells - len(fits)} of {n_cells} cells failed", file=sys.stderr)
         return 1
     return 0
 

@@ -4,9 +4,11 @@ import argparse
 import codecs
 import dataclasses
 import datetime as dt
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -247,6 +249,53 @@ class TestRun:
         # every polarity of a (mode, window) fits the one panel built for it
         assert sorted((b["mode"], b["w"]) for b in builds) == [
             ("own", 1), ("own", 2), ("supplier", 1), ("supplier", 2)]
+
+    def test_one_panel_alive_at_a_time(self, bundle_dir, tmp_path, monkeypatch):
+        built = []  # a weak reference to every panel built so far
+        alive = []  # at each build, how many earlier panels were still alive
+        build_panel = panel.build_panel
+
+        def watched_build(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in built))
+            result = build_panel(*args, **kwargs)
+            built.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(panel, "build_panel", watched_build)
+        code = main([
+            "run", *bundle_flags(bundle_dir), "--mode", "own,supplier",
+            "--polarity", "positive,negative", "--windows", "1,2", "--export-panel",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert alive == [0, 0, 0, 0]
+        assert len(list((tmp_path / "out").glob("panel_*.csv"))) == 8
+
+    def test_mixed_failures_keep_sorted_lines_and_feasible_fits(
+        self, bundle_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = main([
+            "run", *bundle_flags(bundle_dir), "--mode", "supplier,own",
+            "--polarity", "negative,positive", "--windows", "400,1", "--out", str(out),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        cells = [(m, p, w) for m in ("own", "supplier") for p in ("negative", "positive")
+                 for w in (1, 400)]
+        assert [line.split(":")[0] for line in lines] == [
+            f"cell mode={m} polarity={p} w={w}" for m, p, w in cells]
+        for line, (_, _, w) in zip(lines, cells):
+            if w == 400:
+                assert line.endswith(": ERROR cannot transform an empty panel")
+            else:
+                assert ": n_obs=" in line
+        assert captured.err == "4 of 8 cells failed\n"
+        fits = (out / "fits.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:3] for row in fits[1:]] == [
+            [m, p, "1"] for m, p, w in cells if w == 1]
 
     def test_unwritable_out_exits_1(self, bundle_dir, tmp_path, capsys):
         out = tmp_path / "taken"
