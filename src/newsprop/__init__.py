@@ -3,6 +3,4 @@ stock price and the prices of its suppliers and clients, before and after
 disclosure, validated end to end against a synthetic market with injected
 known effects."""
 
-from . import graph, market, panel, regress, report, sentiment, sim  # noqa: F401
-
 __version__ = "0.1.0"

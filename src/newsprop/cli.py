@@ -1,7 +1,7 @@
 """Command-line driver: validate inputs, run the estimation grid, simulate.
 
 Each command's settings are one table of keys and value parsers: ``RUN_KEYS``
-for run and validate (so one --config file serves both), ``SIM_KEYS`` for
+for run and validate (so one --config file serves both), ``sim_keys()`` for
 simulate. Every value of the plain key=value file (--config) is parsed by its
 key's parser, and flags override file values. An unknown, repeated or
 unparsable key or a bad flag exits 2 before any input is read; ``main`` turns
@@ -12,6 +12,10 @@ export. Estimation cells (mode, polarity, window) are reported in sorted order.
 One panel per (mode, window) serves every polarity; its export panels are
 written as soon as it is fitted, and it is released before the next build.
 The three reports are written at the end, from every fitted cell.
+
+A command imports only the modules it runs, since each one starts a fresh
+process: every command loads the loaders and ``panel``, ``run`` adds
+``regress`` and ``report``, and only ``simulate`` loads ``sim``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import graph, market, panel, regress, report, sentiment, sim
+from . import graph, market, panel, sentiment
 from .csvio import atomic_write_text, parse_date, write_rows
 from .firms import load_firms
 
@@ -115,15 +119,22 @@ def _sim_field_parser(default):
 # each command's settings: its --config keys and the parser of each key's value;
 # validate takes the run keys, so one file serves both
 RUN_KEYS = {
-    **dict.fromkeys(sim.BUNDLE_FILES, str),
+    **dict.fromkeys(panel.BUNDLE_FILES, str),
     "strict": _parse_bool, "robust_se": _parse_bool, "export_panel": _parse_bool,
     "threads": int, "windows": _parse_windows, "mode": _parse_modes,
     "polarity": _parse_polarities, "out": str,
 }
-SIM_KEYS = {
-    "windows": _parse_windows, "out": str,
-    **{f.name: _sim_field_parser(f.default) for f in dataclasses.fields(sim.SimConfig)},
-}
+
+
+def sim_keys() -> dict:
+    """simulate's --config keys and their parsers: windows, out and every
+    ``SimConfig`` field."""
+    from . import sim
+
+    return {
+        "windows": _parse_windows, "out": str,
+        **{f.name: _sim_field_parser(f.default) for f in dataclasses.fields(sim.SimConfig)},
+    }
 
 
 def _settings(args: argparse.Namespace, keys: dict) -> dict:
@@ -146,7 +157,7 @@ def _settings(args: argparse.Namespace, keys: dict) -> dict:
 
 def _load_bundle(settings: dict):
     """Run every loader in audit mode; returns (stores, report lines, n rejected)."""
-    for key in sim.BUNDLE_FILES:  # checked before any file is read; empty is missing
+    for key in panel.BUNDLE_FILES:  # checked before any file is read; empty is missing
         if not settings.get(key):
             raise ValueError(f"missing required input path --{key}")
     lines = []
@@ -186,6 +197,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import regress, report
+
     settings = _settings(args, RUN_KEYS)  # threads is accepted and ignored
     windows = sorted(settings.get("windows", DEFAULT_WINDOWS))
     modes = sorted(settings.get("mode", ["own"]))
@@ -235,7 +248,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _settings(args, SIM_KEYS)
+    from . import sim
+
+    settings = _settings(args, sim_keys())
     windows = settings.pop("windows", DEFAULT_WINDOWS)
     outdir = Path(settings.pop("out", None) or "out")
     config = sim.SimConfig(**settings)  # --seed overrides a file seed like any flag
@@ -245,7 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     expected = sim.expected_beta_rows(config, windows)
     paths = bundle.write(outdir)
     write_rows(outdir / "expected_betas.csv", sim.EXPECTED_HEADER, expected)
-    for name in sim.BUNDLE_FILES:
+    for name in panel.BUNDLE_FILES:
         print(f"wrote {paths[name]}")
     print(f"wrote {outdir / 'expected_betas.csv'}")
     print(f"{len(bundle.events)} events, {len(bundle.trading_dates)} trading days")

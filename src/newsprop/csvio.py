@@ -4,8 +4,11 @@ parser, and the atomic writer every output file goes through.
 A writer writes a temp file beside its target and renames it over the target,
 so an interrupted write never leaves a truncated file. The temp file is made
 by ``open()``, so outputs get the same permission bits as any file the process
-creates. Floats are written with 12 significant digits (``.12g``), every other
-value with ``str``.
+creates. Its name is ``<target>.<12 hex digits>.tmp``, the digits from
+``os.urandom(6)``, the same bytes ``secrets.token_hex(6)`` returns: importing
+``secrets`` would load ``hashlib`` and OpenSSL's libcrypto into every command
+for this one name. Floats are written with 12 significant digits (``.12g``),
+every other value with ``str``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import csv
 import datetime as dt
 import os
 import re
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -67,7 +69,7 @@ def parse_date(text: str) -> dt.date:
 def _replacing(path) -> Iterator[TextIO]:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fh = open(tmp, "x", newline="", encoding="utf-8")
     try:
         with fh:

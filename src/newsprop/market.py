@@ -40,9 +40,10 @@ read as LF. A file holding a quote, a NUL, a CR outside a CRLF, bytes that
 are not UTF-8 or a line past the csv field limit goes whole through
 ``read_rows``, so every result and ``LoadError`` text is that of the csv
 reader. A date that is exactly ``DDDD-DD-DD`` is looked up by its int32
-yyyymmdd, any other by its bytes; either way ``parse_date`` decides each
-distinct text once per file. One stable sort on (id, day) rejects the later
-row of each duplicate, and each ``Series`` is a slice of the sorted columns.
+yyyymmdd, which ``dt.date`` turns into a day once per file; any other is
+looked up by its bytes, and ``parse_date`` decides each such text once. One
+stable sort on (id, day) rejects the later row of each duplicate, and each
+``Series`` is a slice of the sorted columns.
 """
 
 from __future__ import annotations
@@ -206,12 +207,14 @@ def _ymd(texts: np.ndarray) -> np.ndarray:
     return np.where(exact, _YMD_PLACE @ digits, np.int32(-1))
 
 
-def _date_text(key) -> str:
-    """The date text of a day-table key: the text itself (bytes) or the
-    yyyymmdd of a ``DDDD-DD-DD`` text."""
-    if isinstance(key, bytes):
-        return key.decode()
-    return f"{key // 10000:04d}-{key // 100 % 100:02d}-{key % 100:02d}"
+def _ymd_day(key: int) -> int:
+    """Days since 1970-01-01 of the yyyymmdd of a ``DDDD-DD-DD`` text, or
+    ``_NO_DAY`` where it names no day: the validity ``parse_date`` applies
+    to that exact text, without formatting and parsing it."""
+    try:
+        return dt.date(key // 10000, key // 100 % 100, key % 100).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
+        return _NO_DAY
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -260,16 +263,20 @@ class _Quotes:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """The days of day-table keys, with one ``searchsorted`` on the sorted
-        table of their dtype; a key new to the file goes through ``day``
-        unless the row rules have decided its text already."""
+        table of their dtype. A yyyymmdd key new to the file goes through
+        ``_ymd_day``, a bytes key through ``day`` unless the row rules have
+        decided its text already."""
         known_keys, days = self.tables[keys.dtype.kind]
         pos = np.searchsorted(known_keys, keys, "right") - 1  # the last key <= each, so >= 0
         new = known_keys[pos] != keys
         if new.any():
             # sorted(set()) because np.unique imports numpy.ma
             new = np.array(sorted(set(keys[new].tolist())), keys.dtype)
-            texts = map(_date_text, new.tolist())
-            found = [self.day_of[t] if t in self.day_of else self.day(t) for t in texts]
+            if keys.dtype.kind == "i":
+                found = list(map(_ymd_day, new.tolist()))
+            else:
+                texts = map(bytes.decode, new.tolist())
+                found = [self.day_of[t] if t in self.day_of else self.day(t) for t in texts]
             known_keys, days = np.concatenate((known_keys, new)), np.concatenate((days, found))
             order = np.argsort(known_keys)
             known_keys, days = self.tables[keys.dtype.kind] = known_keys[order], days[order]

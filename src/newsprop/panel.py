@@ -55,6 +55,8 @@ from .graph import SupplyChainNetwork
 from .market import PRE, POST, Series
 from .sentiment import NewsStore
 
+# the five input files of a bundle, by their flag and file stem
+BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
 MODES = ("own", "supplier", "client")
 POLARITIES = ("positive", "negative")
 

@@ -69,10 +69,8 @@ from .errors import SimConfigError
 from .firms import FIRM_HEADER, FirmRecord
 from .graph import EDGE_HEADER, SupplyChainNetwork
 from .market import INDEX_HEADER, PRICE_HEADER, Series
-from .panel import MODES, POLARITIES, Stores
+from .panel import BUNDLE_FILES, MODES, POLARITIES, Stores
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
-
-BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
 
 _DRIFT_BATCH = 1 << 20  # expanded (firm, day) additions per np.add.at, at most
 # the largest settings numpy's draws take: Poisson's lam (its POISSON_LAM_MAX),

@@ -5,6 +5,7 @@ import codecs
 import dataclasses
 import datetime as dt
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from newsprop import market, panel, report, sim
-from newsprop.cli import SIM_KEYS, _settings, main
+from newsprop.cli import _settings, main, sim_keys
 from newsprop.sim import SimConfig, simulate
 
 BUNDLE_CONFIG = SimConfig(
@@ -526,7 +527,7 @@ class TestSimulate:
         key, _, value = (part.strip() for part in line.partition("="))
         assert f"{key} = {value!r}" in err
         # simulate takes only the keys it reads; run-only keys are unknown to it
-        assert ("unknown key" in err) == (key not in SIM_KEYS)
+        assert ("unknown key" in err) == (key not in sim_keys())
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
@@ -560,13 +561,13 @@ class TestSimulate:
             lines.append(f"{f.name} = {text}\n")
         config = tmp_path / "sim.cfg"
         config.write_text("".join(lines), encoding="utf-8")
-        settings = _settings(argparse.Namespace(config=str(config)), SIM_KEYS)
+        settings = _settings(argparse.Namespace(config=str(config)), sim_keys())
         assert SimConfig(**settings) == changed
 
     def test_start_date_takes_the_input_file_date_form(self, tmp_path):
         config = tmp_path / "sim.cfg"
         config.write_text("start_date = 2016-01-04 09:30\n", encoding="utf-8")
-        settings = _settings(argparse.Namespace(config=str(config)), SIM_KEYS)
+        settings = _settings(argparse.Namespace(config=str(config)), sim_keys())
         assert settings == {"start_date": dt.date(2016, 1, 4)}
 
     def test_unwritable_out_exits_1(self, tmp_path, capsys):
@@ -631,3 +632,39 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["validate", *bundle_flags(out), "--strict"]) == 0
+
+
+def test_each_command_loads_only_the_modules_it_runs(bundle_dir, tmp_path):
+    # what each step adds to sys.modules, so a site that preloads hashlib
+    # neither hides a load nor fails the check by itself
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "seen = set(sys.modules)\n"
+        "def added():\n"
+        "    new = set(sys.modules) - seen\n"
+        "    seen.update(new)\n"
+        "    return sorted(new)\n"
+        "import newsprop.cli as cli\n"
+        "steps = {'import': added()}\n"
+        "out, flags = sys.argv[1], sys.argv[2:]\n"
+        "assert cli.main(['validate', *flags]) == 0\n"
+        "steps['validate'] = added()\n"
+        "assert cli.main(['run', *flags, '--windows', '1', '--out', out]) == 0\n"
+        "steps['run'] = added()\n"
+        "print(json.dumps(steps))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out"), *bundle_flags(bundle_dir)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout.splitlines()[-1])
+    unused = {"newsprop.sim", "newsprop.regress", "newsprop.report"}
+    assert unused.isdisjoint(steps["import"])
+    assert {"secrets", "hashlib", "_hashlib"}.isdisjoint(steps["import"])
+    assert unused.isdisjoint(steps["validate"])
+    assert {"newsprop.regress", "newsprop.report"} <= set(steps["run"])
+    assert "newsprop.sim" not in steps["run"]

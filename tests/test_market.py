@@ -542,13 +542,29 @@ class TestBulkLoader:
         path.write_bytes(newline.join(["firm_id,date,close"] + rows + [""]).encode())
         with mock.patch.object(market, "_BLOCK", block), spying_on_day() as calls:
             same_as_reference(path, PRICE_HEADER, load_prices)
-        assert sorted(calls) == sorted(dates + ["2020-01-02"])  # each distinct text decided once
+        # each distinct text reaches day at most once: the texts that are not
+        # DDDD-DD-DD, and, through the row rules, the dates of the padded rows
+        # and of the rows whose yyyymmdd key names no day
+        no_day = ["2023-02-29", "2021-13-01", "2021-00-10", "2021-06-31", "0000-01-01"]
+        assert sorted(calls) == sorted(["2021/06/10", "2021-06-1x", "2020-01-02", "2021-06-10", *no_day])
 
     def test_yyyymmdd_keys_only_for_ten_byte_dates(self):
         texts = [b"2024-02-29", b"0000-00-00", b"9999-99-99", b"2021/06/10", b"2021-06-1x",
                  b"2021-06-10T14:31:00", b"21-06-10", b""]
         assert market._ymd(np.array(texts)).tolist() == [20240229, 0, 99999999] + [-1] * 5
         assert market._ymd(np.array([b"21-06-10"])).tolist() == [-1]
+
+    def test_yyyymmdd_day_equals_parse_date(self):
+        texts = [f"{y}-{m:02d}-{d:02d}" for y in ("0000", "0001", "1900", "2000", "2023", "2024", "9999")
+                 for m in range(14) for d in range(33)]
+        keys = market._ymd(np.array([t.encode() for t in texts]))
+        assert keys.tolist() == [int(t.replace("-", "")) for t in texts]
+        for text, key in zip(texts, keys.tolist()):
+            try:
+                expected = parse_date(text).toordinal() - market._EPOCH_ORDINAL
+            except ValueError:
+                expected = market._NO_DAY
+            assert market._ymd_day(key) == expected, text
 
     def test_dates_of_two_widths_in_one_file(self, tmp_path):
         # the first blocks hold only 10-byte dates, later ones mix in a timestamp
@@ -558,7 +574,8 @@ class TestBulkLoader:
         path.write_text("\n".join(["firm_id,date,close"] + first + later + [""]))
         with mock.patch.object(market, "_BLOCK", 200), spying_on_day() as calls:
             same_as_reference(path, PRICE_HEADER, load_prices)
-        assert sorted(calls) == sorted([f"2021-06-{d}" for d in range(10, 15)] + ["2021-06-10T14:31:00"])
+        # a 10-byte date among wider ones still takes its yyyymmdd key
+        assert calls == ["2021-06-10T14:31:00"]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_byte_screen_edges(self, tmp_path, newline):
