@@ -1,5 +1,6 @@
-"""The file formats in one place: header-checked CSV reading, the date
-parser, and the atomic writer every output file goes through.
+"""The file formats in one place: header-checked CSV reading, the record of
+a rejected row, ``LoadError`` for a file rejected whole, the date parser, and
+the atomic writer every output file goes through.
 
 A writer writes a temp file beside its target and renames it over the target,
 so an interrupted write never leaves a truncated file. The temp file is made
@@ -18,10 +19,24 @@ import datetime as dt
 import os
 import re
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import LoadError
+
+@dataclass(frozen=True)
+class RowRejection:
+    """One rejected data row. Row numbers count data rows; the header is row 0."""
+
+    row: int
+    reason: str
+
+    def __str__(self) -> str:
+        return f"row {self.row}: {self.reason}"
+
+
+class LoadError(ValueError):
+    """A data file violates its schema badly enough to reject the whole file."""
 
 
 def read_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:

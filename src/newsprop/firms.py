@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .csvio import read_rows
-from .errors import RowRejection
+from .csvio import RowRejection, read_rows
 
 
 class FirmRecord(NamedTuple):

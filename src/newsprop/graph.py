@@ -17,8 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .csvio import read_rows
-from .errors import LoadError, NoSnapshotError
+from .csvio import LoadError, read_rows
 
 EDGE_HEADER = ("year", "supplier_id", "client_id")
 
@@ -70,7 +69,7 @@ class SupplyChainNetwork:
         try:
             return self._snapshots[year]
         except KeyError:
-            raise NoSnapshotError(f"no supply-chain snapshot for year {year}") from None
+            raise ValueError(f"no supply-chain snapshot for year {year}") from None
 
     def snapshot_year_at_or_before(self, year: int) -> Optional[int]:
         """Most recent snapshot year <= ``year``, or None when none exists."""

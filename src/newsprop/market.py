@@ -40,10 +40,11 @@ read as LF. A file holding a quote, a NUL, a CR outside a CRLF, bytes that
 are not UTF-8 or a line past the csv field limit goes whole through
 ``read_rows``, so every result and ``LoadError`` text is that of the csv
 reader. A date that is exactly ``DDDD-DD-DD`` is looked up by its int32
-yyyymmdd, which ``dt.date`` turns into a day once per file; any other is
-looked up by its bytes, and ``parse_date`` decides each such text once. One
-stable sort on (id, day) rejects the later row of each duplicate, and each
-``Series`` is a slice of the sorted columns.
+yyyymmdd, which ``dt.date`` turns into a day once per file. A line with any
+other date, such as one with a time of day, goes to the row rules, where
+``parse_date`` decides each distinct text once, so a file of such dates loads
+at the row rules' speed. One stable sort on (id, day) rejects the later row
+of each duplicate, and each ``Series`` is a slice of the sorted columns.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .csvio import parse_date, read_rows
-from .errors import RowRejection
+from .csvio import RowRejection, parse_date, read_rows
 
 PRE = "pre"
 POST = "post"
@@ -234,10 +234,9 @@ class _Quotes:
         self.header = header
         self.ids: dict[str, int] = {}  # id -> code
         self.day_of: dict[str, int] = {}  # date text -> days since 1970-01-01, or _NO_DAY
-        # sorted keys and their days, by key dtype: yyyymmdd or bytes; each table
-        # starts with its least key, -1 (a text that is not DDDD-DD-DD) or b""
-        self.tables = {"i": (np.array([-1], np.int32), np.array([_NO_DAY], np.int64)),
-                       "S": (np.array([b""]), np.array([_NO_DAY], np.int64))}
+        # sorted yyyymmdd keys and their days, from the least key, -1 (a text
+        # that is not DDDD-DD-DD)
+        self.table = (np.array([-1], np.int32), np.array([_NO_DAY], np.int64))
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [])
         self.rejections: list[RowRejection] = []
         self.check(())  # an empty first part, so a file without rows has columns
@@ -251,35 +250,20 @@ class _Quotes:
             self.day_of[text] = _NO_DAY
         return self.day_of[text]
 
-    def day_array(self, texts: np.ndarray) -> np.ndarray:
-        """The days of date texts (bytes), ``_NO_DAY`` where a text is not a
-        date: a ``DDDD-DD-DD`` text by its yyyymmdd, any other by its bytes."""
-        key = _ymd(texts)
-        days = self.lookup(key)
-        other = key < 0
-        if other.any():
-            days[other] = self.lookup(texts[other])
-        return days
-
     def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The days of day-table keys, with one ``searchsorted`` on the sorted
-        table of their dtype. A yyyymmdd key new to the file goes through
-        ``_ymd_day``, a bytes key through ``day`` unless the row rules have
-        decided its text already."""
-        known_keys, days = self.tables[keys.dtype.kind]
+        """The days of int32 yyyymmdd keys, ``_NO_DAY`` for -1, with one
+        ``searchsorted`` on the sorted day table. A key new to the file goes
+        through ``_ymd_day``."""
+        known_keys, days = self.table
         pos = np.searchsorted(known_keys, keys, "right") - 1  # the last key <= each, so >= 0
         new = known_keys[pos] != keys
         if new.any():
             # sorted(set()) because np.unique imports numpy.ma
-            new = np.array(sorted(set(keys[new].tolist())), keys.dtype)
-            if keys.dtype.kind == "i":
-                found = list(map(_ymd_day, new.tolist()))
-            else:
-                texts = map(bytes.decode, new.tolist())
-                found = [self.day_of[t] if t in self.day_of else self.day(t) for t in texts]
-            known_keys, days = np.concatenate((known_keys, new)), np.concatenate((days, found))
+            new = np.array(sorted(set(keys[new].tolist())), np.int32)
+            known_keys = np.concatenate((known_keys, new))
+            days = np.concatenate((days, list(map(_ymd_day, new.tolist()))))
             order = np.argsort(known_keys)
-            known_keys, days = self.tables[keys.dtype.kind] = known_keys[order], days[order]
+            known_keys, days = self.table = known_keys[order], days[order]
             pos = np.searchsorted(known_keys, keys)
         return days[pos]
 
@@ -362,7 +346,7 @@ class _Quotes:
             except ValueError:  # such as 1_5, which float() takes
                 checked[:] = True
             else:
-                day, value, ids = self.day_array(parsed["date"]), parsed["value"], parsed["id"]
+                day, value, ids = self.lookup(_ymd(parsed["date"])), parsed["value"], parsed["id"]
                 ok = (ids != b"") & (day != _NO_DAY) & (value > 0.0) & (value < np.inf)
                 ids = ids[ok]
                 # one dict lookup per run of equal ids: quote files are mostly grouped by id

@@ -35,12 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import write_rows
-from .errors import (
-    CollinearError,
-    DegenerateVarianceError,
-    EmptyPanelError,
-    InsufficientDataError,
-)
 from .panel import Panel
 
 REGRESSOR_NAMES = ("pre_news", "post_news", "market_x")
@@ -119,11 +113,11 @@ def within_transform(panel: Panel) -> WithinDesign:
     """Subtract sector-group means from the response and every regressor.
 
     Rows are the panel's observations, pre then post per pair. Raises
-    EmptyPanelError on an empty panel. Singleton sectors come out as all-zero
+    ValueError on an empty panel. Singleton sectors come out as all-zero
     rows; they are absorbed and counted in the dof correction by ``fit``.
     """
     if len(panel) == 0:
-        raise EmptyPanelError("cannot transform an empty panel")
+        raise ValueError("cannot transform an empty panel")
     # per pair and period: y, pre_news, post_news, market_x
     stacked = np.zeros((len(panel.news_value), 2, 4))
     stacked[:, :, 0] = panel.y
@@ -158,12 +152,12 @@ def _diff_fields(beta: np.ndarray, cov: np.ndarray, dof: int) -> tuple[float, fl
     var_diff = float(cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1])
     if var_diff < 0.0:
         if var_diff < -1e-12:
-            raise DegenerateVarianceError(f"negative difference variance {var_diff:.3e}")
+            raise ValueError(f"negative difference variance {var_diff:.3e}")
         var_diff = 0.0
     diff_se = var_diff**0.5
     if diff_se == 0.0:
         if diff != 0.0:
-            raise DegenerateVarianceError("zero variance with nonzero difference")
+            raise ValueError("zero variance with nonzero difference")
         return 0.0, 0.0, 0.0, 1.0
     diff_t = diff / diff_se
     return diff, diff_se, diff_t, two_sided_p(diff_t, dof)
@@ -255,7 +249,7 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
     n_sectors = len(design.sector_labels)
     dof = n - n_sectors - 3
     if dof <= 0:
-        raise InsufficientDataError(
+        raise ValueError(
             f"{n} observations cannot support {n_sectors} absorbed sectors and 3 slopes"
         )
 
@@ -270,7 +264,10 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
         diag = np.abs(np.diag(R))
         for j in range(3):
             if diag[j] <= _RANK_RTOL * max(col_norms[j], 1e-300):
-                raise CollinearError(REGRESSOR_NAMES[j])
+                raise ValueError(
+                    f"collinear design: column '{REGRESSOR_NAMES[j]}' "
+                    "carries no independent variation"
+                )
 
         r_inv = np.linalg.inv(R)
         beta = r_inv @ (Q.T @ y)

@@ -7,7 +7,6 @@ import math
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .csvio import write_rows
-from .errors import BadBinError, DuplicateFitError
 from .regress import FitResult
 
 HIST_HEADER = ("bin", "count")
@@ -39,7 +38,7 @@ def effect_plot_data(fits: Sequence[FitResult]) -> list[EffectPlotRow]:
     for f in fits:
         key = (f.mode, f.polarity, f.w)
         if key in seen:
-            raise DuplicateFitError(f"duplicate fit for {key}")
+            raise ValueError(f"duplicate fit for {key}")
         seen.add(key)
         for x, beta, se in ((-f.w, f.beta_pre, f.se_pre), (f.w, f.beta_post, f.se_post)):
             half = CI_MULTIPLIER * se
@@ -73,7 +72,7 @@ def coefficient_table(fits: Sequence[FitResult]) -> str:
         raise ValueError(f"mixed mode/polarity in one table: {sorted(modes)}")
     ordered = sorted(fits, key=lambda f: f.w)
     if len({f.w for f in ordered}) != len(ordered):
-        raise DuplicateFitError("duplicate window in table fits")
+        raise ValueError("duplicate window in table fits")
 
     mode, polarity = next(iter(modes))
     label_width = 22
@@ -113,7 +112,7 @@ def histogram(
         lo, hi = min(counts), max(counts)
         return [(b, counts.get(b, 0)) for b in range(lo, hi + 1)]
     if width <= 0.0:
-        raise BadBinError(f"bin width must be positive, got {width}")
+        raise ValueError(f"bin width must be positive, got {width}")
     if len(values) == 0:
         raise ValueError("fixed-width histogram needs at least one value")
     counts = {}

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .csvio import parse_date, read_rows
-from .errors import RowRejection
+from .csvio import RowRejection, parse_date, read_rows
 
 NEWS_HEADER = ("news_id", "date", "firm_id", "p_pos", "p_neu", "p_neg")
 

@@ -65,7 +65,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .csvio import write_rows
-from .errors import SimConfigError
 from .firms import FIRM_HEADER, FirmRecord
 from .graph import EDGE_HEADER, SupplyChainNetwork
 from .market import INDEX_HEADER, PRICE_HEADER, Series
@@ -104,41 +103,41 @@ class SimConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, float) and not math.isfinite(value):
-                raise SimConfigError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_firms < 1 or self.n_sectors < 1 or self.n_markets < 1:
-            raise SimConfigError("n_firms, n_sectors, n_markets must be positive")
+            raise ValueError("n_firms, n_sectors, n_markets must be positive")
         if self.n_markets > self.n_firms:
-            raise SimConfigError(
+            raise ValueError(
                 "n_markets must be <= n_firms: every market needs at least one firm"
             )
         if self.leak_window < 1 or self.effect_window < 1:
-            raise SimConfigError("leak_window and effect_window must be >= 1")
+            raise ValueError("leak_window and effect_window must be >= 1")
         if self.n_days < 4 * max(self.leak_window, self.effect_window):
-            raise SimConfigError(
+            raise ValueError(
                 f"n_days={self.n_days} cannot hold windows up to "
                 f"{max(self.leak_window, self.effect_window)} days (need >= 4x)"
             )
         try:
             self.start_date + dt.timedelta(days=self.n_days - 1)
         except OverflowError:
-            raise SimConfigError(
+            raise ValueError(
                 f"start_date {self.start_date} plus n_days={self.n_days} runs past {dt.date.max}"
             ) from None
         if not 0.0 <= self.edge_prob <= 1.0:
-            raise SimConfigError("edge_prob must lie in [0, 1]")
+            raise ValueError("edge_prob must lie in [0, 1]")
         if self.news_rate < 0.0:
-            raise SimConfigError("news_rate must be nonnegative")
+            raise ValueError("news_rate must be nonnegative")
         if self.news_rate > _MAX_NEWS_RATE:
-            raise SimConfigError(f"news_rate must be <= {_MAX_NEWS_RATE:g}, numpy's Poisson limit")
+            raise ValueError(f"news_rate must be <= {_MAX_NEWS_RATE:g}, numpy's Poisson limit")
         if self.n_sectors > _MAX_SECTORS:
-            raise SimConfigError(f"n_sectors must be <= {_MAX_SECTORS}, the int64 draw limit")
+            raise ValueError(f"n_sectors must be <= {_MAX_SECTORS}, the int64 draw limit")
         if self.seed < 0:
-            raise SimConfigError("seed must be nonnegative")
+            raise ValueError("seed must be nonnegative")
         if self.market_vol < 0.0 or self.idio_vol < 0.0:
-            raise SimConfigError("volatilities must be nonnegative")
+            raise ValueError("volatilities must be nonnegative")
         alpha = self.sentiment_alpha
         if len(alpha) != 3 or not all(0.0 < a < math.inf for a in alpha):
-            raise SimConfigError("sentiment_alpha must be three positive finite reals")
+            raise ValueError("sentiment_alpha must be three positive finite reals")
 
 
 @dataclass

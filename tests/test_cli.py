@@ -356,6 +356,21 @@ class TestRun:
             for w in (400, 2**64 - 1)
         ]
 
+    def test_too_few_observations_fail_the_cell_by_message(self, bundle_dir, tmp_path, capsys):
+        # two articles on one firm: 4 observations, 1 sector, dof = 0
+        news = tmp_path / "news.csv"
+        head = (bundle_dir / "news.csv").read_text(encoding="utf-8").splitlines(keepends=True)[:3]
+        news.write_text("".join(head), encoding="utf-8")
+        flags = bundle_flags(bundle_dir)
+        flags[flags.index("--news") + 1] = str(news)
+        code = main(["run", *flags, "--mode", "own", "--polarity", "positive", "--windows", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("cell mode=own polarity=positive w=1: ERROR 4 observations "
+                                "cannot support 1 absorbed sectors and 3 slopes\n")
+        assert captured.err == "1 of 1 cells failed\n"
+
     @pytest.mark.parametrize("flag, value", [
         ("--mode", "own,own"),
         ("--mode", ","),

@@ -5,8 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from newsprop.csvio import atomic_write_text, parse_date, read_rows, write_rows
-from newsprop.errors import LoadError
+from newsprop.csvio import LoadError, atomic_write_text, parse_date, read_rows, write_rows
 
 
 def failing_rows():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from newsprop.errors import LoadError, NoSnapshotError
+from newsprop.csvio import LoadError
 from newsprop.graph import SupplyChainNetwork, load_edges
 
 
@@ -77,7 +77,7 @@ class TestNeighborQueries:
 
     def test_missing_year_raises(self):
         net = SupplyChainNetwork({2016: [("A", "B")]})
-        with pytest.raises(NoSnapshotError):
+        with pytest.raises(ValueError, match="no supply-chain snapshot for year 2014"):
             net.suppliers_of("A", 2014)
 
     def test_duality_property(self):

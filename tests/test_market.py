@@ -12,9 +12,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from conftest import make_series, reference_change, weekday_dates
-from newsprop.csvio import parse_date, read_rows
 from newsprop import market
-from newsprop.errors import LoadError, RowRejection
+from newsprop.csvio import LoadError, RowRejection, parse_date, read_rows
 from newsprop.market import (
     INDEX_HEADER,
     PRE,
@@ -531,8 +530,8 @@ class TestBulkLoader:
     @pytest.mark.parametrize("block", [market._BLOCK, 200], ids=["default-block", "200-byte-block"])
     def test_ten_byte_dates_equal_reference(self, tmp_path, block, newline):
         # every date is 10 bytes wide: DDDD-DD-DD ones take the yyyymmdd keys,
-        # the wrong shapes the bytes table, and padded rows the row rules (the
-        # first row's date reaches the keys only in a later block)
+        # and the wrong shapes and padded rows the row rules (the first row's
+        # date reaches the keys only in a later block)
         dates = ["2024-02-29", "0001-01-01", "9999-12-31", "2021-06-10", "2023-02-29", "2021-13-01",
                  "2021-00-10", "2021-06-31", "0000-01-01", "2021/06/10", "2021-06-1x"]
         rows = [f"{ident},{date},{k}.5" for k, (ident, date) in enumerate(itertools.product("ABC", dates))]

@@ -13,12 +13,6 @@ from scipy.linalg import solve_triangular
 from scipy.special import stdtr
 
 from conftest import make_panel, random_panel
-from newsprop.errors import (
-    CollinearError,
-    DegenerateVarianceError,
-    EmptyPanelError,
-    InsufficientDataError,
-)
 from newsprop.regress import (
     FIT_HEADER,
     _diff_fields,
@@ -113,7 +107,7 @@ class TestWithinTransform:
         assert np.allclose(design.X[:, 2], 0.0)
 
     def test_empty_panel_raises(self):
-        with pytest.raises(EmptyPanelError):
+        with pytest.raises(ValueError, match="cannot transform an empty panel"):
             within_transform(make_panel([], [], np.empty((0, 2)), np.empty((0, 2))))
 
     @pytest.mark.parametrize("sizes", [[1], [1, 1, 1], [1, 2, 40], [3, 1, 17, 1, 90, 5, 1, 2]])
@@ -197,13 +191,12 @@ class TestFit:
     def test_collinear_raises_with_column(self, rng):
         panel = random_panel(rng, n_pairs=15, n_sectors=2)
         broken = dataclasses.replace(panel, market_x=np.zeros_like(panel.market_x))
-        with pytest.raises(CollinearError) as err:
+        with pytest.raises(ValueError, match="collinear design: column 'market_x' carries no independent"):
             fit(broken)
-        assert err.value.column == "market_x"
 
     def test_insufficient_data_raises(self, rng):
         panel = random_panel(rng, n_pairs=2, n_sectors=1)  # 4 obs, 1 sector, dof = 0
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="4 observations cannot support 1 absorbed sectors"):
             fit(panel)
 
     def test_row_order_invariance(self, rng):
@@ -294,9 +287,9 @@ class TestDiffTest:
         panel = random_panel(rng, n_pairs=30, n_sectors=3)
         result = fit(panel)
         beta = np.array([result.beta_pre, result.beta_post])
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(ValueError, match="zero variance with nonzero difference"):
             _diff_fields(beta, np.zeros((2, 2)), result.dof)
-        with pytest.raises(DegenerateVarianceError, match="negative difference variance"):
+        with pytest.raises(ValueError, match="negative difference variance"):
             _diff_fields(beta, np.array([[1.0, 2.0], [2.0, 1.0]]), result.dof)
 
     def test_diff_se_identity(self, rng):

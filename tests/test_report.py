@@ -5,7 +5,6 @@ import csv
 import numpy as np
 import pytest
 
-from newsprop.errors import BadBinError, DuplicateFitError
 from newsprop.regress import FitResult
 from newsprop.report import (
     coefficient_table,
@@ -58,7 +57,7 @@ class TestEffectPlotData:
         assert effect_plot_data([]) == []
 
     def test_duplicate_cell_raises(self):
-        with pytest.raises(DuplicateFitError):
+        with pytest.raises(ValueError, match=r"duplicate fit for \('own', 'positive', 1\)"):
             effect_plot_data([fake_fit(1), fake_fit(1)])
 
     def test_round_trip_reconstructs_betas(self, tmp_path):
@@ -118,7 +117,7 @@ class TestCoefficientTable:
             coefficient_table([fake_fit(1, mode="own"), fake_fit(2, mode="supplier")])
 
     def test_duplicate_window_rejected(self):
-        with pytest.raises(DuplicateFitError):
+        with pytest.raises(ValueError, match="duplicate window in table fits"):
             coefficient_table([fake_fit(1), fake_fit(2), fake_fit(1, beta_pre=0.5)])
 
     def test_empty_is_empty(self):
@@ -143,7 +142,7 @@ class TestHistogram:
         assert edges == pytest.approx(np.arange(len(edges)) * 0.1 + edges[0])
 
     def test_bad_width_raises(self):
-        with pytest.raises(BadBinError):
+        with pytest.raises(ValueError, match="bin width must be positive, got 0.0"):
             histogram([1.0], width=0.0)
 
     def test_empty_fixed_width_raises(self):

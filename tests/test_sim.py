@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from newsprop import market, panel, regress, sentiment, sim
 from newsprop.csvio import write_rows
-from newsprop.errors import SimConfigError
 from newsprop.firms import load_firms
 from newsprop.graph import load_edges
 from newsprop.sim import (
@@ -228,17 +227,17 @@ class TestSimulate:
         assert any(d.weekday() >= 5 for d in no_weekend.trading_dates)
 
     def test_impossible_calendar_rejected(self):
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError, match="n_days=10 cannot hold windows up to 5 days"):
             simulate(dataclasses.replace(SMALL, n_days=10, leak_window=5, effect_window=5))
 
     def test_bad_config_rejected(self):
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError, match=r"edge_prob must lie in \[0, 1\]"):
             simulate(dataclasses.replace(SMALL, edge_prob=1.5))
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError, match="sentiment_alpha must be three positive finite reals"):
             simulate(dataclasses.replace(SMALL, sentiment_alpha=(1.0, -1.0, 1.0)))
-        with pytest.raises(SimConfigError):
+        with pytest.raises(ValueError, match="volatilities must be nonnegative"):
             simulate(dataclasses.replace(SMALL, idio_vol=-0.1))
-        with pytest.raises(SimConfigError, match="every market needs at least one firm"):
+        with pytest.raises(ValueError, match="every market needs at least one firm"):
             simulate(dataclasses.replace(SMALL, n_markets=SMALL.n_firms + 1))
 
     def test_largest_sampler_settings_still_simulate(self):
@@ -252,7 +251,7 @@ class TestSimulate:
             rng.poisson(np.nextafter(sim._MAX_NEWS_RATE, np.inf))
         for name, value in (("news_rate", np.nextafter(sim._MAX_NEWS_RATE, np.inf)),
                             ("n_sectors", 2 ** 63 + 1)):
-            with pytest.raises(SimConfigError, match=name):
+            with pytest.raises(ValueError, match=name):
                 dataclasses.replace(SMALL, **{name: value}).validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -262,7 +261,7 @@ class TestSimulate:
     ])
     def test_non_finite_setting_rejected(self, name, value):
         bad = (value, 1.0, 1.0) if name == "sentiment_alpha" else value
-        with pytest.raises(SimConfigError, match=name):
+        with pytest.raises(ValueError, match=name):
             simulate(dataclasses.replace(SMALL, **{name: bad}))
 
     def test_round_trip_loads_without_rejections(self, tmp_path):
