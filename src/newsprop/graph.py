@@ -3,9 +3,9 @@
 Each snapshot holds the unweighted supplier->client edge set recorded for one
 calendar year. ``SupplyChainNetwork`` takes the edges of each year, as
 ``{year: iterable of (supplier, client)}``, and builds every snapshot's
-adjacency in both directions once, so neighbor queries during panel assembly
-are dictionary lookups instead of edge-list scans. ``load_edges`` validates
-the edge file row by row before it builds the network.
+adjacency in both directions once, so a neighbor query is a dictionary lookup
+instead of an edge-list scan; panel assembly reads the edge sets whole.
+``load_edges`` validates the edge file row by row before it builds the network.
 
 An event dated inside year Y is matched to the snapshot for Y when it exists,
 otherwise to the most recent earlier snapshot (``snapshot_year_at_or_before``).

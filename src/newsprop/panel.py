@@ -18,9 +18,11 @@ A build reads plain data from a ``Stores``: the firm registry is a dict of
 one ``market.Series`` type, by firm_id and by market_id.
 
 A build splits into work done once per mode and work done once per window.
-Once per mode, memoised on the ``Stores``, one Python pass over the sorted
-events and their exposed firms makes the graph lookups and yields the mode's
-pair table: every candidate pair, each with its news and firm code and a
+Once per mode, memoised on the ``Stores``, array operations on integer codes
+yield the mode's pair table: each mention gathers its neighbours from a CSR
+adjacency of its event's snapshot, and sorting the keys news * n_codes + firm,
+with firms coded in id order, puts the pairs in (news_id, firm_id) order. The
+table holds every candidate pair, each with its news and firm code and a
 reason code, the event columns per news code (its id and both sentiment
 probabilities), the firm, sector and market labels per firm code, and each
 pair's anchor position on its price series and on its market's index series,
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class Panel:
     Column 0 of ``y`` and ``market_x`` is the pre period, column 1 the post
     period; each pair stands for two observations, pre then post.
     ``news_value`` is ``p_pos`` or ``p_neg``, whichever ``polarity`` names.
-    ``drops`` holds every dropped candidate pair, in event-loop order.
+    ``drops`` holds every dropped candidate pair, in (news_id, firm_id) order.
     """
 
     mode: str
@@ -129,29 +130,15 @@ class PanelSummary:
     drop_counts: dict[str, int]
 
 
-def _exposed_firms(stores: Stores, event, mode: str) -> Optional[list[str]]:
-    """Exposed firms for one event, or None when no usable snapshot exists."""
-    if mode == "own":
-        return sorted(event.mentions)
-    snap_year = stores.graph.snapshot_year_at_or_before(event.date.year)
-    if snap_year is None:
-        return None
-    neighbours = stores.graph.suppliers_of if mode == "supplier" else stores.graph.clients_of
-    exposed: set[str] = set()
-    for mentioned in event.mentions:
-        exposed |= neighbours(mentioned, snap_year)
-    exposed -= event.mentions
-    return sorted(exposed)
-
-
 @dataclass(frozen=True)
 class _PairTable:
-    """Every candidate pair of one mode, in event-loop order.
+    """Every candidate pair of one mode, in (news_id, firm_id) order.
 
-    ``news`` and ``firm`` code each pair's event and exposed firm; for an event
-    without a snapshot, the exposed firms are its mentioned firms. ``reason``
-    is the pair's ``NO_SNAPSHOT`` or registry code (unknown firm, empty sector,
-    empty market), or 0 when only its windows decide. Event columns are per
+    ``news`` and ``firm`` code each pair's event and exposed firm: news codes
+    number the events, and firm codes the exposed firms, each in id order. For
+    an event without a snapshot, the exposed firms are its mentioned firms.
+    ``reason`` is the pair's ``NO_SNAPSHOT`` or registry code (unknown firm,
+    empty sector, empty market), or 0 when only its windows decide. Event columns are per
     news code, and the firm, sector and market labels per firm code; an
     unknown firm's sector and market are empty. ``first``, ``length`` and
     ``anchor`` hold the distinct window queries, and ``query`` names the one
@@ -204,39 +191,77 @@ def _anchor_queries(stores: Stores, kind: str, labels: np.ndarray, code: np.ndar
     return first, length, anchor
 
 
+def concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + length) laid end to end, as one int array."""
+    slots = np.cumsum(lengths) - lengths  # each range's first slot in the result
+    return np.arange(int(lengths.sum())) + np.repeat(start - slots, lengths)
+
+
+def _pairs(stores: Stores, mode: str, events: list, day: np.ndarray):
+    """Every candidate pair's news and firm code, in (news_id, firm_id) order,
+    the firm id of each firm code, and whether each event lacks a snapshot."""
+    graph = stores.graph
+    # each snapshot's (exposed firm, mentioned firm) links: supplier then client,
+    # or client then supplier
+    links = [] if mode == "own" else [
+        [edge if mode == "supplier" else edge[::-1] for edge in graph.snapshot(year).edges]
+        for year in graph.years]
+    # codes in id order, so a pair key news * n_codes + firm sorts like (news_id, firm_id)
+    ids = sorted(set().union(*(e.mentions for e in events), *(edge for year in links for edge in year)))
+    n_codes = len(ids)
+    code = dict(zip(ids, range(n_codes)))
+    # every (news, mentioned firm) as a sorted key. Stable sorts reuse the sort code
+    # _anchor_queries loads; numpy's default int64 sort would map in 0.3 MB more.
+    mention = np.sort(np.repeat(np.arange(len(events), dtype=np.int64) * n_codes,
+                                [len(e.mentions) for e in events])
+                      + np.array([code[f] for e in events for f in e.mentions], dtype=np.int64),
+                      kind="stable")
+    snapless = np.zeros(len(events), dtype=bool)
+    if mode == "own":
+        key = mention
+    else:
+        # a CSR adjacency: row k * n_codes + c lists the firms exposed to mentioned
+        # firm c in snapshot k
+        row = np.array([k * n_codes + code[f] for k, year in enumerate(links) for _, f in year], np.int64)
+        exposed = np.array([code[f] for year in links for f, _ in year], np.int64)
+        exposed = exposed[np.argsort(row, kind="stable")]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(links) * n_codes))))
+        snapshot = np.searchsorted(graph.years, day.astype("datetime64[Y]").astype(np.int64) + 1970,
+                                   side="right") - 1
+        snapless = snapshot < 0
+        news, firm = np.divmod(mention, n_codes)
+        has = ~snapless[news]
+        row = snapshot[news[has]] * n_codes + firm[has]
+        count = offsets[row + 1] - offsets[row]
+        key = np.repeat(news[has] * n_codes, count) + exposed[concat_ranges(offsets[row], count)]
+        found = np.minimum(np.searchsorted(mention, key), len(mention) - 1)
+        # an event without a snapshot keeps its mentioned firms; a mentioned firm is not exposed
+        key = np.concatenate((mention[~has], key[mention[found] != key]))
+    # a firm reachable through two mentions counts once
+    key.sort(kind="stable")
+    news, firm = np.divmod(key[np.diff(key, prepend=-1) > 0], n_codes)
+    # renumber the firm codes over the firms of some pair, so per-firm work skips the rest
+    used = np.bincount(firm, minlength=n_codes) > 0
+    return news, (np.cumsum(used) - 1)[firm], [f for f, u in zip(ids, used.tolist()) if u], snapless
+
+
 def _pair_table(stores: Stores, mode: str) -> _PairTable:
     table = stores._memo.get(mode)
     if table is not None:
         return table
     events = [stores.news.events[news_id] for news_id in sorted(stores.news.events)]
-    firm_codes: dict[str, int] = {}  # firm_id -> firm code, in first-seen order
-    snapless: list[bool] = []  # per news code
-    news_code: list[int] = []
-    firm_code: list[int] = []
-    for k, event in enumerate(events):
-        exposed = _exposed_firms(stores, event, mode)
-        snapless.append(exposed is None)
-        for firm_id in sorted(event.mentions) if exposed is None else exposed:
-            code = firm_codes.get(firm_id)
-            if code is None:
-                code = firm_codes[firm_id] = len(firm_codes)
-            news_code.append(k)
-            firm_code.append(code)
-
-    news = np.array(news_code, dtype=np.int64)
-    firm = np.array(firm_code, dtype=np.int64)
-    records = [stores.firms.get(firm_id) for firm_id in firm_codes]
+    # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
+    day = np.datetime64("0000-12-31") + np.array([e.date.toordinal() for e in events], dtype=np.int64)
+    news, firm, firm_ids, snapless = _pairs(stores, mode, events, day)
+    records = [stores.firms.get(firm_id) for firm_id in firm_ids]
     sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
     market = np.array([record.market_id if record else "" for record in records], dtype=str)
     registry = np.select(
         [np.array([record is None for record in records], dtype=bool), sector == "", market == ""],
         [UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET]).astype(np.int8)
-    reason = np.where(np.array(snapless, dtype=bool)[news], np.int8(NO_SNAPSHOT), registry[firm])
+    reason = np.where(snapless[news], np.int8(NO_SNAPSHOT), registry[firm])
     market_labels, market_code = np.unique(market, return_inverse=True)
-    firm_labels = np.array(list(firm_codes), dtype=str)
-    # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
-    ordinals = np.array([e.date.toordinal() for e in events], dtype=np.int64)
-    day = np.datetime64("0000-12-31") + ordinals
+    firm_labels = np.array(firm_ids, dtype=str)
     queries = zip(_anchor_queries(stores, "price", firm_labels, firm, day[news]),
                   _anchor_queries(stores, "index", market_labels, market_code[firm], day[news]))
     first, length, anchor = (np.concatenate(pair) for pair in queries)

@@ -68,7 +68,7 @@ from .csvio import write_rows
 from .firms import FIRM_HEADER, FirmRecord
 from .graph import EDGE_HEADER, SupplyChainNetwork
 from .market import INDEX_HEADER, PRICE_HEADER, Series
-from .panel import BUNDLE_FILES, MODES, POLARITIES, Stores
+from .panel import BUNDLE_FILES, MODES, POLARITIES, Stores, concat_ranges
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 
 _DRIFT_BATCH = 1 << 20  # expanded (firm, day) additions per np.add.at, at most
@@ -187,12 +187,6 @@ def _series_rows(store: dict[str, Series]):
         yield from zip(repeat(ident), dates, series.values.tolist())
 
 
-def _concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges [start, start + length) laid end to end, as one int array."""
-    slots = np.cumsum(lengths) - lengths  # each range's first slot in the result
-    return np.arange(int(lengths.sum())) + np.repeat(start - slots, lengths)
-
-
 def simulate(config: SimConfig) -> SimBundle:
     """Generate one dataset bundle, deterministically for a given seed."""
     config.validate()
@@ -291,15 +285,15 @@ def simulate(config: SimConfig) -> SimBundle:
     # expanded (firm, day) additions, at most, up to and including each tradable event
     expanded = np.cumsum(reps) * (config.leak_window + config.effect_window)
 
-    # The injections are applied in batches of whole events by one unbuffered
-    # np.add.at each, which adds in index order, so every element gets the
-    # same float additions in the same order as one slice-add per drift in
-    # injection order would give it. Batches keep the expanded arrays small.
+    # The injections are applied in batches of whole events, each by one
+    # unbuffered np.add.at on a flat view of returns, which adds in index order:
+    # every element gets the same float additions in the same order as one
+    # slice-add per drift in injection order. Batches keep the arrays small.
     lo = 0
     while lo < len(reps):
         done = int(expanded[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(expanded, done + _DRIFT_BATCH, side="right")))
-        k = _concat_ranges(first_target[source[lo:hi]], reps[lo:hi])  # into the targets
+        k = concat_ranges(first_target[source[lo:hi]], reps[lo:hi])  # into the targets
         drift_q = np.repeat(q[lo:hi], reps[lo:hi]) - 0.5
         # coefficients are percent per day; returns are in log units
         drift_pre = target_pre[k] * drift_q / (100.0 * config.leak_window)
@@ -310,10 +304,10 @@ def simulate(config: SimConfig) -> SimBundle:
         # [start, stop) day spans, each injection's pre drift then its post drift
         span_start = np.column_stack((pre_lo, drift_anchor)).ravel()
         lengths = np.column_stack((drift_anchor, post_hi)).ravel() - span_start
-        days = _concat_ranges(span_start, lengths)
+        days = concat_ranges(span_start, lengths)
         rows = np.repeat(np.repeat(target_firm[k], 2), lengths)
         values = np.repeat(np.column_stack((drift_pre, drift_post)).ravel(), lengths)
-        np.add.at(returns, (rows, days), values)
+        np.add.at(returns.reshape(-1), rows * n_trading + days, values)
         lo = hi
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)

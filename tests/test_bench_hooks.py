@@ -38,8 +38,8 @@ def test_instrumented_run_records_every_layer(tmp_path):
     assert code == 0
     layers, counted = summarize(tracer.spans)
     assert {"panel.own", "panel.supplier", "regress.fit"} <= set(layers)
-    # supplier mode asks for one snapshot year per event, and then for neighbours
-    assert counted["graph.lookup"][0] > len(bundle.events)
+    # the pair tables read each snapshot's edges whole, with no per-event lookup
+    assert "graph.lookup" not in counted
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"

@@ -428,6 +428,53 @@ class TestReasonProperty:
                 assert_matches_reference(stores, mode, w)
 
 
+# listed out of string order: "F10" < "F9", and the non-ASCII "Fé" sorts last
+HAND_FIRMS = ("F9", "F10", "F1", "Fé", "A", "Z")
+GHOST = "G0"  # mentioned, but in neither the graph nor the registry
+HAND_DATES = [dt.date(2015, 12, 28), dt.date(2016, 6, 15), dt.date(2016, 12, 31), dt.date(2017, 1, 2),
+              dt.date(2017, 6, 15), dt.date(2018, 1, 3), dt.date(2018, 6, 16), dt.date(2018, 12, 31)]
+
+
+@st.composite
+def hand_built_stores(draw) -> Stores:
+    """Two or three snapshots with events before the first, articles naming up
+    to three firms, and ids whose string order is not their insertion order.
+
+    In the first snapshot F1 supplies both F9 and F10, and Z is a client of
+    both, so one article naming F9 and F10 reaches F1 (supplier) and Z
+    (client) twice; F9 also supplies F10, a mentioned neighbour of a
+    mentioned firm.
+    """
+    years = sorted(draw(st.sets(st.sampled_from([2016, 2017, 2018]), min_size=2, max_size=3)))
+    links = st.tuples(*[st.sampled_from(HAND_FIRMS)] * 2).filter(lambda edge: edge[0] != edge[1])
+    edges = {year: draw(st.sets(links, max_size=8)) for year in years}
+    edges[years[0]] |= {("F1", "F9"), ("F1", "F10"), ("F9", "F10"), ("F9", "Z"), ("F10", "Z")}
+    mentions = st.sets(st.sampled_from((*HAND_FIRMS, GHOST)), min_size=1, max_size=3)
+    drawn = draw(st.lists(st.tuples(st.sampled_from(HAND_DATES), mentions, st.floats(0.0, 1.0)),
+                          max_size=10))
+    events = [simple_event("N1", dt.date(years[0], 3, 1), {"F9", "F10"}),
+              simple_event("Nä", dt.date(2015, 12, 28), {"Fé", GHOST, "Z"})]  # before every snapshot
+    events += [simple_event(f"N{k + 2}", day, named, p_pos=p, p_neu=0.0, p_neg=1.0 - p)
+               for k, (day, named, p) in enumerate(drawn)]
+    dates = weekday_dates(dt.date(2015, 12, 1), 800)
+    walks = np.exp(np.cumsum(np.random.default_rng(7).normal(0.0, 0.01, (len(HAND_FIRMS) + 2, 800)), axis=1))
+    closes = {f: make_series(dates, 100.0 * walk) for f, walk in zip((*HAND_FIRMS, "M0", "M1"), walks)}
+    return make_stores(
+        firms=[simple_firm(f, market=f"M{k % 2}") for k, f in enumerate(HAND_FIRMS)],
+        prices={f: closes[f] for f in HAND_FIRMS}, indices={m: closes[m] for m in ("M0", "M1")},
+        events=events, edges_by_year=edges,
+    )
+
+
+class TestHandBuiltProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(stores=hand_built_stores())
+    def test_every_mode_matches_per_pair_reference(self, stores):
+        for mode in MODES:
+            for w in (1, 3):
+                assert_matches_reference(stores, mode, w)
+
+
 def assert_same_panel(a: Panel, b: Panel) -> None:
     """Field for field, dtypes and drop lists included."""
     for f in dataclasses.fields(Panel):
