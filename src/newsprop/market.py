@@ -21,8 +21,11 @@ end to end in one array, each query naming its series by first index and
 length plus its anchor position on that series. It averages each distinct
 block once, as one ``sliding_window_view`` gather done in batches of at most
 ``_GATHER_BATCH`` elements, so the memory it takes does not grow with the
-block count times w. A block that would leave its own series is masked, never
-read from a neighbour. ``window_change`` is its one-date form on one series.
+block count times w. ``mark_ranks`` finds the distinct block starts without a
+sort: a bool mark per position of the array, and the marks' int32 running
+count as each start's rank. A block that would leave its own series is
+masked, never read from a neighbour. ``window_change`` is its one-date form
+on one series.
 
 A firm's closes and a market's index are one ``Series`` type, because the
 same windowed change applies to both: on an index it is the market-index
@@ -90,6 +93,19 @@ class Series:
 _GATHER_BATCH = 1 << 16  # block elements copied per gather, at most (512 KiB)
 
 
+def mark_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and each key's rank among them,
+    as ``np.unique(keys, return_inverse=True)`` gives them, without a sort.
+
+    Every key lies in [0, size). A bool mark per value in that range flags the
+    keys, and the marks' running count is each value's rank. The ranks are
+    int32, which halves the count's memory; they assume ``size`` below 2**31.
+    """
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), np.cumsum(seen, dtype=np.int32)[keys] - 1
+
+
 def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int):
     """Pre- and post-news daily percentage changes for many anchors.
 
@@ -97,7 +113,9 @@ def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int)
     starts at ``first[k]`` and has ``length[k]`` values, anchored at position
     ``anchor[k]`` on it. ``first`` and ``length`` may be scalars. Returns two
     float arrays shaped like ``anchor``, NaN where a required block is not
-    fully inside the query's own series.
+    fully inside the query's own series. The blocks are deduplicated by
+    ``mark_ranks`` over the positions of ``values``, so ``values`` must hold
+    fewer than 2**31 elements.
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
@@ -112,7 +130,7 @@ def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int)
     has_post = (anchor >= w) & (anchor + w <= length)
     c = first + anchor  # first index of block C; B starts w and A 2w before it
     requested = (c[has_pre] - 2 * w, c[has_pre] - w, c[has_post] - w, c[has_post])
-    starts, inverse = np.unique(np.concatenate(requested), return_inverse=True)
+    starts, inverse = mark_ranks(np.concatenate(requested), len(values))
     # each block's mean is taken over its own slice, as values[s:s+w].mean()
     # would, and logged with math.log so every digit matches the scalar formula
     blocks = sliding_window_view(values, w)

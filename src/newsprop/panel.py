@@ -17,25 +17,28 @@ A build reads plain data from a ``Stores``: the firm registry is a dict of
 ``FirmRecord`` by firm_id, and the closes and index values are dicts of the
 one ``market.Series`` type, by firm_id and by market_id.
 
-A build splits into work done once per mode and work done once per window.
-Once per mode, memoised on the ``Stores``, array operations on integer codes
-yield the mode's pair table: each mention gathers its neighbours from a CSR
-adjacency of its event's snapshot, and sorting the keys news * n_codes + firm,
-with firms coded in id order, puts the pairs in (news_id, firm_id) order. The
-table holds every candidate pair, each with its news and firm code and a
-reason code, the event columns per news code (its id and both sentiment
-probabilities), the firm, sector and market labels per firm code, and each
-pair's anchor position on its price series and on its market's index series,
-found with one ``searchsorted`` per series and kept once per distinct (series,
-anchor). A pair's reason code is its snapshot or registry reason, or 0 when
-only its windows decide. Every price series and then every index series are
-laid end to end in one array, once per ``Stores``. Once per window, one
-``market.block_changes`` call over that array gives every pair's four
-changes, so a window costs one kernel pass whatever the number of firms. A
-pair then drops for the first reason that applies, in the order of
-``REASONS``: its snapshot or registry reason, then its price window, then its
-index window. A ``Stores`` is therefore read-only once a panel has been built
-from it; ``dataclasses.replace`` gives a copy with a fresh memo.
+A build splits into work done once per ``Stores``, once per mode and once
+per window, each memoised on the ``Stores``. Once per ``Stores``, every price
+series and then every index series are laid end to end in one array, and the
+events, sorted by id, are transposed with ``zip(*events)`` into their columns:
+ids, days, mention sets and both sentiment probabilities. Once per mode,
+array operations on integer codes yield the mode's pair table: each mention
+gathers its neighbours from a CSR adjacency of its event's snapshot, and
+sorting the keys news * n_codes + firm, with firms coded in id order, puts the
+pairs in (news_id, firm_id) order. The table holds every candidate pair, each
+with its news and firm code and a reason code, the event columns per news
+code, the firm, sector and market labels per firm code, and each pair's anchor
+position on its price series and on its market's index series, found with one
+``searchsorted`` per series. The queries are kept once per distinct block-C
+start in the stacked array, deduplicated by ``market.mark_ranks`` rather than a
+sort. A pair's reason code is its snapshot or registry reason, or 0 when only
+its windows decide. Once per window, one ``market.block_changes`` call over
+the stacked array gives every pair's four changes, so a window costs one
+kernel pass whatever the number of firms. A pair then drops for the first
+reason that applies, in the order of ``REASONS``: its snapshot or registry
+reason, then its price window, then its index window. A ``Stores`` is
+therefore read-only once a panel has been built from it;
+``dataclasses.replace`` gives a copy with a fresh memo.
 
 The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
 pre and post side by side in ``y`` and ``market_x``, and both sentiment
@@ -44,8 +47,11 @@ columns, ``p_pos`` and ``p_neg``, so one build serves either polarity.
 
 from __future__ import annotations
 
+import datetime as dt
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +59,8 @@ from . import market
 from .csvio import write_rows
 from .firms import FirmRecord
 from .graph import SupplyChainNetwork
-from .market import PRE, POST, Series
-from .sentiment import NewsStore
+from .market import PRE, POST, Series, mark_ranks
+from .sentiment import NewsEvent, NewsStore
 
 # the five input files of a bundle, by their flag and file stem
 BUNDLE_FILES = ("firms", "prices", "indices", "news", "edges")
@@ -69,8 +75,9 @@ REASONS = (None, "no-snapshot", "unknown-firm", "missing-sector", "missing-marke
 NO_SNAPSHOT, UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET, PRICE_WINDOW, INDEX_WINDOW = range(1, 7)
 
 
-@dataclass(frozen=True)
-class DropRecord:
+class DropRecord(NamedTuple):
+    """One dropped candidate pair and the first reason that dropped it."""
+
     news_id: str
     firm_id: str
     reason: str
@@ -78,14 +85,18 @@ class DropRecord:
 
 @dataclass
 class Stores:
-    """The loaded inputs a panel build reads from."""
+    """The loaded inputs a panel build reads from.
+
+    ``_memo`` holds what builds share: ``"stack"`` (every series end to end),
+    ``"events"`` (the event columns in news_id order) and one pair table per
+    mode, each made on first use; see the module docstring.
+    """
 
     firms: dict[str, FirmRecord]
     prices: dict[str, Series]
     indices: dict[str, Series]
     news: NewsStore
     graph: SupplyChainNetwork
-    # per-mode pair tables and the stacked series; see the module docstring
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -141,10 +152,13 @@ class _PairTable:
     empty sector, empty market), or 0 when only its windows decide. Event columns are per
     news code, and the firm, sector and market labels per firm code; an
     unknown firm's sector and market are empty. ``first``, ``length`` and
-    ``anchor`` hold the distinct window queries, and ``query`` names the one
-    each pair's price query, then each pair's index query, reads. A firm
-    without a price series, or a market without an index series, has length 0,
-    so its pairs get no change.
+    ``anchor`` hold the distinct window queries, one per block-C start
+    ``first + anchor`` in ascending order, each as the first pair query with
+    that start asked it; ``query`` names the one each pair's price query, then
+    each pair's index query, reads. These are the arrays
+    ``np.unique(first + anchor, return_index=True, return_inverse=True)`` would
+    pick. A firm without a price series, or a market without an index series,
+    has length 0, so its pairs get no change.
     """
 
     news: np.ndarray  # (n,) int64
@@ -159,7 +173,7 @@ class _PairTable:
     first: np.ndarray  # (k,) int64
     length: np.ndarray
     anchor: np.ndarray
-    query: np.ndarray  # (2n,) int64, into the k distinct queries
+    query: np.ndarray  # (2n,) int32, into the k distinct queries
 
 
 def _stack(stores: Stores) -> tuple[np.ndarray, dict[tuple[str, str], int]]:
@@ -197,7 +211,22 @@ def concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) + np.repeat(start - slots, lengths)
 
 
-def _pairs(stores: Stores, mode: str, events: list, day: np.ndarray):
+def _events(stores: Stores) -> tuple:
+    """The event columns in news_id order: ids, days, mention sets, ``p_pos``
+    and ``p_neg``, taken once per ``Stores`` by transposing the events."""
+    columns = stores._memo.get("events")
+    if columns is None:
+        events = stores.news.events
+        news_id, date, mentions, p_pos, _, p_neg = (
+            list(zip(*map(events.__getitem__, sorted(events)))) or [()] * len(NewsEvent._fields))
+        # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
+        day = np.datetime64("0000-12-31") + np.fromiter(map(dt.date.toordinal, date), np.int64, len(date))
+        columns = stores._memo["events"] = (np.array(news_id, dtype=str), day, mentions,
+                                            np.array(p_pos, dtype=float), np.array(p_neg, dtype=float))
+    return columns
+
+
+def _pairs(stores: Stores, mode: str, mentions: tuple, day: np.ndarray):
     """Every candidate pair's news and firm code, in (news_id, firm_id) order,
     the firm id of each firm code, and whether each event lacks a snapshot."""
     graph = stores.graph
@@ -207,16 +236,16 @@ def _pairs(stores: Stores, mode: str, events: list, day: np.ndarray):
         [edge if mode == "supplier" else edge[::-1] for edge in graph.snapshot(year).edges]
         for year in graph.years]
     # codes in id order, so a pair key news * n_codes + firm sorts like (news_id, firm_id)
-    ids = sorted(set().union(*(e.mentions for e in events), *(edge for year in links for edge in year)))
+    ids = sorted(set().union(*mentions, *(edge for year in links for edge in year)))
     n_codes = len(ids)
     code = dict(zip(ids, range(n_codes)))
     # every (news, mentioned firm) as a sorted key. Stable sorts reuse the sort code
     # _anchor_queries loads; numpy's default int64 sort would map in 0.3 MB more.
-    mention = np.sort(np.repeat(np.arange(len(events), dtype=np.int64) * n_codes,
-                                [len(e.mentions) for e in events])
-                      + np.array([code[f] for e in events for f in e.mentions], dtype=np.int64),
+    counts = np.fromiter(map(len, mentions), np.int64, len(mentions))
+    mentioned = np.fromiter(map(code.__getitem__, chain.from_iterable(mentions)), np.int64, int(counts.sum()))
+    mention = np.sort(np.repeat(np.arange(len(mentions), dtype=np.int64) * n_codes, counts) + mentioned,
                       kind="stable")
-    snapless = np.zeros(len(events), dtype=bool)
+    snapless = np.zeros(len(mentions), dtype=bool)
     if mode == "own":
         key = mention
     else:
@@ -249,10 +278,8 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     table = stores._memo.get(mode)
     if table is not None:
         return table
-    events = [stores.news.events[news_id] for news_id in sorted(stores.news.events)]
-    # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
-    day = np.datetime64("0000-12-31") + np.array([e.date.toordinal() for e in events], dtype=np.int64)
-    news, firm, firm_ids, snapless = _pairs(stores, mode, events, day)
+    news_labels, day, mentions, p_pos, p_neg = _events(stores)
+    news, firm, firm_ids, snapless = _pairs(stores, mode, mentions, day)
     records = [stores.firms.get(firm_id) for firm_id in firm_ids]
     sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
     market = np.array([record.market_id if record else "" for record in records], dtype=str)
@@ -268,14 +295,18 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     # pairs of one series anchored on one day ask the same query. Queries of two
     # series meet at one block-C start only past the end of one series or at
     # the start of the next, where no window fits, so the start alone is a key.
-    _, pick, query = np.unique(first + anchor, return_index=True, return_inverse=True)
+    # A start lies in [0, len(stack)], and each distinct one keeps its first query.
+    key = first + anchor
+    distinct, query = mark_ranks(key, len(_stack(stores)[0]) + 1)
+    pick = np.full(len(distinct), len(key))
+    np.minimum.at(pick, query, np.arange(len(key)))
     table = stores._memo[mode] = _PairTable(
         news=news,
         firm=firm,
         reason=reason,
-        news_labels=np.array([e.news_id for e in events], dtype=str),
-        p_pos=np.array([e.p_pos for e in events], dtype=float),
-        p_neg=np.array([e.p_neg for e in events], dtype=float),
+        news_labels=news_labels,
+        p_pos=p_pos,
+        p_neg=p_neg,
         firm_labels=firm_labels,
         sector=sector,
         market=market,
@@ -307,10 +338,9 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         [table.reason, PRICE_WINDOW, INDEX_WINDOW])
     keep = reason == 0
     dropped = np.flatnonzero(reason)
-    news_labels, firm_labels = table.news_labels.tolist(), table.firm_labels.tolist()
-    drops = [DropRecord(news_labels[news], firm_labels[firm], REASONS[code])
-             for news, firm, code in zip(table.news[dropped].tolist(),
-                                         table.firm[dropped].tolist(), reason[dropped].tolist())]
+    drops = list(map(DropRecord, table.news_labels[table.news[dropped]].tolist(),
+                     table.firm_labels[table.firm[dropped]].tolist(),
+                     map(REASONS.__getitem__, reason[dropped].tolist())))
     news, firm = table.news[keep], table.firm[keep]
     return Panel(
         mode=mode,

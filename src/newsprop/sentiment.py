@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .csvio import RowRejection, parse_date, read_rows
 
@@ -22,9 +22,12 @@ SIMPLEX_TOL = 1e-3
 REPEAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class NewsEvent:
-    """One dated article with its mentioned firms and sentiment triple."""
+class NewsEvent(NamedTuple):
+    """One dated article with its mentioned firms and sentiment triple.
+
+    A tuple, so a list of events transposes into its columns with
+    ``zip(*events)``, as the panel's pair tables read them.
+    """
 
     news_id: str
     date: dt.date

@@ -245,19 +245,10 @@ def simulate(config: SimConfig) -> SimBundle:
     event_firm = np.repeat(np.arange(n), [len(o) for o in event_offsets])
     event_day = start + np.concatenate(event_offsets)
     triples = np.concatenate(event_triples)
-    news_events = [
-        NewsEvent(
-            news_id=f"N{serial:07d}",
-            date=date,
-            mentions=frozenset({firm_ids[i]}),
-            p_pos=p_pos,
-            p_neu=p_neu,
-            p_neg=p_neg,
-        )
-        for serial, (i, date, (p_pos, p_neu, p_neg)) in enumerate(
-            zip(event_firm.tolist(), event_day.tolist(), triples.tolist())
-        )
-    ]
+    # each event mentions one firm: its mention set is the 1-tuple zip makes of that id
+    mentioned = map(firm_ids.__getitem__, event_firm.tolist())
+    news_events = list(map(NewsEvent, map("N{:07d}".format, range(len(event_firm))),
+                           event_day.tolist(), map(frozenset, zip(mentioned)), *triples.T.tolist()))
 
     # an event injects into its firm, then the firm's suppliers, then its
     # clients: each target adds a pre drift to returns[target, anchor-leak:anchor]

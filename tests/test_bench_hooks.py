@@ -3,13 +3,15 @@
 ``bench/child.py`` times each layer by replacing a module attribute (a loader,
 ``panel.build_panel``, ``regress.fit``, the graph lookups and so on) with a
 spanned or counted wrapper. If one of those names is renamed away, or ``run``
-stops calling through it, only a traced benchmark run would notice; this test
-notices in the ordinary suite.
+or the oracle replicate stops calling through it, or a record loses a field a
+wrapper's note reads, only a traced benchmark run would notice; these tests
+notice in the ordinary suite.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 from newsprop.cli import main
@@ -18,6 +20,7 @@ from newsprop.sim import SimConfig, simulate
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import child  # noqa: E402
+import workloads  # noqa: E402
 from spans import Tracer, summarize  # noqa: E402
 
 
@@ -43,3 +46,26 @@ def test_instrumented_run_records_every_layer(tmp_path):
     assert patched
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_instrumented_replicate_records_the_simulator_and_panels():
+    # the oracle workload's notes read every event's mentions and every drop's
+    # reason, so a record type without those fields fails here
+    tracer, drops = Tracer(), {}
+    child.instrument(tracer, drops)
+    try:
+        rep = child.replicate(30)
+    finally:
+        tracer.restore()
+    layers, _ = summarize(tracer.spans)
+    bundle = simulate(SimConfig(**workloads.RECOVERY_CONFIG, seed=30))
+    per_firm = Counter(firm for e in bundle.events for firm in e.mentions)
+    # every event injects into its firm, and each edge carries its two ends' events
+    injections = len(bundle.events) + sum(per_firm[s] + per_firm[c] for _, s, c in bundle.edges)
+    assert layers["sim.simulate"].spans == 1
+    assert layers["sim.simulate"].notes == {"events": rep["events"], "injections": injections}
+    assert injections > rep["events"] > 0
+    for mode in ("own", "supplier"):
+        cell, notes = rep["cells"][mode], layers[f"panel.{mode}"].notes
+        assert cell["drops"] and drops[f"{mode}/positive/1"] == cell["drops"]
+        assert notes == {"rows": cell["n_obs"], "drops": sum(cell["drops"].values())}

@@ -18,7 +18,8 @@ from conftest import (
 from newsprop import market
 from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, POST, Series
-from newsprop.panel import MODES, Panel, Stores, build_panel, panel_summary, write_panel
+from newsprop.panel import (MODES, Panel, Stores, _pair_table, _stack, build_panel, panel_summary,
+                            write_panel)
 from newsprop.sim import SimConfig, simulate
 
 START = dt.date(2016, 1, 4)
@@ -33,11 +34,13 @@ def flat_market(firm_ids, n_days=40, markets=("M0",), close=100.0):
 
 class TestOwnMode:
     def test_no_events_empty_panel(self):
-        dates, prices, indices = flat_market(["A"])
-        stores = make_stores(firms=[simple_firm("A")], prices=prices, indices=indices)
-        panel = build_panel(stores, "own", "positive", 1)
-        assert len(panel) == 0
-        assert panel_summary(panel).n_obs == 0
+        dates, prices, indices = flat_market(["A", "B"])
+        stores = make_stores(firms=[simple_firm("A"), simple_firm("B")], prices=prices,
+                             indices=indices, edges_by_year={2016: {("A", "B")}})
+        for mode in MODES:
+            panel = build_panel(stores, mode, "positive", 1)
+            assert len(panel) == 0 and panel.drops == []
+            assert panel_summary(panel).n_obs == 0
 
     def test_one_complete_pair_gives_two_rows(self):
         dates, prices, indices = flat_market(["A"])
@@ -551,3 +554,68 @@ class TestStackedBuild:
         monkeypatch.setattr(market, "_GATHER_BATCH", 4)  # one block per gather for w > 4
         for (mode, w), panel in expected.items():
             assert_same_panel(build_panel(stores, mode, "positive", w), panel)
+
+
+@st.composite
+def colliding_query_stores(draw) -> Stores:
+    """Stores whose window queries share block-C starts.
+
+    Firm N has no price series, so its price query (first 0, length 0, anchor
+    0) has the key of an anchor on the first day of series 0, A's. An event
+    after the last trading day anchors every series at its length, the key of
+    the next series' first day. Market M1 may lack an index series, and G is
+    mentioned but in no registry.
+    """
+    n_days = draw(st.integers(4, 30))
+    dates = weekday_dates(START, n_days)
+    lengths = {f: draw(st.integers(1, n_days)) for f in ("A", "B")}
+    prices = {f: make_series(dates[:k], 100.0 + np.arange(k)) for f, k in lengths.items()}
+    indices = {"M0": make_series(dates, 1000.0 - np.arange(n_days))}
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n_days))
+        indices["M1"] = make_series(dates[:k], 500.0 + np.arange(k))
+    after = dates[-1] + dt.timedelta(days=1)
+    days = st.sampled_from([*dates, after])
+    forced = [(dates[0], {"A"}), (draw(days), {"N"}), (after, {"A", "B"})]
+    drawn = draw(st.lists(st.tuples(days, st.sets(st.sampled_from("ABNG"), min_size=1, max_size=3)),
+                          max_size=8))
+    # drawn id order, so the pairs of either colliding query may come first
+    ids = draw(st.permutations([f"n{k:02d}" for k in range(len(forced) + len(drawn))]))
+    links = st.tuples(*[st.sampled_from("ABNG")] * 2).filter(lambda edge: edge[0] != edge[1])
+    return make_stores(
+        firms=[simple_firm("A"), simple_firm("B", market="M1"), simple_firm("N")],
+        prices=prices, indices=indices,
+        events=[simple_event(i, day, named) for i, (day, named) in zip(ids, forced + drawn)],
+        edges_by_year={2016: draw(st.sets(links, max_size=6))},
+    )
+
+
+class TestQueryDedupe:
+    """The distinct window queries equal an ``np.unique`` dedupe of per-pair queries."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(stores=colliding_query_stores())
+    def test_queries_equal_unique_reference(self, stores):
+        firsts = _stack(stores)[1]
+        for mode in MODES:
+            table = _pair_table(stores, mode)
+            news_ids, firm_ids = table.news_labels.tolist(), table.firm_labels.tolist()
+            queries = []
+            for kind, series_by_id in (("price", stores.prices), ("index", stores.indices)):
+                for news, firm in zip(table.news.tolist(), table.firm.tolist()):
+                    record = stores.firms.get(firm_ids[firm])
+                    ident = firm_ids[firm] if kind == "price" else (record.market_id if record else "")
+                    series = series_by_id.get(ident)
+                    day = np.datetime64(stores.news.events[news_ids[news]].date, "D")
+                    queries.append((0, 0, 0) if series is None else (
+                        firsts[kind, ident], len(series), int(np.searchsorted(series.dates, day))))
+            first, length, anchor = np.array(queries, dtype=np.int64).reshape(-1, 3).T
+            _, pick, query = np.unique(first + anchor, return_index=True, return_inverse=True)
+            assert table.first.tolist() == first[pick].tolist()
+            assert table.length.tolist() == length[pick].tolist()
+            assert table.anchor.tolist() == anchor[pick].tolist()
+            assert table.query.tolist() == query.tolist()
+            if mode == "own":  # both collisions the strategy plants do occur
+                key = first + anchor
+                assert ((key == 0) & (length == 0)).any() and ((key == 0) & (length > 0)).any()
+                assert ((anchor == length) & (length > 0)).any()
