@@ -1,11 +1,11 @@
 """Year-stamped directed supply-chain snapshots.
 
-Each snapshot holds the unweighted supplier->client edge set recorded for one
+Each snapshot is the unweighted supplier->client edge set recorded for one
 calendar year. ``SupplyChainNetwork`` takes the edges of each year, as
-``{year: iterable of (supplier, client)}``, and builds every snapshot's
-adjacency in both directions once, so a neighbor query is a dictionary lookup
-instead of an edge-list scan; panel assembly reads the edge sets whole.
-``load_edges`` validates the edge file row by row before it builds the network.
+``{year: iterable of (supplier, client)}``, and keeps each year's edges as a
+frozenset. Panel assembly reads the edge sets whole; the neighbor queries and
+``network_stats`` scan one snapshot's edges per call. ``load_edges`` validates
+the edge file row by row before it builds the network.
 
 An event dated inside year Y is matched to the snapshot for Y when it exists,
 otherwise to the most recent earlier snapshot (``snapshot_year_at_or_before``).
@@ -14,6 +14,7 @@ otherwise to the most recent earlier snapshot (``snapshot_year_at_or_before``).
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -24,26 +25,9 @@ EDGE_HEADER = ("year", "supplier_id", "client_id")
 
 @dataclass(frozen=True)
 class SupplyChainSnapshot:
-    """One calendar year's directed supplier->client edges, and the adjacency
-    maps derived from them in both directions when the network is built."""
+    """One calendar year's directed supplier->client edges."""
 
     edges: frozenset[tuple[str, str]]
-    suppliers_by_client: Mapping[str, frozenset[str]]
-    clients_by_supplier: Mapping[str, frozenset[str]]
-
-
-def _snapshot(edges: Iterable[tuple[str, str]]) -> SupplyChainSnapshot:
-    edge_set = frozenset(edges)
-    sup: dict[str, set[str]] = {}
-    cli: dict[str, set[str]] = {}
-    for supplier, client in edge_set:
-        sup.setdefault(client, set()).add(supplier)
-        cli.setdefault(supplier, set()).add(client)
-    return SupplyChainSnapshot(
-        edges=edge_set,
-        suppliers_by_client={k: frozenset(v) for k, v in sup.items()},
-        clients_by_supplier={k: frozenset(v) for k, v in cli.items()},
-    )
 
 
 @dataclass(frozen=True)
@@ -58,7 +42,7 @@ class SupplyChainNetwork:
     """One snapshot per year; a year with no edges is an empty snapshot."""
 
     def __init__(self, edges_by_year: Mapping[int, Iterable[tuple[str, str]]]):
-        self._snapshots = {year: _snapshot(edges) for year, edges in edges_by_year.items()}
+        self._snapshots = {y: SupplyChainSnapshot(frozenset(e)) for y, e in edges_by_year.items()}
         self._years = sorted(self._snapshots)
 
     @property
@@ -78,20 +62,22 @@ class SupplyChainNetwork:
 
     def suppliers_of(self, firm: str, year: int) -> frozenset[str]:
         """Firms s with an edge s -> ``firm`` in the snapshot for ``year``."""
-        return self.snapshot(year).suppliers_by_client.get(firm, frozenset())
+        return frozenset(s for s, c in self.snapshot(year).edges if c == firm)
 
     def clients_of(self, firm: str, year: int) -> frozenset[str]:
         """Firms c with an edge ``firm`` -> c in the snapshot for ``year``."""
-        return self.snapshot(year).clients_by_supplier.get(firm, frozenset())
+        return frozenset(c for s, c in self.snapshot(year).edges if s == firm)
 
     def network_stats(self, year: int) -> NetworkStats:
         """Node, link, and degree-maximum counts for one snapshot."""
-        snap = self.snapshot(year)
+        edges = self.snapshot(year).edges
+        indegree = Counter(c for _, c in edges)
+        outdegree = Counter(s for s, _ in edges)
         return NetworkStats(
-            n_firms=len(snap.suppliers_by_client.keys() | snap.clients_by_supplier.keys()),
-            n_links=len(snap.edges),
-            max_indegree=max(map(len, snap.suppliers_by_client.values()), default=0),
-            max_outdegree=max(map(len, snap.clients_by_supplier.values()), default=0),
+            n_firms=len(indegree.keys() | outdegree.keys()),
+            n_links=len(edges),
+            max_indegree=max(indegree.values(), default=0),
+            max_outdegree=max(outdegree.values(), default=0),
         )
 
 

@@ -36,8 +36,8 @@ its windows decide. Once per window, one ``market.block_changes`` call over
 the stacked array gives every pair's four changes, so a window costs one
 kernel pass whatever the number of firms. A pair then drops for the first
 reason that applies, in the order of ``REASONS``: its snapshot or registry
-reason, then its price window, then its index window. A ``Stores`` is
-therefore read-only once a panel has been built from it;
+reason, then its price window, then its index window. Since the memo is only
+right for the inputs it was built from, a ``Stores`` is read-only, and
 ``dataclasses.replace`` gives a copy with a fresh memo.
 
 The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
@@ -51,7 +51,8 @@ import datetime as dt
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -83,21 +84,30 @@ class DropRecord(NamedTuple):
     reason: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stores:
-    """The loaded inputs a panel build reads from.
+    """The loaded inputs a panel build reads from, as read-only copies of the
+    dicts given, with every series' arrays made unwriteable, so an edit after
+    a build raises instead of leaving a stale memo.
 
     ``_memo`` holds what builds share: ``"stack"`` (every series end to end),
     ``"events"`` (the event columns in news_id order) and one pair table per
     mode, each made on first use; see the module docstring.
     """
 
-    firms: dict[str, FirmRecord]
-    prices: dict[str, Series]
-    indices: dict[str, Series]
+    firms: Mapping[str, FirmRecord]
+    prices: Mapping[str, Series]
+    indices: Mapping[str, Series]
     news: NewsStore
     graph: SupplyChainNetwork
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("firms", "prices", "indices"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "news", NewsStore(MappingProxyType(dict(self.news.events))))
+        for series in chain(self.prices.values(), self.indices.values()):
+            series.dates.flags.writeable = series.values.flags.writeable = False
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .csvio import RowRejection, parse_date, read_rows
 
@@ -47,7 +47,7 @@ class MentionHistogram:
 class NewsStore:
     """Validated events keyed by news_id."""
 
-    events: dict[str, NewsEvent]
+    events: Mapping[str, NewsEvent]
 
     def __len__(self) -> int:
         return len(self.events)

@@ -158,8 +158,8 @@ class SimBundle:
             by_year.setdefault(year, set()).add((supplier, client))
         return Stores(
             firms={r.firm_id: r for r in self.firm_records},
-            prices=dict(self.prices),
-            indices=dict(self.indices),
+            prices=self.prices,
+            indices=self.indices,
             news=NewsStore({e.news_id: e for e in self.events}),
             graph=SupplyChainNetwork(by_year),
         )

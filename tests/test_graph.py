@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsprop.csvio import LoadError
-from newsprop.graph import SupplyChainNetwork, load_edges
+from newsprop.graph import NetworkStats, SupplyChainNetwork, load_edges
 
 
 def write_edges(tmp_path, rows):
@@ -133,10 +134,10 @@ class TestNetworkStats:
             if i != j
         }
         net = SupplyChainNetwork({2016: edges})
-        snap = net.snapshot(2016)
-        indeg_total = sum(len(v) for v in snap.suppliers_by_client.values())
-        outdeg_total = sum(len(v) for v in snap.clients_by_supplier.values())
-        assert indeg_total == outdeg_total == net.network_stats(2016).n_links
+        assert net.snapshot(2016).edges == edges
+        indeg_total = sum(len(net.suppliers_of(f, 2016)) for f in firms)
+        outdeg_total = sum(len(net.clients_of(f, 2016)) for f in firms)
+        assert indeg_total == outdeg_total == len(edges) == net.network_stats(2016).n_links
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(3)
@@ -157,3 +158,45 @@ class TestNetworkStats:
         assert stats.n_links == len(edges)
         assert stats.max_indegree == max(indeg.values())
         assert stats.max_outdegree == max(outdeg.values())
+
+
+SUPPLIERS = ("A", "B", "D", "E")
+CLIENT_ONLY = "C"  # a client in some year, a supplier in none
+
+
+@st.composite
+def edges_by_year(draw) -> dict[int, list[tuple[str, str]]]:
+    """Two to four years of edge lists, repeats allowed: the first year is
+    empty, and the second holds the 2-cycle A -> B, B -> A and the link A -> C."""
+    years = draw(st.lists(st.integers(2000, 2010), min_size=2, max_size=4, unique=True))
+    links = st.tuples(st.sampled_from(SUPPLIERS), st.sampled_from((*SUPPLIERS, CLIENT_ONLY)))
+    edges = {year: draw(st.lists(links.filter(lambda edge: edge[0] != edge[1]), max_size=12))
+             for year in years}
+    edges[years[0]] = []
+    edges[years[1]] += [("A", "B"), ("B", "A"), ("A", CLIENT_ONLY)]
+    return edges
+
+
+class TestEdgeSetProperty:
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(edges_by_year=edges_by_year())
+    def test_queries_and_stats_equal_a_count_over_the_edge_list(self, edges_by_year):
+        net = SupplyChainNetwork(edges_by_year)
+        assert net.years == sorted(edges_by_year)
+        for year, edge_list in edges_by_year.items():
+            links = set(edge_list)  # a repeated row is one link
+            firms = {f for link in links for f in link}
+            for f in (*SUPPLIERS, CLIENT_ONLY, "X"):
+                assert net.suppliers_of(f, year) == frozenset(s for s, c in links if c == f)
+                assert net.clients_of(f, year) == frozenset(c for s, c in links if s == f)
+            assert net.network_stats(year) == NetworkStats(
+                n_firms=len(firms),
+                n_links=len(links),
+                max_indegree=max((sum(c == f for _, c in links) for f in firms), default=0),
+                max_outdegree=max((sum(s == f for s, _ in links) for f in firms), default=0),
+            )
+        absent = next(y for y in range(min(net.years), max(net.years) + 2) if y not in edges_by_year)
+        for query in (lambda y: net.suppliers_of("A", y), lambda y: net.clients_of("A", y),
+                      net.network_stats, net.snapshot):
+            with pytest.raises(ValueError, match=f"no supply-chain snapshot for year {absent}"):
+                query(absent)

@@ -548,6 +548,33 @@ class TestStackedBuild:
         assert "F00005" in before.firm_id and "F00005" not in after.firm_id
         assert not np.array_equal(before.y, after.y)
 
+    def test_inputs_cannot_change_under_the_memo(self):
+        stores = perturbed_sim_stores()
+        before = build_panel(stores, "own", "positive", 2)
+        firm = str(before.firm_id[0])
+        series = stores.prices[firm]
+        reversed_series = Series(series.dates, series.values[::-1].copy())
+        with pytest.raises(TypeError):
+            stores.prices[firm] = reversed_series
+        with pytest.raises(ValueError, match="read-only"):
+            series.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            stores.indices["M00"].dates[0] += 1
+        for mapping in (stores.firms, stores.indices, stores.news.events):
+            with pytest.raises(TypeError):
+                del mapping[next(iter(mapping))]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stores.prices = {}
+        # a dict the caller keeps is copied, so changing it later changes nothing
+        prices = dict(stores.prices)
+        kept = Stores(firms=stores.firms, prices=prices, indices=stores.indices,
+                      news=stores.news, graph=stores.graph)
+        prices[firm] = reversed_series
+        assert_same_panel(build_panel(kept, "own", "positive", 2), before)
+        assert_same_panel(build_panel(stores, "own", "positive", 2), before)
+        after = build_panel(dataclasses.replace(stores, prices=prices), "own", "positive", 2)
+        assert not np.array_equal(before.y[before.firm_id == firm], after.y[after.firm_id == firm])
+
     def test_small_gather_batch_changes_nothing(self, monkeypatch):
         stores = perturbed_sim_stores()
         expected = {(m, w): build_panel(stores, m, "positive", w) for m in MODES for w in (1, 3, 7)}

@@ -299,8 +299,6 @@ class TestSimulate:
         for year in memory.graph.years:
             a, b = memory.graph.snapshot(year), loaded.graph.snapshot(year)
             assert a.edges == b.edges
-            assert a.suppliers_by_client == b.suppliers_by_client
-            assert a.clients_by_supplier == b.clients_by_supplier
         assert {k: (e.date, e.mentions) for k, e in memory.news.events.items()} == {
             k: (e.date, e.mentions) for k, e in loaded.news.events.items()}
         for mode in ("supplier", "client"):
