@@ -33,21 +33,29 @@ control. ``market_control`` is a second name for ``window_change``, kept
 only because the benchmark harness counts calls to it by that name.
 
 ``load_prices`` and ``load_indices`` read a file in blocks of whole lines.
-``np.loadtxt`` parses the plain lines (two commas among bytes 0x21-0x7e); the
-row rules in ``_Quotes.check`` take the other lines, the rows they would
-reject, and any block ``loadtxt`` refuses. One compare, ``byte - 0x21 > 0x5d``
-on uint8 (it wraps the bytes below 0x21 round), marks every byte outside
-0x21-0x7e, and with the commas these marks tell each line's fields and
-whether it is plain. A block without a CR skips all CR work; CRLF line ends
-read as LF. A file holding a quote, a NUL, a CR outside a CRLF, bytes that
-are not UTF-8 or a line past the csv field limit goes whole through
-``read_rows``, so every result and ``LoadError`` text is that of the csv
-reader. A date that is exactly ``DDDD-DD-DD`` is looked up by its int32
-yyyymmdd, which ``dt.date`` turns into a day once per file. A line with any
-other date, such as one with a time of day, goes to the row rules, where
-``parse_date`` decides each distinct text once, so a file of such dates loads
-at the row rules' speed. One stable sort on (id, day) rejects the later row
-of each duplicate, and each ``Series`` is a slice of the sorted columns.
+The plain lines (two commas among bytes 0x21-0x7e) are parsed column by
+column from the block's bytes; the row rules in ``_Quotes.check`` take the
+other lines and the plain rows the columns do not accept. One compare,
+``byte - 0x21 > 0x5d`` on uint8 (it wraps the bytes below 0x21 round), marks
+every byte outside 0x21-0x7e, and with the commas these marks give each
+line's bounds, its comma offsets and whether it is plain. A block without a
+CR skips all CR work; CRLF line ends read as LF. A file holding a quote, a
+NUL, a CR outside a CRLF, bytes that are not UTF-8 or a line past the csv
+field limit goes whole through ``read_rows``, so every result and
+``LoadError`` text is that of the csv reader.
+
+Of a plain line, a date that is exactly ``DDDD-DD-DD`` is looked up by its
+int32 yyyymmdd, which ``dt.date`` turns into a day once per file. A close
+of 1 to 15 digits with at most one point is read by the exact fast path for
+decimals: the digits as an integer over a power of ten, which is
+``float(text)`` bit for bit. An id is compared with the id of the line
+before over its own bytes, and only the first of each run is decoded. Any
+other plain row goes to the row rules: one with an empty id, a date of
+another shape (a time of day, say; ``parse_date`` decides each distinct
+text once) or one that names no day, and a close with a sign, an exponent,
+``inf``, ``nan``, an underscore, 16 or more digits, no digit, or a value
+that is not positive. One stable sort on (id, day) rejects the later row of
+each duplicate, and each ``Series`` is a slice of the sorted columns.
 """
 
 from __future__ import annotations
@@ -59,7 +67,6 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from operator import attrgetter
 from typing import Optional
 
@@ -170,26 +177,28 @@ _YMD_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9], np.uint8)  # and how far ab
 _YMD_PLACE = np.array([10**7, 10**6, 10**5, 10**4, 0, 1000, 100, 0, 10, 1], np.int32)
 
 
-def _csv_free(data: bytes) -> Optional[str]:
-    """``data`` as text with CRLF line ends made LF, or None where only the
-    csv reader reads it as the row path always has: it holds a quote, a NUL,
-    a CR outside a CRLF, or bytes that are not UTF-8."""
+def _csv_free(data: bytes) -> Optional[bytes]:
+    """``data`` with CRLF line ends made LF, or None where only the csv
+    reader reads it as the row path always has: it holds a quote, a NUL, a CR
+    outside a CRLF, or bytes that are not UTF-8."""
     if b'"' in data or b"\0" in data:
         return None
     if b"\r" in data:
         if data.count(b"\r") != data.count(b"\r\n"):
             return None
         data = data.replace(b"\r\n", b"\n")
-    try:
-        return data.decode()
-    except UnicodeDecodeError:
-        return None
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            return None
+    return data
 
 
-def _scan(buf: np.ndarray) -> tuple[int, np.ndarray, int, int]:
-    """For the lines of ``buf``, each ended by a newline: the longest length,
-    which lines are plain, and the widest id and date of a plain line (1 at
-    least)."""
+def _scan(buf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the lines of ``buf``, each ended by a newline: where each starts,
+    where its newline is, which lines are plain, and the offsets of the two
+    commas of each plain line."""
     # a line's marks: its commas, its newline and any byte outside 0x21-0x7e
     # (one compare: the uint8 subtraction wraps the bytes below 0x21 past 0x5d)
     odd = buf - 0x21 > 0x5D
@@ -203,26 +212,122 @@ def _scan(buf: np.ndarray) -> tuple[int, np.ndarray, int, int]:
     comma = kind == 44
     plain = np.diff(nl, prepend=-1) == 3
     plain &= comma.take(nl - 1, mode="clip") & comma.take(nl - 2, mode="clip")
-    starts = np.append(0, ends[:-1] + 1)
-    at, after = marks[nl[plain] - 2], marks[nl[plain] - 1]  # the commas of the plain lines
-    return (np.max(ends - starts), plain, np.max(at - starts[plain], initial=1),
-            np.max(after - at - 1, initial=1))
+    last = nl[plain] - 1  # the mark before a plain line's newline: its second comma
+    return np.append(0, ends[:-1] + 1), ends, plain, marks[last - 1], marks[last]
 
 
-def _ymd(texts: np.ndarray) -> np.ndarray:
-    """The int32 yyyymmdd of each date text (bytes) that is exactly
-    ``DDDD-DD-DD``, -1 for any other."""
-    width = texts.dtype.itemsize
-    if width < 10:
-        return np.full(len(texts), -1, np.int32)
-    chars = texts.view((np.uint8, width))
-    digits = chars[:, :10].T.copy()  # one row per place, so each pass is over a whole row
-    digits -= _YMD_LOW[:, None]
-    exact = (digits <= _YMD_SPAN[:, None]).all(axis=0)
-    if width > 10:
-        exact &= chars[:, 10] == 0  # no text holds a NUL, so it ends there
-    # the int32 sum may wrap on a text that is not exact, whose key -1 replaces it
-    return np.where(exact, _YMD_PLACE @ digits, np.int32(-1))
+def _texts(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width`` bytes of ``buf`` as one ``S{width}`` text per start
+    offset, without a copy: index it with the offsets of the texts to read."""
+    return np.ndarray((len(buf) - width + 1,), f"S{width}", buf, 0, (1,))
+
+
+def _ymd(buf: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The int32 yyyymmdd of each date text ``buf[first:first + width]``
+    that is exactly ``DDDD-DD-DD``, -1 for any other."""
+    keys = np.full(len(first), -1, np.int32)
+    ten = np.flatnonzero(width == 10)
+    if len(ten):
+        chars = _texts(buf, 10)[first[ten]].view(np.uint8).reshape(-1, 10)
+        digits = chars.T.copy()  # one row per place, so each pass is over a whole row
+        digits -= _YMD_LOW[:, None]
+        exact = (digits <= _YMD_SPAN[:, None]).all(axis=0)
+        # the int32 sum may wrap on a text that is not exact, whose key -1 replaces it
+        keys[ten] = np.where(exact, np.einsum("i,ij->j", _YMD_PLACE, digits), np.int32(-1))
+    return keys
+
+
+_POW10 = 10 ** np.arange(16, dtype=np.uint64)
+_POW10_F = 10.0 ** np.arange(16)  # exact doubles
+# per text width 0-16, the bits of each word of a 16-byte window that lie left
+# of the text, right-aligned in it: 8 per byte, 64 for a whole word
+_LEFT = np.array([[8 * min(max(end - w, 0), 8) for end in (16, 8)] for w in range(17)], np.uint64)
+# per word of that window, the bytes of the text after a point at byte b:
+# 7 - b in the second word, 8 more in the first, as the value of byte b
+_AFTER = (np.uint64(0x0F0E0D0C0B0A0908), np.uint64(0x0706050403020100))
+
+
+def _bytes(byte: int) -> np.uint64:
+    """``byte`` in each of the eight bytes of a word."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+def _closes(buf: np.ndarray, first: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each close text ``buf[first:end]`` by the exact fast path
+    for decimals (Clinger 1990), and which texts it takes: 1 to 15 digits and
+    at most one point, nothing else. The digits m read as an integer are below
+    2**53 and 10**f, for f digits after the point, is an exact double, so the
+    IEEE quotient m / 10**f is ``float(text)`` bit for bit. The value of a text
+    the path does not take means nothing. Each text holds only bytes
+    0x21-0x7e, as a plain line does.
+    """
+    width = end - first
+    # the 16 bytes that end where each text ends, as two little-endian words;
+    # each (n, 2) array is as large as the block, so the work is done in place
+    # and each is dropped once done with, for the next to reuse its memory
+    t = _texts(np.concatenate((np.zeros(16, np.uint8), buf)), 16)[end].view("<u8").reshape(-1, 2)
+    left = np.take(_LEFT, np.minimum(width, 16), axis=0)
+    t >>= left  # clear the bytes left of the text, the low ones
+    t <<= left
+    # 0x80 in each byte that is not a digit, and in each point (a byte
+    # below 0x80 plus 0x50, 0x46 or 0x7f carries into no other)
+    other = t + _bytes(0x50)
+    other ^= _bytes(0x80)
+    point = t + _bytes(0x46)  # for now: 0x80 in each byte above 0x39
+    other |= point
+    other &= _bytes(0x80)
+    np.bitwise_xor(t, _bytes(0x2E), out=point)
+    point += _bytes(0x7F)
+    np.invert(point, out=point)
+    point &= _bytes(0x80)
+    other ^= point
+    other >>= left  # the others left of the text are the cleared bytes
+    del left
+    fast = (other[:, 0] | other[:, 1]) == 0
+    # a 1 in each point's byte: times a word of byte values, that adds the values
+    # at those bytes into the top byte, so times all ones it counts the points
+    one = np.right_shift(point, np.uint64(7), out=other)
+    points = one * _bytes(1)
+    points >>= np.uint64(56)
+    npoint = points[:, 0] + points[:, 1]
+    del points
+    fast &= npoint <= 1
+    fast &= width.astype(np.uint64) - npoint - np.uint64(1) < np.uint64(15)  # 1 to 15 digits
+    # f, the bytes after the point, by the same multiply
+    f = (one[:, 0] * _AFTER[0] >> np.uint64(56)) + (one[:, 1] * _AFTER[1] >> np.uint64(56))
+    f = f.astype(np.intp) & 15  # a text the path does not take may count more
+    point >>= np.uint64(6)
+    t += point  # each point, 0x2e, becomes 0x30
+    del point, one, other
+    # x: the digits with the point read as a 0, eight per word. Each step joins
+    # neighbouring fields of k digits, a before b, into a * 10**k + b: times
+    # (10**k << bits) + 1, b's field gains a * 10**k
+    t &= _bytes(0x0F)
+    for k, bits, keep in ((1, 8, 0x00FF00FF00FF00FF), (2, 16, 0x0000FFFF0000FFFF), (4, 32, 0xFFFFFFFF)):
+        t *= np.uint64((10**k << bits) + 1)
+        t >>= np.uint64(bits)
+        t &= np.uint64(keep)
+    x = t[:, 0] * np.uint64(10**8) + t[:, 1]
+    # x = a * 10**(f + 1) + b for the digits a before the point and b after it
+    b = x % _POW10[f]
+    m = np.where(npoint > 0, (x - b) // np.uint64(10) + b, x)
+    return m / _POW10_F[f], fast
+
+
+def _repeats(buf: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Whether each text ``buf[start:start + width]`` equals the one before
+    it. Each text is read once, over its own bytes, as an ``S{width}`` text
+    with the others of its width, so the work follows the bytes read."""
+    same = np.zeros(len(start), bool)
+    if not len(start):
+        return same
+    order = np.argsort(width, kind="stable")  # each width's texts in file order
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        texts = _texts(buf, int(width[group[0]]))[start[group]]
+        equal = texts[1:] == texts[:-1]
+        equal &= np.diff(group) == 1  # and right after the one before
+        same[group[1:]] = equal
+    return same
 
 
 def _ymd_day(key: int) -> int:
@@ -323,10 +428,10 @@ class _Quotes:
         read, where only the row path reads it as it always has."""
         with open(path, "rb") as fh:
             head = fh.readline(_BLOCK)
-            text = _csv_free(head.removeprefix(codecs.BOM_UTF8))
-            if text is None or len(head) == _BLOCK or len(head) > csv.field_size_limit():
+            line = _csv_free(head.removeprefix(codecs.BOM_UTF8))
+            if line is None or len(head) == _BLOCK or len(head) > csv.field_size_limit():
                 return False
-            if tuple(f.strip() for f in text.rstrip("\n").split(",")) != self.header:
+            if tuple(f.strip() for f in line.decode().rstrip("\n").split(",")) != self.header:
                 return False  # read_rows names the fault
             row = 1
             while block := fh.read(_BLOCK):
@@ -344,38 +449,34 @@ class _Quotes:
 
     def parse_block(self, block: bytes, first_row: int) -> Optional[int]:
         """Parse whole lines, the first of them data row ``first_row``: plain
-        ones with ``np.loadtxt``, the rest and any refused through ``check``.
-        The row number after them, or None where only the row path reads them."""
-        text = _csv_free(block)
-        if text is None:
+        ones from their bytes, the rest through ``check``. The row number
+        after them, or None where only the row path reads them."""
+        data = _csv_free(block)
+        if data is None:
             return None
-        longest, plain, id_width, date_width = _scan(np.frombuffer(text.encode(), np.uint8))
-        if longest > csv.field_size_limit():
+        buf = np.frombuffer(data, np.uint8)
+        starts, ends, plain, at, after = _scan(buf)
+        if np.max(ends - starts) > csv.field_size_limit():
             return None
-        lines = text.split("\n")
-        lines.pop()  # the empty text after the last newline
         checked = ~plain
-        if plain.any():
-            # field widths from the comma offsets, so no id or date is cut short
-            dtype = [("id", f"S{id_width}"), ("date", f"S{date_width}"), ("value", "f8")]
-            try:
-                parsed = np.loadtxt(lines if plain.all() else list(compress(lines, plain)),
-                                    dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            except ValueError:  # such as 1_5, which float() takes
-                checked[:] = True
-            else:
-                day, value, ids = self.lookup(_ymd(parsed["date"])), parsed["value"], parsed["id"]
-                ok = (ids != b"") & (day != _NO_DAY) & (value > 0.0) & (value < np.inf)
-                ids = ids[ok]
-                # one dict lookup per run of equal ids: quote files are mostly grouped by id
-                run = np.flatnonzero(np.append(True, ids[1:] != ids[:-1])[: len(ids)])
-                code = [self.ids.setdefault(t.decode(), len(self.ids)) for t in ids[run].tolist()]
-                code = np.repeat(np.array(code, np.int64), np.diff(run, append=len(ids)))
-                row = first_row + np.flatnonzero(plain)
-                self.add(code << 32 | (day[ok] - _NO_DAY), value[ok], row[ok].astype(np.int32))
-                checked[row[~ok] - first_row] = True
-        self.check((first_row + k, lines[k].split(",")) for k in np.flatnonzero(checked).tolist())
-        return first_row + len(lines)
+        if len(at):
+            begin, end = starts[plain], ends[plain]
+            day = self.lookup(_ymd(buf, at + 1, after - at - 1))
+            value, fast = _closes(buf, after + 1, end)
+            ok = (at > begin) & (day != _NO_DAY) & fast & (value > 0.0)
+            begin, width = begin[ok], (at - begin)[ok]
+            # one dict lookup per run of equal ids: quote files are mostly grouped by id
+            run = np.flatnonzero(~_repeats(buf, begin, width))
+            code = [self.ids.setdefault(data[s : s + w].decode(), len(self.ids))
+                    for s, w in zip(begin[run].tolist(), width[run].tolist())]
+            code = np.repeat(np.array(code, np.int64), np.diff(run, append=len(begin)))
+            row = first_row + np.flatnonzero(plain)
+            self.add(code << 32 | (day[ok] - _NO_DAY), value[ok], row[ok].astype(np.int32))
+            checked[row[~ok] - first_row] = True
+        k = np.flatnonzero(checked)
+        self.check((first_row + i, data[s:e].decode().split(","))
+                   for i, s, e in zip(k.tolist(), starts[k].tolist(), ends[k].tolist()))
+        return first_row + len(ends)
 
     def series(self) -> tuple[dict[str, Series], list[RowRejection]]:
         """Reject the later row of each duplicate (id, day), then slice one

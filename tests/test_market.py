@@ -4,7 +4,11 @@ import csv
 import datetime as dt
 import itertools
 import math
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -452,9 +456,9 @@ def same_as_reference(path, header, load):
 
 
 # a quote file grammar: mostly rows the bulk parser reads, some it hands to
-# the row rules, and a few rare ones that make np.loadtxt refuse their block
-# (1_5, which float() takes, or an empty value) or send the whole file to the
-# csv reader (a quote, a NUL, a CR outside a CRLF)
+# the row rules, and a few rare ones: closes only the row rules read (1_5,
+# which float() takes, or an empty value), or rows that send the whole file to
+# the csv reader (a quote, a NUL, a CR outside a CRLF)
 quote_ids = st.sampled_from(["A", "B", "EE", "F0001", " A ", "B\t", "", "  ", "Zürich", "株", "\xa0A"])
 quote_dates = st.sampled_from([
     "2021-06-10", "2021-06-11", "2021-06-14", "1969-12-31", "0001-01-01", "9999-12-31",
@@ -494,6 +498,21 @@ def quote_files(draw):
     bom = draw(st.sampled_from(["", "", "\ufeff"]))
     end = draw(st.sampled_from([newline, ""]))
     return bom + newline.join(["{header}"] + rows) + end
+
+
+def ymd_keys(texts):
+    """``market._ymd`` of byte texts laid end to end, each followed by a comma."""
+    width = np.array([len(t) for t in texts])
+    buf = np.frombuffer(b"".join(t + b"," for t in texts), np.uint8)
+    return market._ymd(buf, np.cumsum(width + 1) - width - 1, width)
+
+
+@st.composite
+def fast_closes(draw):
+    """1 to 15 digits, with at most one point placed anywhere among them."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=15))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    return digits if point is None else f"{digits[:point]}.{digits[point:]}"
 
 
 class TestBulkLoader:
@@ -550,13 +569,13 @@ class TestBulkLoader:
     def test_yyyymmdd_keys_only_for_ten_byte_dates(self):
         texts = [b"2024-02-29", b"0000-00-00", b"9999-99-99", b"2021/06/10", b"2021-06-1x",
                  b"2021-06-10T14:31:00", b"21-06-10", b""]
-        assert market._ymd(np.array(texts)).tolist() == [20240229, 0, 99999999] + [-1] * 5
-        assert market._ymd(np.array([b"21-06-10"])).tolist() == [-1]
+        assert ymd_keys(texts).tolist() == [20240229, 0, 99999999] + [-1] * 5
+        assert ymd_keys([b"21-06-10"]).tolist() == [-1]  # a buffer shorter than a date
 
     def test_yyyymmdd_day_equals_parse_date(self):
         texts = [f"{y}-{m:02d}-{d:02d}" for y in ("0000", "0001", "1900", "2000", "2023", "2024", "9999")
                  for m in range(14) for d in range(33)]
-        keys = market._ymd(np.array([t.encode() for t in texts]))
+        keys = ymd_keys([t.encode() for t in texts])
         assert keys.tolist() == [int(t.replace("-", "")) for t in texts]
         for text, key in zip(texts, keys.tolist()):
             try:
@@ -588,8 +607,59 @@ class TestBulkLoader:
         path.write_bytes(newline.join(["firm_id,date,close"] + rows + [""]).encode())
         with spying_on_check() as checked:
             same_as_reference(path, PRICE_HEADER, load_prices)
-        # the last two rows have one comma among three marks, so loadtxt never sees them
+        # the last two rows have one comma among three marks, so they are never plain
         assert checked == [3, 4, 5, 6, 7, 8, 9, 11, 12]
+
+    def test_close_fast_path_takes_only_plain_decimals(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        slow = ["1e3", "+3", "1_5", "1.2.3", ".", "inf", "nan", "1234567890123456"]
+        fast = ["7", "5.", ".5", "007.50", "123456789012345", "0.0000000000001"]
+        days = weekday_dates(dt.date(2021, 6, 1), len(slow) + len(fast))
+        rows = [f"A,{day.isoformat()},{close}" for day, close in zip(days, fast + slow)]
+        path.write_text("\n".join(["firm_id,date,close"] + rows + [""]), encoding="utf-8")
+        with spying_on_check() as checked:
+            same_as_reference(path, PRICE_HEADER, load_prices)
+        assert checked == list(range(len(fast) + 1, len(rows) + 1))
+
+    # no shrink phase: a failing example is reported as drawn, in seconds
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(closes=st.lists(fast_closes(), min_size=1, max_size=40))
+    def test_fast_closes_equal_float(self, tmp_path, closes):
+        path = tmp_path / "prices.csv"
+        days = weekday_dates(dt.date(2021, 6, 1), len(closes))
+        rows = [f"A,{day.isoformat()},{close}" for day, close in zip(days, closes)]
+        path.write_text("\n".join(["firm_id,date,close"] + rows + [""]), encoding="utf-8")
+        with spying_on_check() as checked:
+            store, rejections = load_prices(path)
+        # only a zero close reaches the row rules, which reject it
+        zero = [i for i, close in enumerate(closes, start=1) if float(close) == 0.0]
+        assert checked == zero and [r.row for r in rejections] == zero
+        values = store["A"].values if len(zero) < len(closes) else np.array([])
+        expected = np.array([float(close) for close in closes if float(close) != 0.0])
+        assert values.tobytes() == expected.tobytes()
+
+    def test_one_long_id_loads_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        days = [d.isoformat() for d in weekday_dates(dt.date(2000, 1, 3), 5700)]
+        rows = [f"F{k % 7:04d},{day},{k % 997 + 1}.25" for k, day in enumerate(days)]
+        rows.insert(2850, "X" * 120_000 + ",2021-06-10,5.5")
+        path.write_text("\n".join(["firm_id,date,close"] + rows + [""]), encoding="utf-8")
+        assert 250_000 < path.stat().st_size < 270_000
+        # the peak RSS of a fresh process over its own level once the loader is imported
+        script = ("import resource, sys\n"
+                  "from newsprop import market\n"
+                  "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "market.load_prices(sys.argv[1])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 64 * 1024  # KiB on Linux
+        same_as_reference(path, PRICE_HEADER, load_prices)
 
     def test_bare_cr_reads_the_whole_file_by_rows(self, tmp_path):
         path = tmp_path / "prices.csv"
