@@ -27,9 +27,9 @@ gathers its neighbours from a CSR adjacency of its event's snapshot, and
 sorting the keys news * n_codes + firm, with firms coded in id order, puts the
 pairs in (news_id, firm_id) order. The table holds every candidate pair, each
 with its news and firm code and a reason code, the event columns per news
-code, the firm, sector and market labels per firm code, and each pair's anchor
-position on its price series and on its market's index series, found with one
-``searchsorted`` per series. The queries are kept once per distinct block-C
+code, the firm and market labels and sector codes per firm code, each pair's
+anchor on its price and its market's index series, by one ``searchsorted``
+per series. The queries are kept once per distinct block-C
 start in the stacked array, deduplicated by ``market.mark_ranks`` rather than a
 sort. A pair's reason code is its snapshot or registry reason, or 0 when only
 its windows decide. Once per window, one ``market.block_changes`` call over
@@ -43,6 +43,7 @@ right for the inputs it was built from, a ``Stores`` is read-only, and
 The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
 pre and post side by side in ``y`` and ``market_x``, and both sentiment
 columns, ``p_pos`` and ``p_neg``, so one build serves either polarity.
+``sector`` holds int codes into the mode's sorted ``sector_labels``, for the fit's bincounts.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ class Panel:
     Column 0 of ``y`` and ``market_x`` is the pre period, column 1 the post
     period; each pair stands for two observations, pre then post.
     ``news_value`` is ``p_pos`` or ``p_neg``, whichever ``polarity`` names.
+    ``sector`` codes into the sorted ``sector_labels``, which may hold labels of dropped pairs.
     ``drops`` holds every dropped candidate pair, in (news_id, firm_id) order.
     """
 
@@ -125,7 +127,8 @@ class Panel:
     w: int
     news_id: np.ndarray  # (n,) str
     firm_id: np.ndarray  # (n,) str
-    sector: np.ndarray  # (n,) str
+    sector: np.ndarray  # (n,) int, into sector_labels
+    sector_labels: np.ndarray  # str, sorted
     market: np.ndarray  # (n,) str
     p_pos: np.ndarray  # (n,) float
     p_neg: np.ndarray  # (n,) float
@@ -160,7 +163,7 @@ class _PairTable:
     an event without a snapshot, the exposed firms are its mentioned firms.
     ``reason`` is the pair's ``NO_SNAPSHOT`` or registry code (unknown firm,
     empty sector, empty market), or 0 when only its windows decide. Event columns are per
-    news code, and the firm, sector and market labels per firm code; an
+    news code, and the firm and market labels and sector codes per firm code; an
     unknown firm's sector and market are empty. ``first``, ``length`` and
     ``anchor`` hold the distinct window queries, one per block-C start
     ``first + anchor`` in ascending order, each as the first pair query with
@@ -178,7 +181,8 @@ class _PairTable:
     p_pos: np.ndarray  # float64, per news code
     p_neg: np.ndarray
     firm_labels: np.ndarray  # str, per firm code
-    sector: np.ndarray  # str, per firm code
+    sector: np.ndarray  # int, per firm code, into sector_labels
+    sector_labels: np.ndarray  # str, sorted
     market: np.ndarray
     first: np.ndarray  # (k,) int64
     length: np.ndarray
@@ -296,6 +300,7 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     registry = np.select(
         [np.array([record is None for record in records], dtype=bool), sector == "", market == ""],
         [UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET]).astype(np.int8)
+    sector_labels, sector_code = np.unique(sector, return_inverse=True)
     reason = np.where(snapless[news], np.int8(NO_SNAPSHOT), registry[firm])
     market_labels, market_code = np.unique(market, return_inverse=True)
     firm_labels = np.array(firm_ids, dtype=str)
@@ -318,7 +323,8 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
         p_pos=p_pos,
         p_neg=p_neg,
         firm_labels=firm_labels,
-        sector=sector,
+        sector=sector_code,
+        sector_labels=sector_labels,
         market=market,
         first=first[pick],
         length=length[pick],
@@ -359,6 +365,7 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         news_id=table.news_labels[news],
         firm_id=table.firm_labels[firm],
         sector=table.sector[firm],
+        sector_labels=table.sector_labels,
         market=table.market[firm],
         p_pos=table.p_pos[news],
         p_neg=table.p_neg[news],
@@ -382,7 +389,7 @@ def write_panel(panel: Panel, path) -> None:
     """Export observations in the panel CSV schema, pre then post per pair."""
     pairs = zip(*(column.tolist() for column in (
         panel.firm_id, panel.news_id, panel.news_value, panel.y, panel.market_x,
-        panel.sector, panel.market)))
+        panel.sector_labels[panel.sector], panel.market)))
     write_rows(path, PANEL_HEADER, (
         (firm_id, news_id, panel.w, period, y[j], news_value, x[j], sector, market_id)
         for firm_id, news_id, news_value, y, x, sector, market_id in pairs

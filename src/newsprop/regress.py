@@ -4,14 +4,15 @@ The dependent variable is regressed on three columns, PRE x NEWS,
 POST x NEWS, and the market control, after every variable has had its
 sector-group mean subtracted (within transformation). Group demeaning is
 numerically equivalent to including one dummy per sector; the equivalence is
-exercised against a brute-force dummy-variable solver in the test suite. The
-demeaned system is solved by QR decomposition; the raw normal-equation route
-exists only as a test oracle.
+exercised against a brute-force dummy-variable solver in the test suite. Group
+sums are ``np.bincount`` over the panel's int sector codes. The demeaned system
+is solved by QR decomposition, whose R gives the column norms of the
+collinearity test; the normal-equation route exists only as a test oracle.
 
-Degrees of freedom are n_obs - n_sectors - 3. Sectors with a single
-observation are absorbed exactly (their demeaned row is zero) and still count
-in the correction. Standard errors are homoskedastic by default, with an
-opt-in HC1 heteroskedasticity-robust covariance.
+Degrees of freedom are n_obs - n_sectors - 3, counting the sectors of kept
+pairs. Sectors with a single observation are absorbed exactly (their demeaned
+row is zero) and still count in the correction. Standard errors are
+homoskedastic by default, with an opt-in HC1 heteroskedasticity-robust covariance.
 
 The difference test's p value is the two-sided t tail I_x(dof/2, 1/2),
 x = dof / (dof + t^2), from the standard library alone (``two_sided_p``): the
@@ -118,28 +119,25 @@ def within_transform(panel: Panel) -> WithinDesign:
     """
     if len(panel) == 0:
         raise ValueError("cannot transform an empty panel")
-    # per pair and period: y, pre_news, post_news, market_x
-    stacked = np.zeros((len(panel.news_value), 2, 4))
-    stacked[:, :, 0] = panel.y
-    stacked[:, 0, 1] = panel.news_value
-    stacked[:, 1, 2] = panel.news_value
-    stacked[:, :, 3] = panel.market_x
-    stacked = stacked.reshape(-1, 4)
-    labels, codes = np.unique(panel.sector, return_inverse=True)
-    codes = np.repeat(codes, 2)
-    n_groups = len(labels)
-    counts = np.bincount(codes, minlength=n_groups).astype(float)
-    # bincount adds each group's rows one at a time in row order
-    sums = np.column_stack(
-        [np.bincount(codes, weights=stacked[:, j], minlength=n_groups) for j in range(4)]
-    )
-    means = sums / counts[:, None]
-    demeaned = stacked - means[codes]
-    return WithinDesign(
-        y=demeaned[:, 0],
-        X=demeaned[:, 1:],
-        sector_labels=[str(s) for s in labels],
-    )
+    codes = np.repeat(panel.sector, 2)
+    counts = 2 * np.bincount(panel.sector, minlength=len(panel.sector_labels))
+    present = counts > 0
+
+    def means(column: np.ndarray, at: np.ndarray) -> np.ndarray:
+        # bincount adds each group's rows one at a time in row order; a sector
+        # without rows gets no mean
+        sums = np.bincount(at, weights=column, minlength=len(counts))
+        return np.divide(sums, counts, out=sums, where=present)[at]
+
+    # rows pre then post per pair: y, pre_news, post_news, market_x. A zero news cell adds +0.0
+    # to a sum, so both news columns share the pairs' sums; it demeans as 0.0 - mean, never -0.0
+    news_mean = means(panel.news_value, panel.sector)
+    out = np.empty((len(codes), 4))
+    out[:, 0] = panel.y.ravel() - means(panel.y.ravel(), codes)
+    out[0::2, 1] = out[1::2, 2] = panel.news_value - news_mean
+    out[1::2, 1] = out[0::2, 2] = 0.0 - news_mean
+    out[:, 3] = panel.market_x.ravel() - means(panel.market_x.ravel(), codes)
+    return WithinDesign(y=out[:, 0], X=out[:, 1:], sector_labels=panel.sector_labels[present].tolist())
 
 
 def _diff_fields(beta: np.ndarray, cov: np.ndarray, dof: int) -> tuple[float, float, float, float]:
@@ -259,8 +257,8 @@ def fit(panel: Panel, robust: bool = False) -> FitResult:
         # design is degenerate (constant series yield both at once)
         beta, cov = np.zeros(3), np.zeros((3, 3))
     else:
-        col_norms = np.linalg.norm(X, axis=0)
         Q, R = np.linalg.qr(X)
+        col_norms = np.sqrt(np.einsum("ij,ij->j", R, R))
         diag = np.abs(np.diag(R))
         for j in range(3):
             if diag[j] <= _RANK_RTOL * max(col_norms[j], 1e-300):

@@ -74,6 +74,7 @@ def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
     """
     rejections: list[RowRejection] = []
     pending: dict[str, dict] = {}
+    date_of: dict[str, Optional[dt.date]] = {}  # date text -> its day, or None if malformed
     for i, row in read_rows(path, NEWS_HEADER):
         if len(row) != 6:
             rejections.append(RowRejection(i, "wrong column count"))
@@ -82,9 +83,13 @@ def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
         if not news_id or not firm_id:
             rejections.append(RowRejection(i, "empty news_id or firm_id"))
             continue
-        try:
-            date = parse_date(date_text)
-        except ValueError:
+        if date_text not in date_of:
+            try:
+                date_of[date_text] = parse_date(date_text)
+            except ValueError:
+                date_of[date_text] = None
+        date = date_of[date_text]
+        if date is None:
             rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
             continue
         try:
@@ -92,9 +97,9 @@ def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
         except ValueError:
             rejections.append(RowRejection(i, "malformed probability"))
             continue
-        problem = _validate_triple(p_pos, p_neu, p_neg)
-        if problem is not None:
-            rejections.append(RowRejection(i, problem))
+        if not (0.0 <= p_pos <= 1.0 and 0.0 <= p_neu <= 1.0 and 0.0 <= p_neg <= 1.0
+                and abs(p_pos + p_neu + p_neg - 1.0) <= SIMPLEX_TOL):
+            rejections.append(RowRejection(i, _validate_triple(p_pos, p_neu, p_neg)))
             continue
         entry = pending.get(news_id)
         if entry is None:

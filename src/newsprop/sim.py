@@ -27,9 +27,10 @@ anchor is the event's trading position; weekend-dated events shift forward
 exactly as the panel's anchor rule does. Injection is one array pass: every
 event's anchor comes from one searchsorted, each firm's targets (itself, then
 its suppliers, then its clients) are flat arrays expanded over the tradable
-events with np.repeat, and the drifts go into the returns through unbuffered
-np.add.at batches, which add in injection order, so every return gets the same
-float additions as one slice-add per drift would give it.
+events with np.repeat, and each injection's leak days and effect days, which
+meet at the anchor, are one run of flat indices into the returns. The drifts
+go in through unbuffered np.add.at batches, which add in injection order, so
+every return gets the same float additions as one slice-add per drift would.
 
 ``expected_betas`` turns a configuration into the coefficients the pooled
 regression is expected to recover. Two pieces feed it:
@@ -292,13 +293,12 @@ def simulate(config: SimConfig) -> SimBundle:
         drift_anchor = np.repeat(anchor[lo:hi], reps[lo:hi])
         pre_lo = np.maximum(drift_anchor - config.leak_window, 0)
         post_hi = np.minimum(drift_anchor + config.effect_window, n_trading)
-        # [start, stop) day spans, each injection's pre drift then its post drift
-        span_start = np.column_stack((pre_lo, drift_anchor)).ravel()
-        lengths = np.column_stack((drift_anchor, post_hi)).ravel() - span_start
-        days = concat_ranges(span_start, lengths)
-        rows = np.repeat(np.repeat(target_firm[k], 2), lengths)
-        values = np.repeat(np.column_stack((drift_pre, drift_post)).ravel(), lengths)
-        np.add.at(returns.reshape(-1), rows * n_trading + days, values)
+        # an injection's pre days end where its post days start: one run of flat
+        # indices [pre_lo, post_hi) on its target's row, pre drift then post drift
+        index = concat_ranges(target_firm[k] * n_trading + pre_lo, post_hi - pre_lo)
+        values = np.repeat(np.column_stack((drift_pre, drift_post)).ravel(),
+                           np.column_stack((drift_anchor - pre_lo, post_hi - drift_anchor)).ravel())
+        np.add.at(returns.reshape(-1), index, values)
         lo = hi
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)

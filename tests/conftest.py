@@ -81,16 +81,19 @@ def reference_change(dates, values, news_date: dt.date, w: int, period: str) -> 
 def make_panel(sector, news_value, y, market_x, w: int = 1) -> Panel:
     """An own/positive panel from its numeric columns; pair k is news N<k>, firm F<k>.
 
-    ``news_value`` fills ``p_pos``; ``p_neg`` is its complement.
+    ``news_value`` fills ``p_pos``; ``p_neg`` is its complement. ``sector``
+    holds labels, coded into the panel's sorted ``sector_labels``.
     """
     n = len(sector)
+    sector_labels, sector = np.unique(np.array(sector, dtype=str), return_inverse=True)
     return Panel(
         mode="own",
         polarity="positive",
         w=w,
         news_id=np.array([f"N{k:05d}" for k in range(n)], dtype=str),
         firm_id=np.array([f"F{k:04d}" for k in range(n)], dtype=str),
-        sector=np.array(sector, dtype=str),
+        sector=sector,
+        sector_labels=sector_labels,
         market=np.array(["M0"] * n, dtype=str),
         p_pos=np.array(news_value, dtype=float),
         p_neg=1.0 - np.array(news_value, dtype=float),

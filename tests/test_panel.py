@@ -365,7 +365,7 @@ def assert_matches_reference(stores: Stores, mode: str, w: int) -> Panel:
     assert panel.market_x.tolist() == [p[4] for p in kept]
     records = [stores.firms.get(p[1]) for p in kept]
     events = [stores.news.events[p[0]] for p in kept]
-    assert panel.sector.tolist() == [r.sector_code for r in records]
+    assert panel.sector_labels[panel.sector].tolist() == [r.sector_code for r in records]
     assert panel.market.tolist() == [r.market_id for r in records]
     assert panel.p_pos.tolist() == [e.p_pos for e in events]
     assert panel.p_neg.tolist() == [e.p_neg for e in events]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime as dt
 import math
 import os
 import subprocess
@@ -9,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import stdtr
 
-from conftest import make_panel, random_panel
+from conftest import (make_panel, make_series, make_stores, random_panel, simple_event, simple_firm,
+                      weekday_dates)
+from newsprop.panel import build_panel
 from newsprop.regress import (
     FIT_HEADER,
     _diff_fields,
@@ -30,10 +34,32 @@ P_RTOL = 2e-14
 def observation_rows(panel):
     """(sector, is_pre, news_value, market_x, y) per observation, pre then post per pair."""
     return [
-        (panel.sector[k], j == 0, panel.news_value[k], panel.market_x[k, j], panel.y[k, j])
+        (panel.sector_labels[panel.sector[k]], j == 0, panel.news_value[k], panel.market_x[k, j], panel.y[k, j])
         for k in range(len(panel.news_id))
         for j in (0, 1)
     ]
+
+
+def add_at_reference(panel):
+    """The demeaned (2n, 4) design from the stacked observation rows by
+    ``np.add.at`` group sums, and the sorted labels of the sectors present."""
+    rows = observation_rows(panel)
+    stacked = np.array([
+        (y, news if is_pre else 0.0, 0.0 if is_pre else news, x)
+        for _, is_pre, news, x, y in rows
+    ])
+    labels, codes = np.unique([row[0] for row in rows], return_inverse=True)
+    sums = np.zeros((len(labels), 4))
+    np.add.at(sums, codes, stacked)
+    return stacked - (sums / np.bincount(codes)[:, None])[codes], labels.tolist()
+
+
+def assert_design_bytes(panel):
+    demeaned, labels = add_at_reference(panel)
+    design = within_transform(panel)
+    assert design.y.tobytes() == demeaned[:, 0].tobytes()
+    assert design.X.tobytes() == np.ascontiguousarray(demeaned[:, 1:]).tobytes()
+    assert design.sector_labels == labels
 
 
 def dummy_ols(panel):
@@ -121,19 +147,43 @@ class TestWithinTransform:
             sector, rng.uniform(0.0, 1.0, n), rng.normal(size=(n, 2)) * scale,
             rng.normal(size=(n, 2)) * scale,
         )
-        rows = observation_rows(panel)
-        stacked = np.array([
-            (y, news if is_pre else 0.0, 0.0 if is_pre else news, x)
-            for _, is_pre, news, x, y in rows
-        ])
-        labels, codes = np.unique([row[0] for row in rows], return_inverse=True)
-        sums = np.zeros((len(labels), 4))
-        np.add.at(sums, codes, stacked)
-        demeaned = stacked - (sums / np.bincount(codes)[:, None])[codes]
-        design = within_transform(panel)
-        assert design.y.tobytes() == demeaned[:, 0].tobytes()
-        assert design.X.tobytes() == np.ascontiguousarray(demeaned[:, 1:]).tobytes()
-        assert design.sector_labels == labels.tolist()
+        assert_design_bytes(panel)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(sizes=st.lists(st.integers(1, 30), min_size=2, max_size=8), seed=st.integers(0, 2**32 - 1))
+    def test_all_zero_news_sector_equals_add_at_reference(self, sizes, seed):
+        # the first sector's news is all 0.0, so its news means are 0.0 and each
+        # of its news cells must come out +0.0, as 0.0 - 0.0 does
+        rng = np.random.default_rng(seed)
+        sector = np.array([f"S{g:02d}" for g, size in enumerate(sizes) for _ in range(size)])
+        n = len(sector)
+        order = rng.permutation(n)
+        news = np.where(sector == "S00", 0.0, rng.uniform(0.0, 1.0, n))
+        scale = 10.0 ** rng.uniform(-8, 8, size=(n, 2))
+        panel = make_panel(sector[order], news[order], rng.normal(size=(n, 2)) * scale,
+                           rng.normal(size=(n, 2)) * scale)
+        assert_design_bytes(panel)
+
+    def test_sectors_without_kept_pairs_are_not_absorbed(self, rng):
+        # S2's one firm has no prices, so all its pairs drop; E's empty sector
+        # drops its pairs too. Both labels stay on the panel, and neither may
+        # count in the dof or get a mean (a 0/0 mean would warn, an error here)
+        dates = weekday_dates(dt.date(2016, 1, 4), 60)
+        sectors = {"A": "S0", "B": "S0", "C": "S1", "D": "S2", "E": ""}
+        prices = {f: make_series(dates, 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 60))))
+                  for f in sectors if f != "D"}
+        index = make_series(dates, 1000.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 60))))
+        events = [simple_event(f"N{f}{k}", dates[10 + 7 * k + i], {f}, p_pos=float(rng.uniform()))
+                  for i, f in enumerate(sectors) for k in range(6)]
+        stores = make_stores(firms=[simple_firm(f, sector=s) for f, s in sectors.items()],
+                             prices=prices, indices={"M0": index}, events=events)
+        panel = build_panel(stores, "own", "positive", 1)
+        assert sorted({d.reason for d in panel.drops}) == ["missing-sector", "price-window"]
+        assert panel.sector_labels.tolist() == ["", "S0", "S1", "S2"]
+        kept = np.unique(panel.sector_labels[panel.sector]).tolist()
+        assert kept == ["S0", "S1"]
+        assert within_transform(panel).sector_labels == kept
+        assert fit(panel).dof == len(panel) - len(kept) - 3
 
     def test_matches_dummy_solver(self, rng):
         panel = random_panel(rng, n_pairs=25, n_sectors=6)
@@ -194,6 +244,20 @@ class TestFit:
         with pytest.raises(ValueError, match="collinear design: column 'market_x' carries no independent"):
             fit(broken)
 
+    @pytest.mark.parametrize("noise, fits", [(1e-12, False), (1e-6, True)])
+    def test_collinearity_threshold_from_both_sides(self, rng, noise, fits):
+        # market_x is 3 x pre_news plus noise at the given relative size: the
+        # threshold (1e-8 of the column norm) lies between the two
+        panel = random_panel(rng, n_pairs=80, n_sectors=4)
+        pre_news = np.column_stack((panel.news_value, np.zeros(len(panel.news_value))))
+        market_x = 3.0 * pre_news + noise * rng.normal(size=pre_news.shape)
+        panel = dataclasses.replace(panel, market_x=market_x)
+        if fits:
+            assert math.isfinite(fit(panel).beta_x)
+        else:
+            with pytest.raises(ValueError, match="collinear design: column 'market_x'"):
+                fit(panel)
+
     def test_insufficient_data_raises(self, rng):
         panel = random_panel(rng, n_pairs=2, n_sectors=1)  # 4 obs, 1 sector, dof = 0
         with pytest.raises(ValueError, match="4 observations cannot support 1 absorbed sectors"):
@@ -209,6 +273,19 @@ class TestFit:
         b = fit(shuffled)
         for name in ("beta_pre", "beta_post", "beta_x", "se_pre", "se_post", "se_x", "diff", "diff_se", "diff_t", "diff_p"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_sector_numbering_leaves_fit_bit_equal(self, seed, data):
+        # sector codes only group rows: permuting the labels and renumbering the
+        # codes to match must not move one bit of the fit
+        panel = random_panel(np.random.default_rng(seed), n_pairs=50, n_sectors=7)
+        labels = panel.sector_labels
+        perm = np.array(data.draw(st.permutations(range(len(labels)))), dtype=np.int64)
+        renumbered = dataclasses.replace(panel, sector_labels=labels[perm],
+                                         sector=np.argsort(perm)[panel.sector])
+        for robust in (False, True):
+            assert repr(fit(renumbered, robust)) == repr(fit(panel, robust))
 
     def test_constant_shift_absorbed(self, rng):
         panel = random_panel(rng, n_pairs=40, n_sectors=5)

@@ -73,6 +73,30 @@ class TestLoadNews:
         assert len(store) == 0
         assert len(rejections) == 4
 
+    def test_each_bad_triple_and_repeated_bad_date_keeps_its_message(self, tmp_path):
+        rows = [
+            ("n1", "2016-05-02", "A", "nan", 0.3, 0.2),
+            ("n2", "2016-05-02", "A", 0.5, "inf", 0.2),
+            ("n3", "2016-05-02", "A", 1.5, 0.3, 0.2),
+            ("n4", "2016-05-02", "A", 0.2, 0.2, 0.2),
+            ("n5", "2016-02-30", "A", 0.5, 0.3, 0.2),
+            ("n6", "2016-05-02", "A", 0.5, 0.3, 0.2),
+            ("n7", "2016-02-30", "B", 0.5, 0.3, 0.2),
+            ("n8", "2016-05-02", "A", 1.5, "nan", -0.5),
+        ]
+        store, rejections = load_news(write_news(tmp_path, rows))
+        assert [(r.row, r.reason) for r in rejections] == [
+            (1, "non-finite probability"),
+            (2, "non-finite probability"),
+            (3, "probability outside [0, 1]"),
+            (4, "probabilities sum to 0.6"),
+            (5, "malformed date '2016-02-30'"),
+            (7, "malformed date '2016-02-30'"),
+            (8, "non-finite probability"),
+        ]
+        assert list(store.events) == ["n6"]
+        assert store.events["n6"].date == dt.date(2016, 5, 2)
+
     def test_timestamp_truncated(self, tmp_path):
         store, _ = load_news(
             write_news(tmp_path, [("n1", "2016-05-02T09:30:15", "A", 0.5, 0.3, 0.2)])
