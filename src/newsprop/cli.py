@@ -156,7 +156,7 @@ def _settings(args: argparse.Namespace, keys: dict) -> dict:
 
 
 def _load_bundle(settings: dict):
-    """Run every loader in audit mode; returns (stores, report lines, n rejected)."""
+    """Run every loader in audit mode; returns ({Stores field: value}, report lines, n rejected)."""
     for key in panel.BUNDLE_FILES:  # checked before any file is read; empty is missing
         if not settings.get(key):
             raise ValueError(f"missing required input path --{key}")
@@ -181,8 +181,8 @@ def _load_bundle(settings: dict):
     n_links = sum(len(network.snapshot(y).edges) for y in network.years)
     audit("edges", f"{len(network.years)} snapshots / {n_links} links", [])
 
-    stores = panel.Stores(firms=firms, prices=prices, indices=indices, news=news, graph=network)
-    return stores, lines, total_rejected
+    inputs = dict(firms=firms, prices=prices, indices=indices, news=news, graph=network)
+    return inputs, lines, total_rejected
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -205,9 +205,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     polarities = sorted(settings.get("polarity", ["positive"]))
     outdir = Path(settings.get("out") or "out")
 
-    stores, _, rejected = _load_bundle(settings)
+    inputs, _, rejected = _load_bundle(settings)
     if settings.get("strict") and rejected:
         raise ValueError(f"strict mode: {rejected} rejected rows")
+    stores = panel.Stores(**inputs)
+    del inputs  # the Stores holds the one copy of each series
 
     fits = {}  # (mode, polarity, w) -> FitResult of each cell that fitted
     for mode in modes:

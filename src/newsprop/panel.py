@@ -17,28 +17,28 @@ A build reads plain data from a ``Stores``: the firm registry is a dict of
 ``FirmRecord`` by firm_id, and the closes and index values are dicts of the
 one ``market.Series`` type, by firm_id and by market_id.
 
-A build splits into work done once per ``Stores``, once per mode and once
-per window, each memoised on the ``Stores``. Once per ``Stores``, every price
-series and then every index series are laid end to end in one array, and the
-events, sorted by id, are transposed with ``zip(*events)`` into their columns:
-ids, days, mention sets and both sentiment probabilities. Once per mode,
-array operations on integer codes yield the mode's pair table: each mention
-gathers its neighbours from a CSR adjacency of its event's snapshot, and
-sorting the keys news * n_codes + firm, with firms coded in id order, puts the
-pairs in (news_id, firm_id) order. The table holds every candidate pair, each
-with its news and firm code and a reason code, the event columns per news
-code, the firm and market labels and sector codes per firm code, each pair's
-anchor on its price and its market's index series, by one ``searchsorted``
-per series. The queries are kept once per distinct block-C
-start in the stacked array, deduplicated by ``market.mark_ranks`` rather than a
-sort. A pair's reason code is its snapshot or registry reason, or 0 when only
-its windows decide. Once per window, one ``market.block_changes`` call over
-the stacked array gives every pair's four changes, so a window costs one
-kernel pass whatever the number of firms. A pair then drops for the first
-reason that applies, in the order of ``REASONS``: its snapshot or registry
-reason, then its price window, then its index window. Since the memo is only
-right for the inputs it was built from, a ``Stores`` is read-only, and
-``dataclasses.replace`` gives a copy with a fresh memo.
+A build splits into work done once per ``Stores``, once per mode and once per
+window. When a ``Stores`` is made, it copies every price series and then every
+index series end to end into one array, and transposes the events, sorted by
+id, with ``zip(*events)`` into their columns: ids, days, mention sets and both
+sentiment probabilities. Once per mode, memoised on the ``Stores``, array
+operations on integer codes yield the mode's pair table: each mention gathers
+its neighbours from a CSR adjacency of its event's snapshot, and sorting the
+keys news * n_codes + firm, with firms coded in id order, puts the pairs in
+(news_id, firm_id) order. The table holds every candidate pair, each with its
+news and firm code and a reason code, the event columns per news code, the
+firm and market labels and sector codes per firm code, each pair's anchor on
+its price and its market's index series, by one ``searchsorted`` per series.
+The queries are kept once per distinct block-C start in the stacked array,
+deduplicated by ``market.mark_ranks`` rather than a sort. A pair's reason code
+is its snapshot or registry reason, or 0 when only its windows decide. Once
+per window, one ``market.block_changes`` call over the stacked array gives
+every pair's four changes, so a window costs one kernel pass whatever the
+number of firms. A pair then drops for the first reason that applies, in the
+order of ``REASONS``: its snapshot or registry reason, then its price window,
+then its index window. A build reads only what its ``Stores`` owns and the
+network's frozen edge sets, so a memoised table cannot go stale;
+``dataclasses.replace`` makes a new copy with a fresh memo.
 
 The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
 pre and post side by side in ``y`` and ``market_x``, and both sentiment
@@ -87,13 +87,12 @@ class DropRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Stores:
-    """The loaded inputs a panel build reads from, as read-only copies of the
-    dicts given, with every series' arrays made unwriteable, so an edit after
-    a build raises instead of leaving a stale memo.
+    """A copy of the loaded inputs that builds read; what it is given stays as it was.
 
-    ``_memo`` holds what builds share: ``"stack"`` (every series end to end),
-    ``"events"`` (the event columns in news_id order) and one pair table per
-    mode, each made on first use; see the module docstring.
+    Every price series, then every index series, lies end to end in one read-only
+    ``dates`` and one ``values`` array; ``prices`` and ``indices`` are read-only
+    dicts of ``Series`` views into them, and ``firms`` and ``news.events``
+    read-only dict copies. ``_memo`` holds one pair table per mode.
     """
 
     firms: Mapping[str, FirmRecord]
@@ -101,14 +100,30 @@ class Stores:
     indices: Mapping[str, Series]
     news: NewsStore
     graph: SupplyChainNetwork
+    _values: np.ndarray = field(init=False, repr=False, compare=False)  # every series' values
+    _firsts: dict = field(init=False, repr=False, compare=False)  # (kind, id) -> first index
+    _events: tuple = field(init=False, repr=False, compare=False)  # the event columns
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("firms", "prices", "indices"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-        object.__setattr__(self, "news", NewsStore(MappingProxyType(dict(self.news.events))))
-        for series in chain(self.prices.values(), self.indices.values()):
-            series.dates.flags.writeable = series.values.flags.writeable = False
+        series = [*self.prices.values(), *self.indices.values()]
+        keys = [("price", f) for f in self.prices] + [("index", m) for m in self.indices]
+        firsts = np.cumsum([0] + [len(s) for s in series]).tolist()
+        dates = np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in series)])
+        values = np.concatenate([np.empty(0), *(s.values for s in series)])
+        dates.flags.writeable = values.flags.writeable = False
+        views = [Series(dates[a:b], values[a:b]) for a, b in zip(firsts, firsts[1:])]
+        owned = {
+            "firms": MappingProxyType(dict(self.firms)),
+            "prices": MappingProxyType(dict(zip(self.prices, views[:len(self.prices)]))),
+            "indices": MappingProxyType(dict(zip(self.indices, views[len(self.prices):]))),
+            "news": NewsStore(MappingProxyType(dict(self.news.events))),
+            "_values": values,
+            "_firsts": dict(zip(keys, firsts)),
+            "_events": _event_columns(self.news.events),
+        }
+        for name, value in owned.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -190,23 +205,10 @@ class _PairTable:
     query: np.ndarray  # (2n,) int32, into the k distinct queries
 
 
-def _stack(stores: Stores) -> tuple[np.ndarray, dict[tuple[str, str], int]]:
-    """Every price series, then every index series, end to end in one array,
-    and the first index of each ("price", firm_id) and ("index", market_id)."""
-    stack = stores._memo.get("stack")
-    if stack is None:
-        columns = [s.values for s in (*stores.prices.values(), *stores.indices.values())]
-        keys = [("price", f) for f in stores.prices] + [("index", m) for m in stores.indices]
-        firsts = np.cumsum([0] + [len(column) for column in columns]).tolist()
-        stack = stores._memo["stack"] = (np.concatenate([np.empty(0), *columns]), dict(zip(keys, firsts)))
-    return stack
-
-
 def _anchor_queries(stores: Stores, kind: str, labels: np.ndarray, code: np.ndarray, day: np.ndarray):
     """(first, length, anchor) per pair on its price or index series, with one
     ``searchsorted`` per series; a pair without a series gets length 0."""
     series_by_id = stores.prices if kind == "price" else stores.indices
-    firsts = _stack(stores)[1]
     first, length, anchor = (np.zeros(len(code), dtype=np.int64) for _ in range(3))
     order = np.argsort(code, kind="stable")
     bounds = np.searchsorted(code[order], np.arange(len(labels) + 1))
@@ -214,7 +216,7 @@ def _anchor_queries(stores: Stores, kind: str, labels: np.ndarray, code: np.ndar
         series = series_by_id.get(ident)
         if series is not None:
             rows = order[bounds[k] : bounds[k + 1]]
-            first[rows], length[rows] = firsts[kind, ident], len(series)
+            first[rows], length[rows] = stores._firsts[kind, ident], len(series)
             anchor[rows] = np.searchsorted(series.dates, day[rows])
     return first, length, anchor
 
@@ -225,19 +227,14 @@ def concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) + np.repeat(start - slots, lengths)
 
 
-def _events(stores: Stores) -> tuple:
+def _event_columns(events: Mapping[str, NewsEvent]) -> tuple:
     """The event columns in news_id order: ids, days, mention sets, ``p_pos``
-    and ``p_neg``, taken once per ``Stores`` by transposing the events."""
-    columns = stores._memo.get("events")
-    if columns is None:
-        events = stores.news.events
-        news_id, date, mentions, p_pos, _, p_neg = (
-            list(zip(*map(events.__getitem__, sorted(events)))) or [()] * len(NewsEvent._fields))
-        # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
-        day = np.datetime64("0000-12-31") + np.fromiter(map(dt.date.toordinal, date), np.int64, len(date))
-        columns = stores._memo["events"] = (np.array(news_id, dtype=str), day, mentions,
-                                            np.array(p_pos, dtype=float), np.array(p_neg, dtype=float))
-    return columns
+    and ``p_neg``, by transposing the events."""
+    news_id, date, mentions, p_pos, _, p_neg = (
+        list(zip(*map(events.__getitem__, sorted(events)))) or [()] * len(NewsEvent._fields))
+    # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
+    day = np.datetime64("0000-12-31") + np.fromiter(map(dt.date.toordinal, date), np.int64, len(date))
+    return np.array(news_id, dtype=str), day, mentions, np.array(p_pos, float), np.array(p_neg, float)
 
 
 def _pairs(stores: Stores, mode: str, mentions: tuple, day: np.ndarray):
@@ -292,7 +289,7 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     table = stores._memo.get(mode)
     if table is not None:
         return table
-    news_labels, day, mentions, p_pos, p_neg = _events(stores)
+    news_labels, day, mentions, p_pos, p_neg = stores._events
     news, firm, firm_ids, snapless = _pairs(stores, mode, mentions, day)
     records = [stores.firms.get(firm_id) for firm_id in firm_ids]
     sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
@@ -312,7 +309,7 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     # the start of the next, where no window fits, so the start alone is a key.
     # A start lies in [0, len(stack)], and each distinct one keeps its first query.
     key = first + anchor
-    distinct, query = mark_ranks(key, len(_stack(stores)[0]) + 1)
+    distinct, query = mark_ranks(key, len(stores._values) + 1)
     pick = np.full(len(distinct), len(key))
     np.minimum.at(pick, query, np.arange(len(key)))
     table = stores._memo[mode] = _PairTable(
@@ -345,7 +342,7 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
 
     table = _pair_table(stores, mode)
     n = len(table.news)
-    pre, post = market.block_changes(_stack(stores)[0], table.first, table.length, table.anchor, w)
+    pre, post = market.block_changes(stores._values, table.first, table.length, table.anchor, w)
     pre, post = pre[table.query], post[table.query]
     y = np.column_stack((pre[:n], post[:n]))
     market_x = np.column_stack((pre[n:], post[n:]))

@@ -79,7 +79,7 @@ def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
         if len(row) != 6:
             rejections.append(RowRejection(i, "wrong column count"))
             continue
-        news_id, date_text, firm_id, *prob_text = (field.strip() for field in row)
+        news_id, date_text, firm_id, *prob_text = map(str.strip, row)
         if not news_id or not firm_id:
             rejections.append(RowRejection(i, "empty news_id or firm_id"))
             continue
@@ -93,7 +93,7 @@ def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
             rejections.append(RowRejection(i, f"malformed date {date_text!r}"))
             continue
         try:
-            p_pos, p_neu, p_neg = (float(t) for t in prob_text)
+            p_pos, p_neu, p_neg = map(float, prob_text)
         except ValueError:
             rejections.append(RowRejection(i, "malformed probability"))
             continue

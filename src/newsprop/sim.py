@@ -302,11 +302,12 @@ def simulate(config: SimConfig) -> SimBundle:
         lo = hi
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)
-    prices = {firm_ids[i]: Series(date_index.copy(), np.exp(log_prices[i])) for i in range(n)}
+    date_index.flags.writeable = False  # one calendar, shared by every series
+    prices = {firm_ids[i]: Series(date_index, np.exp(log_prices[i])) for i in range(n)}
     indices = {}
     for m, market_id in enumerate(market_ids):
         members = np.arange(m, n, config.n_markets)
-        indices[market_id] = Series(date_index.copy(), np.exp(log_prices[members].mean(axis=0)))
+        indices[market_id] = Series(date_index, np.exp(log_prices[members].mean(axis=0)))
 
     return SimBundle(
         firm_records=firm_records,

@@ -251,6 +251,59 @@ class TestRun:
         assert sorted((b["mode"], b["w"]) for b in builds) == [
             ("own", 1), ("own", 2), ("supplier", 1), ("supplier", 2)]
 
+    def test_validate_makes_no_stores_and_run_makes_one(self, bundle_dir, tmp_path, monkeypatch):
+        made = []
+        stores_type = panel.Stores
+
+        def counting_stores(**inputs):
+            made.append(sorted(inputs))
+            return stores_type(**inputs)
+
+        monkeypatch.setattr(panel, "Stores", counting_stores)
+        assert main(["validate", *bundle_flags(bundle_dir)]) == 0
+        assert made == []
+        assert main([
+            "run", *bundle_flags(bundle_dir), "--mode", "own,supplier,client",
+            "--windows", "1,2", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert made == [["firms", "graph", "indices", "news", "prices"]]
+
+    def test_run_keeps_no_loaded_series(self, bundle_dir, tmp_path, monkeypatch):
+        loaded = []  # a weak reference to every loaded values array
+        alive = []  # at each build, how many of them were still alive
+        build_panel = panel.build_panel
+
+        def watched(loader):
+            def load(path):
+                series, rejected = loader(path)
+                loaded.extend(weakref.ref(s.values) for s in series.values())
+                return series, rejected
+            return load
+
+        def watched_build(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in loaded))
+            return build_panel(*args, **kwargs)
+
+        monkeypatch.setattr(market, "load_prices", watched(market.load_prices))
+        monkeypatch.setattr(market, "load_indices", watched(market.load_indices))
+        monkeypatch.setattr(panel, "build_panel", watched_build)
+        assert main(["run", *bundle_flags(bundle_dir), "--windows", "1", "--out", str(tmp_path / "out")]) == 0
+        # the Stores holds its own copy of every series, and nothing holds the loaded ones
+        assert len(loaded) == BUNDLE_CONFIG.n_firms + BUNDLE_CONFIG.n_markets
+        assert alive == [0]
+
+    def test_out_of_memory_while_copying_exits_1(self, bundle_dir, tmp_path, capsys, monkeypatch):
+        def exhaust(**inputs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(panel, "Stores", exhaust)
+        out = tmp_path / "out"
+        assert main(["run", *bundle_flags(bundle_dir), "--windows", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "run: Unable to allocate 7.28 TiB\n")
+        assert not out.exists()
+
     def test_one_panel_alive_at_a_time(self, bundle_dir, tmp_path, monkeypatch):
         built = []  # a weak reference to every panel built so far
         alive = []  # at each build, how many earlier panels were still alive

@@ -18,8 +18,7 @@ from conftest import (
 from newsprop import market
 from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, POST, Series
-from newsprop.panel import (MODES, Panel, Stores, _pair_table, _stack, build_panel, panel_summary,
-                            write_panel)
+from newsprop.panel import MODES, Panel, Stores, _pair_table, build_panel, panel_summary, write_panel
 from newsprop.sim import SimConfig, simulate
 
 START = dt.date(2016, 1, 4)
@@ -575,6 +574,27 @@ class TestStackedBuild:
         after = build_panel(dataclasses.replace(stores, prices=prices), "own", "positive", 2)
         assert not np.array_equal(before.y[before.firm_id == firm], after.y[after.firm_id == firm])
 
+    def test_callers_arrays_stay_writable_and_unread(self):
+        # a Stores copies the series it is given: the caller's arrays stay
+        # writable, and a write into one changes no later build
+        bundle = simulate(SimConfig(n_firms=30, n_markets=2, n_days=200, edge_prob=0.08,
+                                    news_rate=3.0, seed=11))
+        from_bundle = bundle.stores()
+        prices = {f: Series(s.dates.copy(), s.values.copy()) for f, s in bundle.prices.items()}
+        given = dataclasses.replace(from_bundle, prices=prices)
+        expected = {(mode, w): build_panel(fresh(from_bundle), mode, "positive", w)
+                    for mode in MODES for w in (2, 5)}
+        for stores in (from_bundle, given):
+            for mode in MODES:
+                assert_same_panel(build_panel(stores, mode, "positive", 2), expected[mode, 2])
+        for series in (*bundle.prices.values(), *bundle.indices.values(), *prices.values()):
+            assert series.values.flags.writeable
+            series.values[:] = series.values[::-1].copy()
+        for stores in (from_bundle, given):
+            for (mode, w), panel in expected.items():
+                assert_same_panel(build_panel(stores, mode, "positive", w), panel)
+            assert set(stores._memo) == set(MODES)  # only the pair tables are memoised
+
     def test_small_gather_batch_changes_nothing(self, monkeypatch):
         stores = perturbed_sim_stores()
         expected = {(m, w): build_panel(stores, m, "positive", w) for m in MODES for w in (1, 3, 7)}
@@ -623,7 +643,7 @@ class TestQueryDedupe:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(stores=colliding_query_stores())
     def test_queries_equal_unique_reference(self, stores):
-        firsts = _stack(stores)[1]
+        firsts = stores._firsts
         for mode in MODES:
             table = _pair_table(stores, mode)
             news_ids, firm_ids = table.news_labels.tolist(), table.firm_labels.tolist()

@@ -226,6 +226,13 @@ class TestSimulate:
         no_weekend = simulate(dataclasses.replace(SMALL, weekend_pattern=False))
         assert any(d.weekday() >= 5 for d in no_weekend.trading_dates)
 
+    def test_every_series_shares_one_read_only_calendar(self):
+        bundle = simulate(SMALL)
+        dates = bundle.prices["F00000"].dates
+        assert all(s.dates is dates for s in (*bundle.prices.values(), *bundle.indices.values()))
+        assert not dates.flags.writeable
+        assert dates.tolist() == bundle.trading_dates
+
     def test_impossible_calendar_rejected(self):
         with pytest.raises(ValueError, match="n_days=10 cannot hold windows up to 5 days"):
             simulate(dataclasses.replace(SMALL, n_days=10, leak_window=5, effect_window=5))
