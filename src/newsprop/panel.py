@@ -27,8 +27,10 @@ its neighbours from a CSR adjacency of its event's snapshot, and sorting the
 keys news * n_codes + firm, with firms coded in id order, puts the pairs in
 (news_id, firm_id) order. The table holds every candidate pair, each with its
 news and firm code and a reason code, the event columns per news code, the
-firm and market labels and sector codes per firm code, each pair's anchor on
-its price and its market's index series, by one ``searchsorted`` per series.
+firm and market labels and sector codes per firm code, and each pair's anchor
+on its price and its market's index series. Each pair takes its series' span
+in the stack by one gather from a per-label table, and one binary search over
+every pair at once, on the stack's int64 days, places the anchors.
 The queries are kept once per distinct block-C start in the stacked array,
 deduplicated by ``market.mark_ranks`` rather than a sort. A pair's reason code
 is its snapshot or registry reason, or 0 when only its windows decide. Once
@@ -100,6 +102,7 @@ class Stores:
     indices: Mapping[str, Series]
     news: NewsStore
     graph: SupplyChainNetwork
+    _days: np.ndarray = field(init=False, repr=False, compare=False)  # int64 view of dates
     _values: np.ndarray = field(init=False, repr=False, compare=False)  # every series' values
     _firsts: dict = field(init=False, repr=False, compare=False)  # (kind, id) -> first index
     _events: tuple = field(init=False, repr=False, compare=False)  # the event columns
@@ -118,6 +121,7 @@ class Stores:
             "prices": MappingProxyType(dict(zip(self.prices, views[:len(self.prices)]))),
             "indices": MappingProxyType(dict(zip(self.indices, views[len(self.prices):]))),
             "news": NewsStore(MappingProxyType(dict(self.news.events))),
+            "_days": dates.view(np.int64),
             "_values": values,
             "_firsts": dict(zip(keys, firsts)),
             "_events": _event_columns(self.news.events),
@@ -185,8 +189,9 @@ class _PairTable:
     that start asked it; ``query`` names the one each pair's price query, then
     each pair's index query, reads. These are the arrays
     ``np.unique(first + anchor, return_index=True, return_inverse=True)`` would
-    pick. A firm without a price series, or a market without an index series,
-    has length 0, so its pairs get no change.
+    pick. The anchors come from ``_anchor_queries``, one search over every
+    pair. A firm without a price series, or a market without an index series,
+    has length 0 and anchor 0, so its pairs get no change.
     """
 
     news: np.ndarray  # (n,) int64
@@ -205,20 +210,42 @@ class _PairTable:
     query: np.ndarray  # (2n,) int32, into the k distinct queries
 
 
-def _anchor_queries(stores: Stores, kind: str, labels: np.ndarray, code: np.ndarray, day: np.ndarray):
-    """(first, length, anchor) per pair on its price or index series, with one
-    ``searchsorted`` per series; a pair without a series gets length 0."""
+def _spans(stores: Stores, kind: str, labels: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """(first, length) rows: each pair's price or index series in the stack, by one
+    gather from a per-label table; a label without a series has (0, 0)."""
     series_by_id = stores.prices if kind == "price" else stores.indices
-    first, length, anchor = (np.zeros(len(code), dtype=np.int64) for _ in range(3))
-    order = np.argsort(code, kind="stable")
-    bounds = np.searchsorted(code[order], np.arange(len(labels) + 1))
-    for k, ident in enumerate(labels.tolist()):
-        series = series_by_id.get(ident)
-        if series is not None:
-            rows = order[bounds[k] : bounds[k + 1]]
-            first[rows], length[rows] = stores._firsts[kind, ident], len(series)
-            anchor[rows] = np.searchsorted(series.dates, day[rows])
-    return first, length, anchor
+    table = np.array([(stores._firsts[kind, ident], len(series_by_id[ident])) if ident in series_by_id
+                      else (0, 0) for ident in labels.tolist()], dtype=np.int64).reshape(-1, 2)
+    return table[code].T
+
+
+def _anchor_queries(days: np.ndarray, first: np.ndarray, length: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Each query's anchor: the count of its series' days, ``days[first:first + length]``,
+    before its ``day``, as ``np.searchsorted`` places it.
+
+    Every query searches at once, by binary lifting. ``at`` starts at ``first``
+    and passes only days that lie before ``day``: each step, from the largest
+    power of two down, moves it on by ``step`` when the day at ``at + step - 1``,
+    clipped to the series' last day, lies before ``day``. The days ascend, so
+    that holds exactly when the anchor is at least ``at - first + step``, or when
+    every day of the series lies before ``day``; the final clip to ``length``
+    drops that overshoot. The steps sum to at least the longest length, so every
+    anchor is reached. A query without a series (length 0) probes a clipped
+    index and gets anchor 0.
+    """
+    last = first + length - 1
+    at = first.copy()
+    probe = np.empty_like(at)
+    probed = np.empty_like(day)  # the days at probe
+    below = np.empty(len(at), dtype=bool)
+    step = 1 << int(length.max(initial=0)).bit_length()
+    while step > 1:
+        step >>= 1
+        np.minimum(np.add(at, step - 1, out=probe), last, out=probe)
+        np.less(days.take(probe, out=probed, mode="clip"), day, out=below)
+        np.add(at, step, out=at, where=below)
+    at -= first
+    return np.minimum(at, length, out=at)
 
 
 def concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -250,8 +277,8 @@ def _pairs(stores: Stores, mode: str, mentions: tuple, day: np.ndarray):
     ids = sorted(set().union(*mentions, *(edge for year in links for edge in year)))
     n_codes = len(ids)
     code = dict(zip(ids, range(n_codes)))
-    # every (news, mentioned firm) as a sorted key. Stable sorts reuse the sort code
-    # _anchor_queries loads; numpy's default int64 sort would map in 0.3 MB more.
+    # every (news, mentioned firm) as a sorted key. Stable sorts: numpy's default
+    # int64 sort would map in 0.3 MB more of sort code.
     counts = np.fromiter(map(len, mentions), np.int64, len(mentions))
     mentioned = np.fromiter(map(code.__getitem__, chain.from_iterable(mentions)), np.int64, int(counts.sum()))
     mention = np.sort(np.repeat(np.arange(len(mentions), dtype=np.int64) * n_codes, counts) + mentioned,
@@ -301,9 +328,10 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     reason = np.where(snapless[news], np.int8(NO_SNAPSHOT), registry[firm])
     market_labels, market_code = np.unique(market, return_inverse=True)
     firm_labels = np.array(firm_ids, dtype=str)
-    queries = zip(_anchor_queries(stores, "price", firm_labels, firm, day[news]),
-                  _anchor_queries(stores, "index", market_labels, market_code[firm], day[news]))
-    first, length, anchor = (np.concatenate(pair) for pair in queries)
+    # price queries, then index queries
+    first, length = np.concatenate((_spans(stores, "price", firm_labels, firm),
+                                    _spans(stores, "index", market_labels, market_code[firm])), axis=1)
+    anchor = _anchor_queries(stores._days, first, length, np.tile(day[news].view(np.int64), 2))
     # pairs of one series anchored on one day ask the same query. Queries of two
     # series meet at one block-C start only past the end of one series or at
     # the start of the next, where no window fits, so the start alone is a key.

@@ -73,6 +73,7 @@ from .panel import BUNDLE_FILES, MODES, POLARITIES, Stores, concat_ranges
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 
 _DRIFT_BATCH = 1 << 20  # expanded (firm, day) additions per np.add.at, at most
+_FLIP_BATCH = 1 << 17  # edge coin flips per draw, at most, unless one row holds more
 # the largest settings numpy's draws take: Poisson's lam (its POISSON_LAM_MAX),
 # and the exclusive high of an int64 rng.integers
 _MAX_NEWS_RATE = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
@@ -210,15 +211,15 @@ def simulate(config: SimConfig) -> SimBundle:
     ]
 
     rng_edges = np.random.default_rng(ss_edges)
-    # one row of coin flips at a time: the same draws as one (n, n) draw,
-    # without its n_firms^2 memory; edge k runs from supplier[k] to client[k]
-    client_rows = []
-    for i in range(n):
-        row = rng_edges.random(n) < config.edge_prob
-        row[i] = False
-        client_rows.append(np.flatnonzero(row))
-    supplier = np.repeat(np.arange(n), [len(c) for c in client_rows])
-    client = np.concatenate(client_rows)
+    # coin flips a block of whole rows at a time: the same draws as one (n, n)
+    # draw, without its n_firms^2 memory; edge k runs from supplier[k] to client[k]
+    rows = max(1, _FLIP_BATCH // n)
+    blocks = []
+    for lo in range(0, n, rows):
+        flips = rng_edges.random((min(rows, n - lo), n)) < config.edge_prob
+        flips.reshape(-1)[lo::n + 1] = False  # no firm supplies itself
+        blocks.append(np.flatnonzero(flips) + lo * n)
+    supplier, client = np.divmod(np.concatenate(blocks), n)
     edges = [(config.start_date.year, firm_ids[s], firm_ids[c])
              for s, c in zip(supplier.tolist(), client.tolist())]
 
@@ -246,10 +247,11 @@ def simulate(config: SimConfig) -> SimBundle:
     event_firm = np.repeat(np.arange(n), [len(o) for o in event_offsets])
     event_day = start + np.concatenate(event_offsets)
     triples = np.concatenate(event_triples)
-    # each event mentions one firm: its mention set is the 1-tuple zip makes of that id
-    mentioned = map(firm_ids.__getitem__, event_firm.tolist())
-    news_events = list(map(NewsEvent, map("N{:07d}".format, range(len(event_firm))),
-                           event_day.tolist(), map(frozenset, zip(mentioned)), *triples.T.tolist()))
+    # each event mentions one firm; a firm's events share its one mention set
+    mention_sets = [frozenset((firm_id,)) for firm_id in firm_ids]
+    news_events = list(map(NewsEvent._make, zip(
+        [f"N{k:07d}" for k in range(len(event_firm))], event_day.tolist(),
+        map(mention_sets.__getitem__, event_firm.tolist()), *triples.T.tolist())))
 
     # an event injects into its firm, then the firm's suppliers, then its
     # clients: each target adds a pre drift to returns[target, anchor-leak:anchor]

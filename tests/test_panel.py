@@ -18,7 +18,9 @@ from conftest import (
 from newsprop import market
 from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, POST, Series
-from newsprop.panel import MODES, Panel, Stores, _pair_table, build_panel, panel_summary, write_panel
+from newsprop.panel import (
+    MODES, Panel, Stores, _anchor_queries, _pair_table, _spans, build_panel, panel_summary, write_panel,
+)
 from newsprop.sim import SimConfig, simulate
 
 START = dt.date(2016, 1, 4)
@@ -666,3 +668,64 @@ class TestQueryDedupe:
                 key = first + anchor
                 assert ((key == 0) & (length == 0)).any() and ((key == 0) & (length > 0)).any()
                 assert ((anchor == length) & (length > 0)).any()
+
+
+# series lengths on either side of the powers of two the anchor search steps by
+LIFT_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+
+
+@st.composite
+def gapped_stores(draw) -> Stores:
+    """Price and index series on random subsets of one weekday calendar, so
+    they have calendar gaps of their own, with lengths around powers of two.
+    Firm N and market M2 have no series."""
+    calendar = weekday_dates(START, 70)
+
+    def gapped():
+        k = draw(st.sampled_from(LIFT_LENGTHS[1:]))
+        picked = sorted(draw(st.permutations(range(len(calendar))))[:k])
+        return make_series([calendar[i] for i in picked], 100.0 + np.arange(k))
+
+    return make_stores(
+        firms=[simple_firm("A"), simple_firm("B", market="M1"), simple_firm("N", market="M2")],
+        prices={f: gapped() for f in ("B", "A", "C")}, indices={m: gapped() for m in ("M1", "M0")},
+    )
+
+
+class TestAnchorQueries:
+    """The anchor search over every pair at once equals one ``np.searchsorted`` per series."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(stores=gapped_stores())
+    def test_anchors_equal_per_series_searchsorted(self, stores):
+        # every calendar day from a week before the first weekday to a week past
+        # the last, weekends included: before, inside, in the gaps of and after
+        # every series
+        days = np.datetime64(START, "D") + np.arange(-7, 105)
+        for kind, series_by_id, labels in (("price", stores.prices, ["A", "B", "C", "N"]),
+                                           ("index", stores.indices, ["M0", "M1", "M2"])):
+            code = np.repeat(np.arange(len(labels)), len(days))
+            day = np.tile(days, len(labels))
+            first, length = _spans(stores, kind, np.array(labels), code)
+            anchor = _anchor_queries(stores._days, first, length, day.view(np.int64))
+            expected = []
+            for label, d in zip(np.array(labels)[code].tolist(), day):
+                series = series_by_id.get(label)
+                expected.append((0, 0, 0) if series is None else (
+                    stores._firsts[kind, label], len(series), int(np.searchsorted(series.dates, d))))
+            assert list(zip(first.tolist(), length.tolist(), anchor.tolist())) == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(lengths=st.lists(st.sampled_from(LIFT_LENGTHS), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lengths_around_powers_of_two(self, lengths, seed):
+        """Stacked ascending runs of any length, searched for every value from
+        below the least to past the greatest, and for repeated values."""
+        rng = np.random.default_rng(seed)
+        runs = [np.cumsum(rng.integers(0, 3, k)) - 5 for k in lengths]  # ties and gaps
+        days = np.concatenate([np.empty(0, np.int64), *runs])
+        starts = np.cumsum([0, *lengths])[:-1]
+        queries = [(a, k, d) for a, k in zip(starts.tolist(), lengths) for d in range(-7, 2 * max(lengths) + 3)]
+        first, length, day = np.array(queries, dtype=np.int64).reshape(-1, 3).T
+        anchor = _anchor_queries(days, first, length, day)
+        assert anchor.tolist() == [int(np.searchsorted(days[a:a + k], d)) for a, k, d in queries]

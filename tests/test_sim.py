@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import itertools
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -118,6 +120,10 @@ def event_fields(bundle):
     return [(e.news_id, e.date, e.mentions, e.p_pos, e.p_neu, e.p_neg) for e in bundle.events]
 
 
+# firms whose coin flips fill exactly one block of whole rows
+FLIP_ROWS = math.isqrt(sim._FLIP_BATCH)
+assert sim._FLIP_BATCH // FLIP_ROWS == FLIP_ROWS and sim._FLIP_BATCH // (FLIP_ROWS + 1) < FLIP_ROWS + 1
+
 # days that follow a year end or the end of February, in leap years (2016,
 # 2024) and in a year that is not one (2100)
 CALENDAR_LANDMARKS = (dt.date(2016, 3, 1), dt.date(2017, 1, 1), dt.date(2024, 1, 1),
@@ -207,6 +213,44 @@ class TestSimulate:
             clients = {ids[c] for c in np.flatnonzero(adjacency[k])}
             assert graph.suppliers_of(firm_id, year) == suppliers
             assert graph.clients_of(firm_id, year) == clients
+
+    @pytest.mark.parametrize("n_firms, batch", [
+        (1, None),
+        (FLIP_ROWS, None),  # every row in one block
+        (FLIP_ROWS + 1, None),  # two blocks
+        (7, 3),  # a row holds more flips than a block
+        (7, 14),  # blocks of two rows, the last of one
+    ])
+    def test_edges_equal_per_row_draw(self, n_firms, batch):
+        config = SimConfig(n_firms=n_firms, n_markets=1, n_days=8, news_rate=0.5, edge_prob=0.5, seed=11)
+        with mock.patch.object(sim, "_FLIP_BATCH", batch or sim._FLIP_BATCH):
+            bundle = simulate(config)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[1])
+        edges = []
+        for i in range(n_firms):
+            row = rng.random(n_firms) < config.edge_prob
+            row[i] = False
+            edges += [(config.start_date.year, f"F{i:05d}", f"F{j:05d}") for j in np.flatnonzero(row)]
+        assert bundle.edges == edges
+
+    def test_edges_drawn_in_bounded_memory(self):
+        # one dense (3000, 3000) draw would take 72 MB
+        config = SimConfig(n_firms=3000, n_days=8, news_rate=0.1, edge_prob=0.001, seed=5)
+        tracemalloc.start()
+        try:
+            bundle = simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bundle.edges) > 0
+        assert peak < 16 * 2**20
+
+    def test_a_firms_events_share_one_mention_set(self):
+        bundle = simulate(SMALL)
+        sets = {}
+        for e in bundle.events:
+            sets.setdefault(e.mentions, set()).add(id(e.mentions))
+        assert len(sets) > 1 and all(len(ids) == 1 for ids in sets.values())
 
     def test_zero_vol_zero_gamma_prices_constant(self):
         config = dataclasses.replace(
