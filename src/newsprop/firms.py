@@ -36,7 +36,7 @@ def load_firms(path) -> tuple[dict[str, FirmRecord], list[RowRejection]]:
         if len(row) != 4:
             rejections.append(RowRejection(i, "wrong column count"))
             continue
-        record = FirmRecord._make(field.strip() for field in row)
+        record = FirmRecord._make(map(str.strip, row))
         if not record.firm_id:
             rejections.append(RowRejection(i, "empty firm_id"))
             continue

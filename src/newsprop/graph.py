@@ -91,7 +91,7 @@ def load_edges(path) -> SupplyChainNetwork:
     for i, row in read_rows(path, EDGE_HEADER):
         if len(row) != 3:
             raise LoadError(f"{path}: wrong column count at row {i}")
-        year_text, supplier, client = (field.strip() for field in row)
+        year_text, supplier, client = map(str.strip, row)
         try:
             year = int(year_text)
         except ValueError:

@@ -19,18 +19,18 @@ one ``market.Series`` type, by firm_id and by market_id.
 
 A build splits into work done once per ``Stores``, once per mode and once per
 window. When a ``Stores`` is made, it copies every price series and then every
-index series end to end into one array, and transposes the events, sorted by
-id, with ``zip(*events)`` into their columns: ids, days, mention sets and both
-sentiment probabilities. Once per mode, memoised on the ``Stores``, array
-operations on integer codes yield the mode's pair table: each mention gathers
-its neighbours from a CSR adjacency of its event's snapshot, and sorting the
-keys news * n_codes + firm, with firms coded in id order, puts the pairs in
-(news_id, firm_id) order. The table holds every candidate pair, each with its
-news and firm code and a reason code, the event columns per news code, the
-firm and market labels and sector codes per firm code, and each pair's anchor
-on its price and its market's index series. Each pair takes its series' span
-in the stack by one gather from a per-label table, and one binary search over
-every pair at once, on the stack's int64 days, places the anchors.
+index series end to end into one array, and codes every firm, article and
+link once: firms in id order, over every mentioned firm and both ends of
+every edge; the events, sorted by id, transposed with ``zip(*events)`` into
+their columns; each (article, mentioned firm) as one sorted key news * n_firms
++ firm; and each edge by its snapshot and its two firm codes. Per firm it keeps
+the id, sector code, market, registry reason, and the span in the stack of its
+price series and of its market's index series. Once per mode, memoised on the
+``Stores``, array operations on those codes yield the mode's pair table, which
+keeps only the mode's pairs, their reasons and their window queries: each
+mention gathers its neighbours from a CSR adjacency of its event's snapshot,
+sorting the keys puts the pairs in (news_id, firm_id) order, and one binary
+search over every pair at once, on the stack's int64 days, places the anchors.
 The queries are kept once per distinct block-C start in the stacked array,
 deduplicated by ``market.mark_ranks`` rather than a sort. A pair's reason code
 is its snapshot or registry reason, or 0 when only its windows decide. Once
@@ -45,7 +45,7 @@ network's frozen edge sets, so a memoised table cannot go stale;
 The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
 pre and post side by side in ``y`` and ``market_x``, and both sentiment
 columns, ``p_pos`` and ``p_neg``, so one build serves either polarity.
-``sector`` holds int codes into the mode's sorted ``sector_labels``, for the fit's bincounts.
+``sector`` holds int codes into the ``Stores``' sorted ``sector_labels``, for the fit's bincounts.
 """
 
 from __future__ import annotations
@@ -87,6 +87,27 @@ class DropRecord(NamedTuple):
     reason: str
 
 
+class _Codes(NamedTuple):
+    """Every article, firm and supply-chain link of a ``Stores``, coded once, in
+    read-only columns. News codes number the events and firm codes the firms,
+    each in id order. An unknown firm's sector and market are empty, and a
+    missing series' (first, length) in the stack is (0, 0)."""
+
+    news_id: np.ndarray  # str, per news code
+    day: np.ndarray  # datetime64[D]
+    p_pos: np.ndarray  # float64
+    p_neg: np.ndarray
+    mention: np.ndarray  # int64, sorted keys news * n_firms + mentioned firm
+    edge: np.ndarray  # (3, e) int64: snapshot index in year order, supplier, client
+    firm_id: np.ndarray  # str, per firm code
+    sector: np.ndarray  # int, into sector_labels
+    sector_labels: np.ndarray  # str, sorted
+    market: np.ndarray  # str
+    registry: np.ndarray  # int8: UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET or 0
+    price: np.ndarray  # (2, n_firms) int64: the price series' first and length
+    index: np.ndarray  # the market's index series' first and length
+
+
 @dataclass(frozen=True)
 class Stores:
     """A copy of the loaded inputs that builds read; what it is given stays as it was.
@@ -94,7 +115,8 @@ class Stores:
     Every price series, then every index series, lies end to end in one read-only
     ``dates`` and one ``values`` array; ``prices`` and ``indices`` are read-only
     dicts of ``Series`` views into them, and ``firms`` and ``news.events``
-    read-only dict copies. ``_memo`` holds one pair table per mode.
+    read-only dict copies. ``_codes`` codes every firm, article and link once,
+    when the ``Stores`` is made; ``_memo`` holds one pair table per mode.
     """
 
     firms: Mapping[str, FirmRecord]
@@ -104,13 +126,11 @@ class Stores:
     graph: SupplyChainNetwork
     _days: np.ndarray = field(init=False, repr=False, compare=False)  # int64 view of dates
     _values: np.ndarray = field(init=False, repr=False, compare=False)  # every series' values
-    _firsts: dict = field(init=False, repr=False, compare=False)  # (kind, id) -> first index
-    _events: tuple = field(init=False, repr=False, compare=False)  # the event columns
+    _codes: _Codes = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         series = [*self.prices.values(), *self.indices.values()]
-        keys = [("price", f) for f in self.prices] + [("index", m) for m in self.indices]
         firsts = np.cumsum([0] + [len(s) for s in series]).tolist()
         dates = np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in series)])
         values = np.concatenate([np.empty(0), *(s.values for s in series)])
@@ -123,8 +143,7 @@ class Stores:
             "news": NewsStore(MappingProxyType(dict(self.news.events))),
             "_days": dates.view(np.int64),
             "_values": values,
-            "_firsts": dict(zip(keys, firsts)),
-            "_events": _event_columns(self.news.events),
+            "_codes": _code(self, firsts),
         }
         for name, value in owned.items():
             object.__setattr__(self, name, value)
@@ -137,7 +156,7 @@ class Panel:
     Column 0 of ``y`` and ``market_x`` is the pre period, column 1 the post
     period; each pair stands for two observations, pre then post.
     ``news_value`` is ``p_pos`` or ``p_neg``, whichever ``polarity`` names.
-    ``sector`` codes into the sorted ``sector_labels``, which may hold labels of dropped pairs.
+    ``sector`` codes into ``sector_labels``, the ``Stores``' sorted read-only labels for every mode.
     ``drops`` holds every dropped candidate pair, in (news_id, firm_id) order.
     """
 
@@ -177,46 +196,26 @@ class PanelSummary:
 class _PairTable:
     """Every candidate pair of one mode, in (news_id, firm_id) order.
 
-    ``news`` and ``firm`` code each pair's event and exposed firm: news codes
-    number the events, and firm codes the exposed firms, each in id order. For
-    an event without a snapshot, the exposed firms are its mentioned firms.
-    ``reason`` is the pair's ``NO_SNAPSHOT`` or registry code (unknown firm,
-    empty sector, empty market), or 0 when only its windows decide. Event columns are per
-    news code, and the firm and market labels and sector codes per firm code; an
-    unknown firm's sector and market are empty. ``first``, ``length`` and
+    ``news`` and ``firm`` are each pair's news code and exposed firm's code in
+    the ``Stores``' ``_codes``. For an event without a snapshot, the exposed
+    firms are its mentioned firms. ``reason`` is the pair's ``NO_SNAPSHOT`` or
+    registry code, or 0 when only its windows decide. ``first``, ``length`` and
     ``anchor`` hold the distinct window queries, one per block-C start
     ``first + anchor`` in ascending order, each as the first pair query with
     that start asked it; ``query`` names the one each pair's price query, then
     each pair's index query, reads. These are the arrays
     ``np.unique(first + anchor, return_index=True, return_inverse=True)`` would
-    pick. The anchors come from ``_anchor_queries``, one search over every
-    pair. A firm without a price series, or a market without an index series,
+    pick. A firm without a price series, or a market without an index series,
     has length 0 and anchor 0, so its pairs get no change.
     """
 
     news: np.ndarray  # (n,) int64
     firm: np.ndarray
     reason: np.ndarray  # (n,) int8
-    news_labels: np.ndarray  # str, per news code
-    p_pos: np.ndarray  # float64, per news code
-    p_neg: np.ndarray
-    firm_labels: np.ndarray  # str, per firm code
-    sector: np.ndarray  # int, per firm code, into sector_labels
-    sector_labels: np.ndarray  # str, sorted
-    market: np.ndarray
     first: np.ndarray  # (k,) int64
     length: np.ndarray
     anchor: np.ndarray
     query: np.ndarray  # (2n,) int32, into the k distinct queries
-
-
-def _spans(stores: Stores, kind: str, labels: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """(first, length) rows: each pair's price or index series in the stack, by one
-    gather from a per-label table; a label without a series has (0, 0)."""
-    series_by_id = stores.prices if kind == "price" else stores.indices
-    table = np.array([(stores._firsts[kind, ident], len(series_by_id[ident])) if ident in series_by_id
-                      else (0, 0) for ident in labels.tolist()], dtype=np.int64).reshape(-1, 2)
-    return table[code].T
 
 
 def _anchor_queries(days: np.ndarray, first: np.ndarray, length: np.ndarray, day: np.ndarray) -> np.ndarray:
@@ -264,74 +263,86 @@ def _event_columns(events: Mapping[str, NewsEvent]) -> tuple:
     return np.array(news_id, dtype=str), day, mentions, np.array(p_pos, float), np.array(p_neg, float)
 
 
-def _pairs(stores: Stores, mode: str, mentions: tuple, day: np.ndarray):
-    """Every candidate pair's news and firm code, in (news_id, firm_id) order,
-    the firm id of each firm code, and whether each event lacks a snapshot."""
-    graph = stores.graph
-    # each snapshot's (exposed firm, mentioned firm) links: supplier then client,
-    # or client then supplier
-    links = [] if mode == "own" else [
-        [edge if mode == "supplier" else edge[::-1] for edge in graph.snapshot(year).edges]
-        for year in graph.years]
-    # codes in id order, so a pair key news * n_codes + firm sorts like (news_id, firm_id)
-    ids = sorted(set().union(*mentions, *(edge for year in links for edge in year)))
-    n_codes = len(ids)
-    code = dict(zip(ids, range(n_codes)))
-    # every (news, mentioned firm) as a sorted key. Stable sorts: numpy's default
-    # int64 sort would map in 0.3 MB more of sort code.
+def _code(stores: Stores, firsts: list) -> _Codes:
+    """The ``_Codes`` of a ``Stores``' inputs; ``firsts`` bounds its series in the stack."""
+    news_id, day, mentions, p_pos, p_neg = _event_columns(stores.news.events)
+    edges = [stores.graph.snapshot(year).edges for year in stores.graph.years]
+    # codes in id order, so a key news * n_firms + firm sorts like (news_id, firm_id)
+    firm_ids = sorted(set().union(*mentions, *chain.from_iterable(edges)))
+    code = dict(zip(firm_ids, range(len(firm_ids)))).__getitem__
     counts = np.fromiter(map(len, mentions), np.int64, len(mentions))
-    mentioned = np.fromiter(map(code.__getitem__, chain.from_iterable(mentions)), np.int64, int(counts.sum()))
-    mention = np.sort(np.repeat(np.arange(len(mentions), dtype=np.int64) * n_codes, counts) + mentioned,
-                      kind="stable")
-    snapless = np.zeros(len(mentions), dtype=bool)
+    mention = np.repeat(np.arange(len(mentions), dtype=np.int64) * len(firm_ids), counts)
+    mention += np.fromiter(map(code, chain.from_iterable(mentions)), np.int64, len(mention))
+    # Stable sorts: numpy's default int64 sort would map in 0.3 MB more of sort code.
+    mention.sort(kind="stable")
+    sizes = list(map(len, edges))
+    ends = np.fromiter(map(code, chain.from_iterable(chain.from_iterable(edges))), np.int64, 2 * sum(sizes))
+    edge = np.vstack((np.repeat(np.arange(len(edges), dtype=np.int64), sizes), ends.reshape(-1, 2).T))
+    records = list(map(stores.firms.get, firm_ids))
+    sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
+    market = np.array([record.market_id if record else "" for record in records], dtype=str)
+    registry = np.array([UNKNOWN_FIRM if record is None else MISSING_SECTOR if not record.sector_code
+                         else MISSING_MARKET if not record.market_id else 0 for record in records], np.int8)
+    sector_labels, sector = np.unique(sector, return_inverse=True)
+    # each series' (first, length) in the stack, then (0, 0), which slot -1 reads
+    span = np.array([*zip(firsts, np.diff(firsts).tolist()), (0, 0)], dtype=np.int64)
+    price_slot = dict(zip(stores.prices, range(len(firsts)))).get
+    price = span[[price_slot(firm_id, -1) for firm_id in firm_ids]].T
+    index_slot = dict(zip(stores.indices, range(len(stores.prices), len(firsts)))).get
+    index = span[[index_slot(market_id, -1) for market_id in market.tolist()]].T
+    codes = _Codes(news_id, day, p_pos, p_neg, mention, edge, np.array(firm_ids, dtype=str),
+                   sector, sector_labels, market, registry, price, index)
+    for column in codes:
+        column.flags.writeable = False
+    return codes
+
+
+def _pairs(stores: Stores, mode: str):
+    """Every candidate pair's news and firm code, in (news_id, firm_id) order,
+    and whether each event lacks a snapshot."""
+    codes = stores._codes
+    n_firms = len(codes.firm_id)
+    mention = codes.mention
+    snapless = np.zeros(len(codes.news_id), dtype=bool)
     if mode == "own":
         key = mention
     else:
-        # a CSR adjacency: row k * n_codes + c lists the firms exposed to mentioned
+        years = stores.graph.years
+        snapshot, supplier, client = codes.edge
+        exposed, named = (supplier, client) if mode == "supplier" else (client, supplier)
+        # a CSR adjacency: row k * n_firms + c lists the firms exposed to mentioned
         # firm c in snapshot k
-        row = np.array([k * n_codes + code[f] for k, year in enumerate(links) for _, f in year], np.int64)
-        exposed = np.array([code[f] for year in links for f, _ in year], np.int64)
+        row = snapshot * n_firms + named
         exposed = exposed[np.argsort(row, kind="stable")]
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(links) * n_codes))))
-        snapshot = np.searchsorted(graph.years, day.astype("datetime64[Y]").astype(np.int64) + 1970,
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(years) * n_firms))))
+        snapshot = np.searchsorted(years, codes.day.astype("datetime64[Y]").astype(np.int64) + 1970,
                                    side="right") - 1
         snapless = snapshot < 0
-        news, firm = np.divmod(mention, n_codes)
+        news, firm = np.divmod(mention, n_firms)
         has = ~snapless[news]
-        row = snapshot[news[has]] * n_codes + firm[has]
+        row = snapshot[news[has]] * n_firms + firm[has]
         count = offsets[row + 1] - offsets[row]
-        key = np.repeat(news[has] * n_codes, count) + exposed[concat_ranges(offsets[row], count)]
+        key = np.repeat(news[has] * n_firms, count) + exposed[concat_ranges(offsets[row], count)]
         found = np.minimum(np.searchsorted(mention, key), len(mention) - 1)
         # an event without a snapshot keeps its mentioned firms; a mentioned firm is not exposed
         key = np.concatenate((mention[~has], key[mention[found] != key]))
-    # a firm reachable through two mentions counts once
-    key.sort(kind="stable")
-    news, firm = np.divmod(key[np.diff(key, prepend=-1) > 0], n_codes)
-    # renumber the firm codes over the firms of some pair, so per-firm work skips the rest
-    used = np.bincount(firm, minlength=n_codes) > 0
-    return news, (np.cumsum(used) - 1)[firm], [f for f, u in zip(ids, used.tolist()) if u], snapless
+        # a firm reachable through two mentions counts once
+        key.sort(kind="stable")
+        key = key[np.diff(key, prepend=-1) > 0]
+    news, firm = np.divmod(key, n_firms)
+    return news, firm, snapless
 
 
 def _pair_table(stores: Stores, mode: str) -> _PairTable:
     table = stores._memo.get(mode)
     if table is not None:
         return table
-    news_labels, day, mentions, p_pos, p_neg = stores._events
-    news, firm, firm_ids, snapless = _pairs(stores, mode, mentions, day)
-    records = [stores.firms.get(firm_id) for firm_id in firm_ids]
-    sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
-    market = np.array([record.market_id if record else "" for record in records], dtype=str)
-    registry = np.select(
-        [np.array([record is None for record in records], dtype=bool), sector == "", market == ""],
-        [UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET]).astype(np.int8)
-    sector_labels, sector_code = np.unique(sector, return_inverse=True)
-    reason = np.where(snapless[news], np.int8(NO_SNAPSHOT), registry[firm])
-    market_labels, market_code = np.unique(market, return_inverse=True)
-    firm_labels = np.array(firm_ids, dtype=str)
+    codes = stores._codes
+    news, firm, snapless = _pairs(stores, mode)
+    reason = np.where(snapless[news], np.int8(NO_SNAPSHOT), codes.registry[firm])
     # price queries, then index queries
-    first, length = np.concatenate((_spans(stores, "price", firm_labels, firm),
-                                    _spans(stores, "index", market_labels, market_code[firm])), axis=1)
-    anchor = _anchor_queries(stores._days, first, length, np.tile(day[news].view(np.int64), 2))
+    first, length = np.concatenate((codes.price[:, firm], codes.index[:, firm]), axis=1)
+    anchor = _anchor_queries(stores._days, first, length, np.tile(codes.day[news].view(np.int64), 2))
     # pairs of one series anchored on one day ask the same query. Queries of two
     # series meet at one block-C start only past the end of one series or at
     # the start of the next, where no window fits, so the start alone is a key.
@@ -341,21 +352,7 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     pick = np.full(len(distinct), len(key))
     np.minimum.at(pick, query, np.arange(len(key)))
     table = stores._memo[mode] = _PairTable(
-        news=news,
-        firm=firm,
-        reason=reason,
-        news_labels=news_labels,
-        p_pos=p_pos,
-        p_neg=p_neg,
-        firm_labels=firm_labels,
-        sector=sector_code,
-        sector_labels=sector_labels,
-        market=market,
-        first=first[pick],
-        length=length[pick],
-        anchor=anchor[pick],
-        query=query,
-    )
+        news, firm, reason, first[pick], length[pick], anchor[pick], query)
     return table
 
 
@@ -369,6 +366,7 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         raise ValueError(f"window must be >= 1, got {w}")
 
     table = _pair_table(stores, mode)
+    codes = stores._codes
     n = len(table.news)
     pre, post = market.block_changes(stores._values, table.first, table.length, table.anchor, w)
     pre, post = pre[table.query], post[table.query]
@@ -379,21 +377,21 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         [table.reason, PRICE_WINDOW, INDEX_WINDOW])
     keep = reason == 0
     dropped = np.flatnonzero(reason)
-    drops = list(map(DropRecord, table.news_labels[table.news[dropped]].tolist(),
-                     table.firm_labels[table.firm[dropped]].tolist(),
+    drops = list(map(DropRecord, codes.news_id[table.news[dropped]].tolist(),
+                     codes.firm_id[table.firm[dropped]].tolist(),
                      map(REASONS.__getitem__, reason[dropped].tolist())))
     news, firm = table.news[keep], table.firm[keep]
     return Panel(
         mode=mode,
         polarity=polarity,
         w=w,
-        news_id=table.news_labels[news],
-        firm_id=table.firm_labels[firm],
-        sector=table.sector[firm],
-        sector_labels=table.sector_labels,
-        market=table.market[firm],
-        p_pos=table.p_pos[news],
-        p_neg=table.p_neg[news],
+        news_id=codes.news_id[news],
+        firm_id=codes.firm_id[firm],
+        sector=codes.sector[firm],
+        sector_labels=codes.sector_labels,
+        market=codes.market[firm],
+        p_pos=codes.p_pos[news],
+        p_neg=codes.p_neg[news],
         y=y[keep],
         market_x=market_x[keep],
         drops=drops,

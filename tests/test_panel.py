@@ -19,8 +19,9 @@ from newsprop import market
 from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, POST, Series
 from newsprop.panel import (
-    MODES, Panel, Stores, _anchor_queries, _pair_table, _spans, build_panel, panel_summary, write_panel,
+    MODES, Panel, Stores, _anchor_queries, _pair_table, build_panel, panel_summary, write_panel,
 )
+from newsprop.sentiment import NewsStore
 from newsprop.sim import SimConfig, simulate
 
 START = dt.date(2016, 1, 4)
@@ -478,6 +479,22 @@ class TestHandBuiltProperty:
             for w in (1, 3):
                 assert_matches_reference(stores, mode, w)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(stores=hand_built_stores())
+    def test_dict_order_never_reaches_a_panel(self, stores):
+        # every dict in reversed insertion order, so the stack is laid out the other way round
+        def reversed_dict(mapping):
+            return dict(reversed(list(mapping.items())))
+
+        reordered = Stores(firms=reversed_dict(stores.firms), prices=reversed_dict(stores.prices),
+                           indices=reversed_dict(stores.indices),
+                           news=NewsStore(reversed_dict(stores.news.events)), graph=stores.graph)
+        assert not np.array_equal(reordered._values, stores._values)
+        for mode in MODES:
+            for w in (1, 3):
+                assert_same_panel(build_panel(reordered, mode, "positive", w),
+                                  build_panel(stores, mode, "positive", w))
+
 
 def assert_same_panel(a: Panel, b: Panel) -> None:
     """Field for field, dtypes and drop lists included."""
@@ -493,6 +510,14 @@ def fresh(stores: Stores) -> Stores:
     """The same inputs in a new ``Stores``, so nothing built before is reused."""
     return Stores(firms=stores.firms, prices=stores.prices, indices=stores.indices,
                   news=stores.news, graph=stores.graph)
+
+
+def series_firsts(stores: Stores) -> dict:
+    """(kind, id) -> first index of each series in the stack: the cumulative
+    lengths of every price series, then every index series."""
+    series = {**{("price", f): s for f, s in stores.prices.items()},
+              **{("index", m): s for m, s in stores.indices.items()}}
+    return dict(zip(series, np.cumsum([0] + [len(s) for s in series.values()]).tolist()))
 
 
 class TestStackedBuild:
@@ -597,6 +622,17 @@ class TestStackedBuild:
                 assert_same_panel(build_panel(stores, mode, "positive", w), panel)
             assert set(stores._memo) == set(MODES)  # only the pair tables are memoised
 
+    def test_sector_labels_cannot_change_a_later_build(self):
+        # a panel's sector_labels is the Stores' own array, so a write into it
+        # must raise rather than relabel a sector in every later build
+        stores = perturbed_sim_stores()
+        for mode in MODES:
+            panel = build_panel(stores, mode, "positive", 1)
+            with pytest.raises(ValueError, match="read-only"):
+                panel.sector_labels[0] = "XX"
+            assert_same_panel(build_panel(stores, mode, "positive", 1),
+                              build_panel(fresh(stores), mode, "positive", 1))
+
     def test_small_gather_batch_changes_nothing(self, monkeypatch):
         stores = perturbed_sim_stores()
         expected = {(m, w): build_panel(stores, m, "positive", w) for m in MODES for w in (1, 3, 7)}
@@ -645,10 +681,14 @@ class TestQueryDedupe:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(stores=colliding_query_stores())
     def test_queries_equal_unique_reference(self, stores):
-        firsts = stores._firsts
+        firsts = series_firsts(stores)
+        # news and firm codes number the events and the mentioned or linked firms in id order
+        news_ids = sorted(stores.news.events)
+        firm_ids = sorted(set().union(*(e.mentions for e in stores.news.events.values()),
+                                      *(edge for year in stores.graph.years
+                                        for edge in stores.graph.snapshot(year).edges)))
         for mode in MODES:
             table = _pair_table(stores, mode)
-            news_ids, firm_ids = table.news_labels.tolist(), table.firm_labels.tolist()
             queries = []
             for kind, series_by_id in (("price", stores.prices), ("index", stores.indices)):
                 for news, firm in zip(table.news.tolist(), table.firm.tolist()):
@@ -678,7 +718,8 @@ LIFT_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
 def gapped_stores(draw) -> Stores:
     """Price and index series on random subsets of one weekday calendar, so
     they have calendar gaps of their own, with lengths around powers of two.
-    Firm N and market M2 have no series."""
+    Firm N and market M2 have no series, and C is in no registry; one article
+    mentions every firm, so the ``Stores`` codes all four."""
     calendar = weekday_dates(START, 70)
 
     def gapped():
@@ -689,6 +730,7 @@ def gapped_stores(draw) -> Stores:
     return make_stores(
         firms=[simple_firm("A"), simple_firm("B", market="M1"), simple_firm("N", market="M2")],
         prices={f: gapped() for f in ("B", "A", "C")}, indices={m: gapped() for m in ("M1", "M0")},
+        events=[simple_event("n0", START, {"A", "B", "C", "N"})],
     )
 
 
@@ -702,17 +744,23 @@ class TestAnchorQueries:
         # the last, weekends included: before, inside, in the gaps of and after
         # every series
         days = np.datetime64(START, "D") + np.arange(-7, 105)
-        for kind, series_by_id, labels in (("price", stores.prices, ["A", "B", "C", "N"]),
-                                           ("index", stores.indices, ["M0", "M1", "M2"])):
+        firsts = series_firsts(stores)
+        codes = stores._codes
+        assert codes.firm_id.tolist() == ["A", "B", "C", "N"]
+        # the price spans of firms A, B, C and N, and the index spans of markets
+        # M0, M1 and M2 through their firms A, B and N, by firm code
+        for kind, series_by_id, labels, firm_code in (
+                ("price", stores.prices, ["A", "B", "C", "N"], [0, 1, 2, 3]),
+                ("index", stores.indices, ["M0", "M1", "M2"], [0, 1, 3])):
             code = np.repeat(np.arange(len(labels)), len(days))
             day = np.tile(days, len(labels))
-            first, length = _spans(stores, kind, np.array(labels), code)
+            first, length = getattr(codes, kind)[:, np.array(firm_code)[code]]
             anchor = _anchor_queries(stores._days, first, length, day.view(np.int64))
             expected = []
             for label, d in zip(np.array(labels)[code].tolist(), day):
                 series = series_by_id.get(label)
                 expected.append((0, 0, 0) if series is None else (
-                    stores._firsts[kind, label], len(series), int(np.searchsorted(series.dates, d))))
+                    firsts[kind, label], len(series), int(np.searchsorted(series.dates, d))))
             assert list(zip(first.tolist(), length.tolist(), anchor.tolist())) == expected
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
