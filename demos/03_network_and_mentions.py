@@ -12,21 +12,22 @@ from newsprop.sentiment import mention_histogram
 from newsprop.sim import SimConfig, simulate
 
 bundle = simulate(SimConfig(n_firms=120, n_days=120, edge_prob=0.03, news_rate=2.5, seed=8))
-stores = bundle.stores()
+inputs = bundle.inputs()  # the five arguments a Stores is made from
+graph = inputs["graph"]
 
-year = stores.graph.years[0]
-stats = stores.graph.network_stats(year)
+year = graph.years[0]
+stats = graph.network_stats(year)
 print(f"snapshot {year}")
 print(f"  Number of firms    {stats.n_firms}")
 print(f"  Number of links    {stats.n_links}")
 print(f"  Maximum indegree   {stats.max_indegree}")
 print(f"  Maximum outdegree  {stats.max_outdegree}")
 
-some_firm = next(iter(sorted(stores.prices)))
-print(f"\nfirm {some_firm}: suppliers {sorted(stores.graph.suppliers_of(some_firm, year))}")
-print(f"firm {some_firm}: clients   {sorted(stores.graph.clients_of(some_firm, year))}")
+some_firm = next(iter(sorted(inputs["prices"])))
+print(f"\nfirm {some_firm}: suppliers {sorted(graph.suppliers_of(some_firm, year))}")
+print(f"firm {some_firm}: clients   {sorted(graph.clients_of(some_firm, year))}")
 
-hist = mention_histogram(stores.news, registry_firms=stores.firms)
+hist = mention_histogram(inputs["news"], registry_firms=inputs["firms"])
 print("\nfirms mentioned per article:")
 for k, count in hist.mentions_per_article.items():
     print(f"  {k} firms: {count} articles")

@@ -192,7 +192,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(line)
     print(f"{rejected} rejected")
     if settings.get("strict") and rejected:
-        return 1
+        raise ValueError(f"strict mode: {rejected} rejected rows")
     return 0
 
 

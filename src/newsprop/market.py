@@ -85,7 +85,7 @@ _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 _NO_DAY = -(2 ** 31)  # the day of a date text that is not a date; days are int32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
     """One firm's daily closes or one market's index values, strictly
     date-ascending and all positive; the key it is stored under names it."""

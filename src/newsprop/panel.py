@@ -13,9 +13,9 @@ article, keeping the indirect estimates uncontaminated by the direct effect,
 and an exposed firm reachable from several mentioned firms in one article
 contributes a single pair for that article.
 
-A build reads plain data from a ``Stores``: the firm registry is a dict of
+A ``Stores`` is made from plain data: the firm registry is a dict of
 ``FirmRecord`` by firm_id, and the closes and index values are dicts of the
-one ``market.Series`` type, by firm_id and by market_id.
+one ``market.Series`` type, by firm_id and by market_id. It keeps none of them.
 
 A build splits into work done once per ``Stores``, once per mode and once per
 window. When a ``Stores`` is made, it copies every price series and then every
@@ -38,9 +38,9 @@ per window, one ``market.block_changes`` call over the stacked array gives
 every pair's four changes, so a window costs one kernel pass whatever the
 number of firms. A pair then drops for the first reason that applies, in the
 order of ``REASONS``: its snapshot or registry reason, then its price window,
-then its index window. A build reads only what its ``Stores`` owns and the
-network's frozen edge sets, so a memoised table cannot go stale;
-``dataclasses.replace`` makes a new copy with a fresh memo.
+then its index window. A build reads only the ``Stores``' own read-only
+columns, so a memoised table cannot go stale; changed inputs make a new
+``Stores`` with a fresh memo.
 
 The panel is columnar, one entry per kept pair in (news_id, firm_id) order:
 pre and post side by side in ``y`` and ``market_x``, and both sentiment
@@ -54,7 +54,6 @@ import datetime as dt
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -91,7 +90,8 @@ class _Codes(NamedTuple):
     """Every article, firm and supply-chain link of a ``Stores``, coded once, in
     read-only columns. News codes number the events and firm codes the firms,
     each in id order. An unknown firm's sector and market are empty, and a
-    missing series' (first, length) in the stack is (0, 0)."""
+    missing series' (first, length) in the stack is (0, 0). The stack is a
+    copy: every series' days and values, laid end to end."""
 
     news_id: np.ndarray  # str, per news code
     day: np.ndarray  # datetime64[D]
@@ -106,50 +106,26 @@ class _Codes(NamedTuple):
     registry: np.ndarray  # int8: UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET or 0
     price: np.ndarray  # (2, n_firms) int64: the price series' first and length
     index: np.ndarray  # the market's index series' first and length
+    days: np.ndarray  # int64 days of every price series, then every index series, end to end
+    values: np.ndarray  # float64, their values
+    years: np.ndarray  # int64, the snapshot years, ascending
 
 
-@dataclass(frozen=True)
 class Stores:
-    """A copy of the loaded inputs that builds read; what it is given stays as it was.
+    """The loaded inputs, coded once into read-only columns that builds read.
 
-    Every price series, then every index series, lies end to end in one read-only
-    ``dates`` and one ``values`` array; ``prices`` and ``indices`` are read-only
-    dicts of ``Series`` views into them, and ``firms`` and ``news.events``
-    read-only dict copies. ``_codes`` codes every firm, article and link once,
-    when the ``Stores`` is made; ``_memo`` holds one pair table per mode.
+    ``_codes`` holds a copy of every series and codes every firm, article and
+    link, when the ``Stores`` is made; what it is given is neither kept nor
+    changed. ``_memo`` holds one pair table per mode.
     """
 
-    firms: Mapping[str, FirmRecord]
-    prices: Mapping[str, Series]
-    indices: Mapping[str, Series]
-    news: NewsStore
-    graph: SupplyChainNetwork
-    _days: np.ndarray = field(init=False, repr=False, compare=False)  # int64 view of dates
-    _values: np.ndarray = field(init=False, repr=False, compare=False)  # every series' values
-    _codes: _Codes = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        series = [*self.prices.values(), *self.indices.values()]
-        firsts = np.cumsum([0] + [len(s) for s in series]).tolist()
-        dates = np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in series)])
-        values = np.concatenate([np.empty(0), *(s.values for s in series)])
-        dates.flags.writeable = values.flags.writeable = False
-        views = [Series(dates[a:b], values[a:b]) for a, b in zip(firsts, firsts[1:])]
-        owned = {
-            "firms": MappingProxyType(dict(self.firms)),
-            "prices": MappingProxyType(dict(zip(self.prices, views[:len(self.prices)]))),
-            "indices": MappingProxyType(dict(zip(self.indices, views[len(self.prices):]))),
-            "news": NewsStore(MappingProxyType(dict(self.news.events))),
-            "_days": dates.view(np.int64),
-            "_values": values,
-            "_codes": _code(self, firsts),
-        }
-        for name, value in owned.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
+                 indices: Mapping[str, Series], news: NewsStore, graph: SupplyChainNetwork):
+        self._codes = _code(firms, prices, indices, news, graph)
+        self._memo = {}
 
 
-@dataclass
+@dataclass(eq=False)
 class Panel:
     """One entry per kept (event, exposed firm) pair, in (news_id, firm_id) order.
 
@@ -263,10 +239,16 @@ def _event_columns(events: Mapping[str, NewsEvent]) -> tuple:
     return np.array(news_id, dtype=str), day, mentions, np.array(p_pos, float), np.array(p_neg, float)
 
 
-def _code(stores: Stores, firsts: list) -> _Codes:
-    """The ``_Codes`` of a ``Stores``' inputs; ``firsts`` bounds its series in the stack."""
-    news_id, day, mentions, p_pos, p_neg = _event_columns(stores.news.events)
-    edges = [stores.graph.snapshot(year).edges for year in stores.graph.years]
+def _code(firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
+          indices: Mapping[str, Series], news: NewsStore, graph: SupplyChainNetwork) -> _Codes:
+    """The ``_Codes`` of a ``Stores``' five inputs."""
+    series = [*prices.values(), *indices.values()]
+    firsts = np.cumsum([0] + [len(s) for s in series]).tolist()
+    days = np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in series)]).view(np.int64)
+    values = np.concatenate([np.empty(0), *(s.values for s in series)])
+    news_id, day, mentions, p_pos, p_neg = _event_columns(news.events)
+    years = graph.years
+    edges = [graph.snapshot(year).edges for year in years]
     # codes in id order, so a key news * n_firms + firm sorts like (news_id, firm_id)
     firm_ids = sorted(set().union(*mentions, *chain.from_iterable(edges)))
     code = dict(zip(firm_ids, range(len(firm_ids)))).__getitem__
@@ -278,7 +260,7 @@ def _code(stores: Stores, firsts: list) -> _Codes:
     sizes = list(map(len, edges))
     ends = np.fromiter(map(code, chain.from_iterable(chain.from_iterable(edges))), np.int64, 2 * sum(sizes))
     edge = np.vstack((np.repeat(np.arange(len(edges), dtype=np.int64), sizes), ends.reshape(-1, 2).T))
-    records = list(map(stores.firms.get, firm_ids))
+    records = list(map(firms.get, firm_ids))
     sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
     market = np.array([record.market_id if record else "" for record in records], dtype=str)
     registry = np.array([UNKNOWN_FIRM if record is None else MISSING_SECTOR if not record.sector_code
@@ -286,12 +268,13 @@ def _code(stores: Stores, firsts: list) -> _Codes:
     sector_labels, sector = np.unique(sector, return_inverse=True)
     # each series' (first, length) in the stack, then (0, 0), which slot -1 reads
     span = np.array([*zip(firsts, np.diff(firsts).tolist()), (0, 0)], dtype=np.int64)
-    price_slot = dict(zip(stores.prices, range(len(firsts)))).get
+    price_slot = dict(zip(prices, range(len(firsts)))).get
     price = span[[price_slot(firm_id, -1) for firm_id in firm_ids]].T
-    index_slot = dict(zip(stores.indices, range(len(stores.prices), len(firsts)))).get
+    index_slot = dict(zip(indices, range(len(prices), len(firsts)))).get
     index = span[[index_slot(market_id, -1) for market_id in market.tolist()]].T
     codes = _Codes(news_id, day, p_pos, p_neg, mention, edge, np.array(firm_ids, dtype=str),
-                   sector, sector_labels, market, registry, price, index)
+                   sector, sector_labels, market, registry, price, index, days, values,
+                   np.array(years, dtype=np.int64))
     for column in codes:
         column.flags.writeable = False
     return codes
@@ -307,7 +290,7 @@ def _pairs(stores: Stores, mode: str):
     if mode == "own":
         key = mention
     else:
-        years = stores.graph.years
+        years = codes.years
         snapshot, supplier, client = codes.edge
         exposed, named = (supplier, client) if mode == "supplier" else (client, supplier)
         # a CSR adjacency: row k * n_firms + c lists the firms exposed to mentioned
@@ -342,13 +325,13 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     reason = np.where(snapless[news], np.int8(NO_SNAPSHOT), codes.registry[firm])
     # price queries, then index queries
     first, length = np.concatenate((codes.price[:, firm], codes.index[:, firm]), axis=1)
-    anchor = _anchor_queries(stores._days, first, length, np.tile(codes.day[news].view(np.int64), 2))
+    anchor = _anchor_queries(codes.days, first, length, np.tile(codes.day[news].view(np.int64), 2))
     # pairs of one series anchored on one day ask the same query. Queries of two
     # series meet at one block-C start only past the end of one series or at
     # the start of the next, where no window fits, so the start alone is a key.
     # A start lies in [0, len(stack)], and each distinct one keeps its first query.
     key = first + anchor
-    distinct, query = mark_ranks(key, len(stores._values) + 1)
+    distinct, query = mark_ranks(key, len(codes.values) + 1)
     pick = np.full(len(distinct), len(key))
     np.minimum.at(pick, query, np.arange(len(key)))
     table = stores._memo[mode] = _PairTable(
@@ -368,7 +351,7 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
     table = _pair_table(stores, mode)
     codes = stores._codes
     n = len(table.news)
-    pre, post = market.block_changes(stores._values, table.first, table.length, table.anchor, w)
+    pre, post = market.block_changes(codes.values, table.first, table.length, table.anchor, w)
     pre, post = pre[table.query], post[table.query]
     y = np.column_stack((pre[:n], post[:n]))
     market_x = np.column_stack((pre[n:], post[n:]))

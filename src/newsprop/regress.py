@@ -81,7 +81,7 @@ def _bgrat_coefficients(n_terms: int = 30) -> tuple[float, ...]:
 _BGRAT_D = _bgrat_coefficients()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WithinDesign:
     """Sector-demeaned response and regressors, plus the absorbed sectors."""
 

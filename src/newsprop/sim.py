@@ -153,18 +153,22 @@ class SimBundle:
     events: list[NewsEvent]
     edges: list[tuple[int, str, str]]
 
-    def stores(self) -> Stores:
-        """Wrap the bundle as panel-ready stores without a file round trip."""
+    def inputs(self) -> dict:
+        """The five ``Stores`` arguments, as the loaders would give them."""
         by_year: dict[int, set[tuple[str, str]]] = {}
         for year, supplier, client in self.edges:
             by_year.setdefault(year, set()).add((supplier, client))
-        return Stores(
+        return dict(
             firms={r.firm_id: r for r in self.firm_records},
             prices=self.prices,
             indices=self.indices,
             news=NewsStore({e.news_id: e for e in self.events}),
             graph=SupplyChainNetwork(by_year),
         )
+
+    def stores(self) -> Stores:
+        """Wrap the bundle as panel-ready stores without a file round trip."""
+        return Stores(**self.inputs())
 
     def write(self, outdir) -> dict[str, Path]:
         """Emit firms/prices/indices/news/edges CSVs; returns path per file."""
@@ -446,8 +450,8 @@ def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> Expec
         mode=mode,
         polarity=polarity,
         w=w,
-        beta_pre=(total + gap) / 2.0 + 0.0,  # + 0.0 normalizes negative zero
-        beta_post=(total - gap) / 2.0 + 0.0,
+        beta_pre=float((total + gap) / 2.0 + 0.0),  # + 0.0 normalizes negative zero
+        beta_post=float((total - gap) / 2.0 + 0.0),
     )
 
 

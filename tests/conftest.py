@@ -35,16 +35,19 @@ def weekday_dates(start: dt.date, n: int) -> list[dt.date]:
     return out
 
 
-def make_stores(
-    firms=None, prices=None, indices=None, events=None, edges_by_year=None
-) -> Stores:
-    return Stores(
+def make_inputs(firms=None, prices=None, indices=None, events=None, edges_by_year=None) -> dict:
+    """The five ``Stores`` arguments, from records, series, events and edges."""
+    return dict(
         firms={r.firm_id: r for r in (firms or [])},
         prices=dict(prices or {}),
         indices=dict(indices or {}),
         news=NewsStore({e.news_id: e for e in (events or [])}),
         graph=SupplyChainNetwork(edges_by_year or {}),
     )
+
+
+def make_stores(**kwargs) -> Stores:
+    return Stores(**make_inputs(**kwargs))
 
 
 def simple_firm(firm_id: str, market="M0", sector="S0") -> FirmRecord:

@@ -211,26 +211,27 @@ def _complete_pair(series, index, date, w):
     return True
 
 
-def _brute_force_pairs(stores, mode, w):
+def _brute_force_pairs(inputs, mode, w):
+    firms, prices, indices, news, graph = (inputs[k] for k in ("firms", "prices", "indices", "news", "graph"))
     count = 0
-    for news_id in stores.news.events:
-        event = stores.news.events[news_id]
+    for news_id in news.events:
+        event = news.events[news_id]
         if mode == "own":
             exposed = set(event.mentions)
         else:
-            year = stores.graph.snapshot_year_at_or_before(event.date.year)
+            year = graph.snapshot_year_at_or_before(event.date.year)
             if year is None:
                 continue
             exposed = set()
             for mentioned in event.mentions:
-                exposed |= stores.graph.suppliers_of(mentioned, year)
+                exposed |= graph.suppliers_of(mentioned, year)
             exposed -= event.mentions
         for firm in exposed:
-            record = stores.firms.get(firm)
+            record = firms.get(firm)
             if record is None or not record.sector_code or not record.market_id:
                 continue
-            series = stores.prices.get(firm)
-            index = stores.indices.get(record.market_id) if record else None
+            series = prices.get(firm)
+            index = indices.get(record.market_id) if record else None
             if series is None or index is None:
                 continue
             if _complete_pair(series, index, event.date, w):
@@ -245,12 +246,13 @@ def test_criterion_7_panel_construction_counts():
             n_firms=25, n_sectors=4, n_markets=2, n_days=100, edge_prob=0.08, news_rate=3.0, seed=seed
         )
         bundle = sim.simulate(config)
-        stores = bundle.stores()
+        inputs = bundle.inputs()
+        stores = panel_mod.Stores(**inputs)
         assert len(bundle.events) <= 100
         for mode in ("own", "supplier"):
             for w in (1, 3, 7):
                 built = panel_mod.build_panel(stores, mode, "positive", w)
-                expected = 2 * _brute_force_pairs(stores, mode, w)
+                expected = 2 * _brute_force_pairs(inputs, mode, w)
                 checked.append(len(built) == expected)
     ok = all(checked)
     report(7, ok, f"own and supplier counts equal 2 x brute-force pairs in {len(checked)} cells")

@@ -92,8 +92,12 @@ class TestValidate:
         flags = bundle_flags(bundle_dir)
         flags[flags.index("--news") + 1] = str(news)
         assert main(["validate", *flags]) == 0
-        assert "1 rejected" in capsys.readouterr().out
+        lenient = capsys.readouterr()
+        assert "1 rejected" in lenient.out and lenient.err == ""
         assert main(["validate", *flags, "--strict"]) == 1
+        strict = capsys.readouterr()
+        assert strict.out == lenient.out  # the same audit, then the status-1 message
+        assert strict.err == "validate: strict mode: 1 rejected rows\n"
 
     def test_unreadable_path_fails(self, bundle_dir, capsys):
         flags = bundle_flags(bundle_dir)
@@ -736,3 +740,5 @@ def test_each_command_loads_only_the_modules_it_runs(bundle_dir, tmp_path):
     assert unused.isdisjoint(steps["validate"])
     assert {"newsprop.regress", "newsprop.report"} <= set(steps["run"])
     assert "newsprop.sim" not in steps["run"]
+    # the test tools install scipy, so only this check sees a step that imports it
+    assert not [name for step in steps.values() for name in step if name.split(".")[0] == "scipy"]

@@ -28,3 +28,15 @@ def test_demo_exits_zero(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.glob("newsprop-demo-*")) == []
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library quick start")) + len("```python\n")
+    code = readme[start:readme.index("```", start)]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # the oracle's coefficients print as plain floats
+    assert "ExpectedBetas(mode='own'" in done.stdout and "np.float64" not in done.stdout

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    make_inputs,
     make_series,
     make_stores,
     reference_change,
@@ -21,6 +24,7 @@ from newsprop.market import PRE, POST, Series
 from newsprop.panel import (
     MODES, Panel, Stores, _anchor_queries, _pair_table, build_panel, panel_summary, write_panel,
 )
+from newsprop.regress import within_transform
 from newsprop.sentiment import NewsStore
 from newsprop.sim import SimConfig, simulate
 
@@ -286,6 +290,21 @@ class TestPanelShape:
         assert lines[0] == "firm_id,news_id,w,period,y,news_value,market_x,sector,market"
         assert len(lines) == 3
 
+    def test_array_records_compare_and_hash_by_identity(self):
+        # a dataclass == over ndarray fields would raise "truth value of an
+        # array ... is ambiguous" once a column holds more than one row
+        dates, prices, indices = flat_market(["A", "B"])
+        events = [simple_event("n1", dates[10], {"A", "B"})]
+        inputs = make_inputs(firms=[simple_firm("A"), simple_firm("B")], prices=prices,
+                             indices=indices, events=events)
+        a, b = Stores(**inputs), Stores(**inputs)
+        panels = [build_panel(stores, "own", "positive", 1) for stores in (a, b)]
+        designs = [within_transform(panel) for panel in panels]
+        series = [prices["A"], Series(prices["A"].dates, prices["A"].values)]
+        for one, other in (a, b), panels, designs, series:
+            assert one == one and one != other
+            assert hash(one) == hash(one)
+
     def test_rejects_bad_arguments(self):
         stores = make_stores()
         with pytest.raises(ValueError):
@@ -296,45 +315,48 @@ class TestPanelShape:
             build_panel(stores, "own", "positive", 0)
 
 
-def perturbed_sim_stores() -> Stores:
-    """A simulated bundle with edges, edited so that every drop reason occurs."""
+def perturbed_sim_inputs() -> dict:
+    """A simulated bundle's ``Stores`` arguments with edges, edited so that
+    every drop reason occurs."""
     config = SimConfig(
         n_firms=30, n_sectors=4, n_markets=2, n_days=500, edge_prob=0.08, news_rate=3.0,
         start_date=dt.date(2016, 6, 1), seed=11,
     )
-    stores = simulate(config).stores()
-    records = dict(stores.firms)
+    inputs = simulate(config).inputs()
+    records = dict(inputs["firms"])
     del records["F00000"]  # unknown-firm
     records["F00001"] = records["F00001"]._replace(sector_code="")
     records["F00002"] = records["F00002"]._replace(market_id="")
-    prices = dict(stores.prices)
+    prices = dict(inputs["prices"])
     del prices["F00003"]  # price-window without a series
-    m1 = stores.indices["M01"]  # starts 60 quotes late: index-window
-    indices = {**stores.indices, "M01": Series(m1.dates[60:], m1.values[60:])}
+    m1 = inputs["indices"]["M01"]  # starts 60 quotes late: index-window
+    indices = {**inputs["indices"], "M01": Series(m1.dates[60:], m1.values[60:])}
     # the only snapshot is a year after the first events: no-snapshot
-    graph = SupplyChainNetwork({2017: stores.graph.snapshot(2016).edges})
-    return Stores(firms=records, prices=prices, indices=indices,
-                  news=stores.news, graph=graph)
+    graph = SupplyChainNetwork({2017: inputs["graph"].snapshot(2016).edges})
+    return dict(firms=records, prices=prices, indices=indices, news=inputs["news"], graph=graph)
 
 
-def reference_pairs(stores: Stores, mode: str, w: int):
-    """Per-pair brute force: (news_id, firm_id, drop reason or None, y, market_x)."""
+def reference_pairs(inputs: dict, mode: str, w: int):
+    """Per-pair brute force over a ``Stores``' arguments: (news_id, firm_id,
+    drop reason or None, y, market_x)."""
+    firms, prices, indices, events, graph = (
+        inputs["firms"], inputs["prices"], inputs["indices"], inputs["news"].events, inputs["graph"])
     out = []
-    for news_id in sorted(stores.news.events):
-        event = stores.news.events[news_id]
+    for news_id in sorted(events):
+        event = events[news_id]
         if mode == "own":
             exposed = set(event.mentions)
         else:
-            year = stores.graph.snapshot_year_at_or_before(event.date.year)
+            year = graph.snapshot_year_at_or_before(event.date.year)
             if year is None:
                 out += [(news_id, f, "no-snapshot", None, None) for f in sorted(event.mentions)]
                 continue
-            neighbours = stores.graph.suppliers_of if mode == "supplier" else stores.graph.clients_of
+            neighbours = graph.suppliers_of if mode == "supplier" else graph.clients_of
             exposed = set().union(*(neighbours(f, year) for f in event.mentions)) - event.mentions
         for firm_id in sorted(exposed):
-            record = stores.firms.get(firm_id)
-            series = stores.prices.get(firm_id)
-            index = stores.indices.get(record.market_id) if record else None
+            record = firms.get(firm_id)
+            series = prices.get(firm_id)
+            index = indices.get(record.market_id) if record else None
             y = [reference_change(series.dates, series.values, event.date, w, period)
                  for period in (PRE, POST)] if series else [None]
             x = [reference_change(index.dates, index.values, event.date, w, period)
@@ -355,18 +377,19 @@ def reference_pairs(stores: Stores, mode: str, w: int):
     return out
 
 
-def assert_matches_reference(stores: Stores, mode: str, w: int) -> Panel:
-    """The built panel's kept columns and full drop list equal ``reference_pairs``."""
+def assert_matches_reference(stores: Stores, inputs: dict, mode: str, w: int) -> Panel:
+    """The built panel's kept columns and full drop list equal ``reference_pairs``
+    over the arguments ``stores`` was made from."""
     panel = build_panel(stores, mode, "positive", w)
-    pairs = reference_pairs(stores, mode, w)
+    pairs = reference_pairs(inputs, mode, w)
     kept = [p for p in pairs if p[2] is None]
     assert list(zip(panel.news_id.tolist(), panel.firm_id.tolist())) == [
         (p[0], p[1]) for p in kept
     ]
     assert panel.y.tolist() == [p[3] for p in kept]
     assert panel.market_x.tolist() == [p[4] for p in kept]
-    records = [stores.firms.get(p[1]) for p in kept]
-    events = [stores.news.events[p[0]] for p in kept]
+    records = [inputs["firms"].get(p[1]) for p in kept]
+    events = [inputs["news"].events[p[0]] for p in kept]
     assert panel.sector_labels[panel.sector].tolist() == [r.sector_code for r in records]
     assert panel.market.tolist() == [r.market_id for r in records]
     assert panel.p_pos.tolist() == [e.p_pos for e in events]
@@ -379,11 +402,12 @@ def assert_matches_reference(stores: Stores, mode: str, w: int) -> Panel:
 
 class TestReference:
     def test_columns_and_drops_match_per_pair_reference(self):
-        stores = perturbed_sim_stores()
+        inputs = perturbed_sim_inputs()
+        stores = Stores(**inputs)
         reasons = set()
         for mode in MODES:
             for w in (1, 3, 7):
-                panel = assert_matches_reference(stores, mode, w)
+                panel = assert_matches_reference(stores, inputs, mode, w)
                 reasons |= {d.reason for d in panel.drops}
         assert reasons == {"no-snapshot", "unknown-firm", "missing-sector", "missing-market",
                            "price-window", "index-window"}
@@ -391,8 +415,8 @@ class TestReference:
 
 
 @st.composite
-def perturbed_small_stores(draw) -> Stores:
-    """A small simulated bundle with registry records dropped, sectors and
+def perturbed_small_inputs(draw) -> dict:
+    """A small simulated bundle's ``Stores`` arguments, with registry records dropped, sectors and
     markets blanked, price series deleted, index series truncated, and its one
     snapshot moved to a drawn year, each at random."""
     config = SimConfig(
@@ -402,35 +426,36 @@ def perturbed_small_stores(draw) -> Stores:
         start_date=dt.date(2016, 11, 1),
     )
     bundle = simulate(config)
-    stores = bundle.stores()
-    firm_ids = sorted(stores.firms)
+    inputs = bundle.inputs()
+    firm_ids = sorted(inputs["firms"])
 
     def some_firms():
         return draw(st.sets(st.sampled_from(firm_ids), max_size=3))
 
-    records = {f: r for f, r in stores.firms.items() if f not in some_firms()}
+    records = {f: r for f, r in inputs["firms"].items() if f not in some_firms()}
     for field_name in ("sector_code", "market_id"):
         for f in some_firms() & set(records):
             records[f] = records[f]._replace(**{field_name: ""})
     gone = some_firms()
-    prices = {f: s for f, s in stores.prices.items() if f not in gone}
+    prices = {f: s for f, s in inputs["prices"].items() if f not in gone}
     indices = {}
-    for m, s in stores.indices.items():
+    for m, s in inputs["indices"].items():
         head, tail = draw(st.integers(0, 25)), draw(st.integers(0, 25))
         if head + tail < len(s):
             indices[m] = Series(s.dates[head : len(s) - tail], s.values[head : len(s) - tail])
     # 2016 and 2017 hold the events; a snapshot from 2017 on leaves some without one
     graph = SupplyChainNetwork({draw(st.integers(2015, 2018)): {(a, b) for _, a, b in bundle.edges}})
-    return Stores(firms=records, prices=prices, indices=indices, news=stores.news, graph=graph)
+    return dict(firms=records, prices=prices, indices=indices, news=inputs["news"], graph=graph)
 
 
 class TestReasonProperty:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(stores=perturbed_small_stores())
-    def test_kept_columns_and_drops_match_per_pair_reference(self, stores):
+    @given(inputs=perturbed_small_inputs())
+    def test_kept_columns_and_drops_match_per_pair_reference(self, inputs):
+        stores = Stores(**inputs)
         for mode in MODES:
             for w in (1, 3):
-                assert_matches_reference(stores, mode, w)
+                assert_matches_reference(stores, inputs, mode, w)
 
 
 # listed out of string order: "F10" < "F9", and the non-ASCII "Fé" sorts last
@@ -441,7 +466,7 @@ HAND_DATES = [dt.date(2015, 12, 28), dt.date(2016, 6, 15), dt.date(2016, 12, 31)
 
 
 @st.composite
-def hand_built_stores(draw) -> Stores:
+def hand_built_inputs(draw) -> dict:
     """Two or three snapshots with events before the first, articles naming up
     to three firms, and ids whose string order is not their insertion order.
 
@@ -464,7 +489,7 @@ def hand_built_stores(draw) -> Stores:
     dates = weekday_dates(dt.date(2015, 12, 1), 800)
     walks = np.exp(np.cumsum(np.random.default_rng(7).normal(0.0, 0.01, (len(HAND_FIRMS) + 2, 800)), axis=1))
     closes = {f: make_series(dates, 100.0 * walk) for f, walk in zip((*HAND_FIRMS, "M0", "M1"), walks)}
-    return make_stores(
+    return make_inputs(
         firms=[simple_firm(f, market=f"M{k % 2}") for k, f in enumerate(HAND_FIRMS)],
         prices={f: closes[f] for f in HAND_FIRMS}, indices={m: closes[m] for m in ("M0", "M1")},
         events=events, edges_by_year=edges,
@@ -473,23 +498,25 @@ def hand_built_stores(draw) -> Stores:
 
 class TestHandBuiltProperty:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(stores=hand_built_stores())
-    def test_every_mode_matches_per_pair_reference(self, stores):
+    @given(inputs=hand_built_inputs())
+    def test_every_mode_matches_per_pair_reference(self, inputs):
+        stores = Stores(**inputs)
         for mode in MODES:
             for w in (1, 3):
-                assert_matches_reference(stores, mode, w)
+                assert_matches_reference(stores, inputs, mode, w)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(stores=hand_built_stores())
-    def test_dict_order_never_reaches_a_panel(self, stores):
+    @given(inputs=hand_built_inputs())
+    def test_dict_order_never_reaches_a_panel(self, inputs):
         # every dict in reversed insertion order, so the stack is laid out the other way round
         def reversed_dict(mapping):
             return dict(reversed(list(mapping.items())))
 
-        reordered = Stores(firms=reversed_dict(stores.firms), prices=reversed_dict(stores.prices),
-                           indices=reversed_dict(stores.indices),
-                           news=NewsStore(reversed_dict(stores.news.events)), graph=stores.graph)
-        assert not np.array_equal(reordered._values, stores._values)
+        stores = Stores(**inputs)
+        reordered = Stores(firms=reversed_dict(inputs["firms"]), prices=reversed_dict(inputs["prices"]),
+                           indices=reversed_dict(inputs["indices"]),
+                           news=NewsStore(reversed_dict(inputs["news"].events)), graph=inputs["graph"])
+        assert not np.array_equal(reordered._codes.values, stores._codes.values)
         for mode in MODES:
             for w in (1, 3):
                 assert_same_panel(build_panel(reordered, mode, "positive", w),
@@ -506,17 +533,12 @@ def assert_same_panel(a: Panel, b: Panel) -> None:
             assert x == y, f.name
 
 
-def fresh(stores: Stores) -> Stores:
-    """The same inputs in a new ``Stores``, so nothing built before is reused."""
-    return Stores(firms=stores.firms, prices=stores.prices, indices=stores.indices,
-                  news=stores.news, graph=stores.graph)
-
-
-def series_firsts(stores: Stores) -> dict:
-    """(kind, id) -> first index of each series in the stack: the cumulative
-    lengths of every price series, then every index series."""
-    series = {**{("price", f): s for f, s in stores.prices.items()},
-              **{("index", m): s for m, s in stores.indices.items()}}
+def series_firsts(inputs: dict) -> dict:
+    """(kind, id) -> first index of each series in the stack of a ``Stores``
+    made from ``inputs``: the cumulative lengths of every price series, then
+    every index series."""
+    series = {**{("price", f): s for f, s in inputs["prices"].items()},
+              **{("index", m): s for m, s in inputs["indices"].items()}}
     return dict(zip(series, np.cumsum([0] + [len(s) for s in series.values()]).tolist()))
 
 
@@ -535,10 +557,11 @@ class TestStackedBuild:
                    "M1": make_series(dates[3:], 900.0 * trend[3:])}
         events = [simple_event(f"{f}{k:02d}", day, {f})
                   for f in prices for k, day in enumerate([*dates, dates[-1] + dt.timedelta(days=1)])]
-        stores = make_stores(
+        inputs = make_inputs(
             firms=[simple_firm("A"), simple_firm("B"), simple_firm("C", market="M1")],
             prices=prices, indices=indices, events=events,
         )
+        stores = Stores(**inputs)
         for w in (1, 2, 3, 4):
             panel = build_panel(stores, "own", "positive", w)
             reasons = {(d.news_id, d.firm_id): d.reason for d in panel.drops}
@@ -546,7 +569,7 @@ class TestStackedBuild:
                 # anchors 0..2w-1 lack block A, and anchors past n - w lack block C
                 for k in [*range(2 * w), *range(12 - w + 1, 13)]:
                     assert reasons[f"{f}{k:02d}", f] == "price-window"
-            pairs = reference_pairs(stores, "own", w)
+            pairs = reference_pairs(inputs, "own", w)
             kept = [p for p in pairs if p[2] is None]
             assert panel.news_id.tolist() == [p[0] for p in kept]
             assert panel.y.tolist() == [p[3] for p in kept]
@@ -556,60 +579,85 @@ class TestStackedBuild:
             assert {d.reason for d in panel.drops} == {"price-window", "index-window"}
 
     def test_memoised_builds_equal_fresh_builds(self):
-        stores = perturbed_sim_stores()
+        inputs = perturbed_sim_inputs()
+        stores = Stores(**inputs)
         for mode in MODES:
             for w in (30, 1, 5, 1):
                 assert_same_panel(build_panel(stores, mode, "positive", w),
-                                  build_panel(fresh(stores), mode, "positive", w))
+                                  build_panel(Stores(**inputs), mode, "positive", w))
         assert set(stores._memo) >= set(MODES)  # the builds above did share one table per mode
 
     def test_replace_does_not_reuse_the_memo(self):
-        stores = perturbed_sim_stores()
+        inputs = perturbed_sim_inputs()
+        stores = Stores(**inputs)
         before = build_panel(stores, "supplier", "positive", 2)
         prices = {f: Series(s.dates, s.values[::-1].copy())
-                  for f, s in stores.prices.items() if f != "F00005"}
-        replaced = dataclasses.replace(stores, prices=prices)
+                  for f, s in inputs["prices"].items() if f != "F00005"}
+        replaced = Stores(**{**inputs, "prices": prices})
         after = build_panel(replaced, "supplier", "positive", 2)
-        assert_same_panel(after, build_panel(fresh(replaced), "supplier", "positive", 2))
+        assert_same_panel(after, build_panel(Stores(**{**inputs, "prices": prices}),
+                                             "supplier", "positive", 2))
+        assert_same_panel(build_panel(stores, "supplier", "positive", 2), before)
         assert "F00005" in before.firm_id and "F00005" not in after.firm_id
         assert not np.array_equal(before.y, after.y)
 
     def test_inputs_cannot_change_under_the_memo(self):
-        stores = perturbed_sim_stores()
+        inputs = perturbed_sim_inputs()
+        stores = Stores(**inputs)
         before = build_panel(stores, "own", "positive", 2)
         firm = str(before.firm_id[0])
-        series = stores.prices[firm]
+        series = inputs["prices"][firm]
         reversed_series = Series(series.dates, series.values[::-1].copy())
-        with pytest.raises(TypeError):
-            stores.prices[firm] = reversed_series
-        with pytest.raises(ValueError, match="read-only"):
-            series.values[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            stores.indices["M00"].dates[0] += 1
-        for mapping in (stores.firms, stores.indices, stores.news.events):
-            with pytest.raises(TypeError):
-                del mapping[next(iter(mapping))]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            stores.prices = {}
         # a dict the caller keeps is copied, so changing it later changes nothing
-        prices = dict(stores.prices)
-        kept = Stores(firms=stores.firms, prices=prices, indices=stores.indices,
-                      news=stores.news, graph=stores.graph)
+        prices = dict(inputs["prices"])
+        kept = Stores(**{**inputs, "prices": prices})
         prices[firm] = reversed_series
         assert_same_panel(build_panel(kept, "own", "positive", 2), before)
         assert_same_panel(build_panel(stores, "own", "positive", 2), before)
-        after = build_panel(dataclasses.replace(stores, prices=prices), "own", "positive", 2)
+        after = build_panel(Stores(**{**inputs, "prices": prices}), "own", "positive", 2)
         assert not np.array_equal(before.y[before.firm_id == firm], after.y[after.firm_id == firm])
+
+    def test_stores_keeps_no_input(self):
+        # a Stores is its coded columns: a write into any input the caller
+        # keeps changes no build, and once the caller lets go of the inputs,
+        # none of them stays alive
+        class Registry(dict):  # a plain dict takes no weak reference
+            pass
+
+        inputs = perturbed_sim_inputs()
+        inputs["firms"] = Registry(inputs["firms"])
+        for name in ("prices", "indices"):  # own calendars: the simulator's one calendar is read-only
+            inputs[name] = {k: Series(s.dates.copy(), s.values) for k, s in inputs[name].items()}
+        expected = {(mode, w): build_panel(Stores(**inputs), mode, "positive", w)
+                    for mode in MODES for w in (2, 5)}
+        series = [*inputs["prices"].values(), *inputs["indices"].values()]
+        refs = [weakref.ref(value) for value in (inputs["firms"], inputs["news"], inputs["graph"], *series)]
+        stores = Stores(**inputs)
+        assert_same_panel(build_panel(stores, "own", "positive", 2), expected["own", 2])  # memoised
+        for one in series:
+            one.values[:] = 1.0
+            one.dates[:] = one.dates[-1]
+        for name in ("firms", "prices", "indices"):
+            inputs[name].clear()
+        inputs["news"].events.clear()
+        for (mode, w), panel in expected.items():
+            assert_same_panel(build_panel(stores, mode, "positive", w), panel)
+        del inputs, series, one
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        for (mode, w), panel in expected.items():
+            assert_same_panel(build_panel(stores, mode, "positive", w), panel)
 
     def test_callers_arrays_stay_writable_and_unread(self):
         # a Stores copies the series it is given: the caller's arrays stay
         # writable, and a write into one changes no later build
         bundle = simulate(SimConfig(n_firms=30, n_markets=2, n_days=200, edge_prob=0.08,
                                     news_rate=3.0, seed=11))
-        from_bundle = bundle.stores()
+        inputs = bundle.inputs()
+        from_bundle = Stores(**inputs)
         prices = {f: Series(s.dates.copy(), s.values.copy()) for f, s in bundle.prices.items()}
-        given = dataclasses.replace(from_bundle, prices=prices)
-        expected = {(mode, w): build_panel(fresh(from_bundle), mode, "positive", w)
+        given = Stores(**{**inputs, "prices": prices})
+        expected = {(mode, w): build_panel(Stores(**inputs), mode, "positive", w)
                     for mode in MODES for w in (2, 5)}
         for stores in (from_bundle, given):
             for mode in MODES:
@@ -625,16 +673,17 @@ class TestStackedBuild:
     def test_sector_labels_cannot_change_a_later_build(self):
         # a panel's sector_labels is the Stores' own array, so a write into it
         # must raise rather than relabel a sector in every later build
-        stores = perturbed_sim_stores()
+        inputs = perturbed_sim_inputs()
+        stores = Stores(**inputs)
         for mode in MODES:
             panel = build_panel(stores, mode, "positive", 1)
             with pytest.raises(ValueError, match="read-only"):
                 panel.sector_labels[0] = "XX"
             assert_same_panel(build_panel(stores, mode, "positive", 1),
-                              build_panel(fresh(stores), mode, "positive", 1))
+                              build_panel(Stores(**inputs), mode, "positive", 1))
 
     def test_small_gather_batch_changes_nothing(self, monkeypatch):
-        stores = perturbed_sim_stores()
+        stores = Stores(**perturbed_sim_inputs())
         expected = {(m, w): build_panel(stores, m, "positive", w) for m in MODES for w in (1, 3, 7)}
         monkeypatch.setattr(market, "_GATHER_BATCH", 4)  # one block per gather for w > 4
         for (mode, w), panel in expected.items():
@@ -642,8 +691,8 @@ class TestStackedBuild:
 
 
 @st.composite
-def colliding_query_stores(draw) -> Stores:
-    """Stores whose window queries share block-C starts.
+def colliding_query_inputs(draw) -> dict:
+    """``Stores`` arguments whose window queries share block-C starts.
 
     Firm N has no price series, so its price query (first 0, length 0, anchor
     0) has the key of an anchor on the first day of series 0, A's. An event
@@ -667,7 +716,7 @@ def colliding_query_stores(draw) -> Stores:
     # drawn id order, so the pairs of either colliding query may come first
     ids = draw(st.permutations([f"n{k:02d}" for k in range(len(forced) + len(drawn))]))
     links = st.tuples(*[st.sampled_from("ABNG")] * 2).filter(lambda edge: edge[0] != edge[1])
-    return make_stores(
+    return make_inputs(
         firms=[simple_firm("A"), simple_firm("B", market="M1"), simple_firm("N")],
         prices=prices, indices=indices,
         events=[simple_event(i, day, named) for i, (day, named) in zip(ids, forced + drawn)],
@@ -679,23 +728,24 @@ class TestQueryDedupe:
     """The distinct window queries equal an ``np.unique`` dedupe of per-pair queries."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(stores=colliding_query_stores())
-    def test_queries_equal_unique_reference(self, stores):
-        firsts = series_firsts(stores)
+    @given(inputs=colliding_query_inputs())
+    def test_queries_equal_unique_reference(self, inputs):
+        stores = Stores(**inputs)
+        events, graph = inputs["news"].events, inputs["graph"]
+        firsts = series_firsts(inputs)
         # news and firm codes number the events and the mentioned or linked firms in id order
-        news_ids = sorted(stores.news.events)
-        firm_ids = sorted(set().union(*(e.mentions for e in stores.news.events.values()),
-                                      *(edge for year in stores.graph.years
-                                        for edge in stores.graph.snapshot(year).edges)))
+        news_ids = sorted(events)
+        firm_ids = sorted(set().union(*(e.mentions for e in events.values()),
+                                      *(edge for year in graph.years for edge in graph.snapshot(year).edges)))
         for mode in MODES:
             table = _pair_table(stores, mode)
             queries = []
-            for kind, series_by_id in (("price", stores.prices), ("index", stores.indices)):
+            for kind, series_by_id in (("price", inputs["prices"]), ("index", inputs["indices"])):
                 for news, firm in zip(table.news.tolist(), table.firm.tolist()):
-                    record = stores.firms.get(firm_ids[firm])
+                    record = inputs["firms"].get(firm_ids[firm])
                     ident = firm_ids[firm] if kind == "price" else (record.market_id if record else "")
                     series = series_by_id.get(ident)
-                    day = np.datetime64(stores.news.events[news_ids[news]].date, "D")
+                    day = np.datetime64(events[news_ids[news]].date, "D")
                     queries.append((0, 0, 0) if series is None else (
                         firsts[kind, ident], len(series), int(np.searchsorted(series.dates, day))))
             first, length, anchor = np.array(queries, dtype=np.int64).reshape(-1, 3).T
@@ -715,11 +765,12 @@ LIFT_LENGTHS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65)
 
 
 @st.composite
-def gapped_stores(draw) -> Stores:
-    """Price and index series on random subsets of one weekday calendar, so
-    they have calendar gaps of their own, with lengths around powers of two.
-    Firm N and market M2 have no series, and C is in no registry; one article
-    mentions every firm, so the ``Stores`` codes all four."""
+def gapped_inputs(draw) -> dict:
+    """``Stores`` arguments whose price and index series lie on random subsets
+    of one weekday calendar, so they have calendar gaps of their own, with
+    lengths around powers of two. Firm N and market M2 have no series, and C
+    is in no registry; one article mentions every firm, so the ``Stores``
+    codes all four."""
     calendar = weekday_dates(START, 70)
 
     def gapped():
@@ -727,7 +778,7 @@ def gapped_stores(draw) -> Stores:
         picked = sorted(draw(st.permutations(range(len(calendar))))[:k])
         return make_series([calendar[i] for i in picked], 100.0 + np.arange(k))
 
-    return make_stores(
+    return make_inputs(
         firms=[simple_firm("A"), simple_firm("B", market="M1"), simple_firm("N", market="M2")],
         prices={f: gapped() for f in ("B", "A", "C")}, indices={m: gapped() for m in ("M1", "M0")},
         events=[simple_event("n0", START, {"A", "B", "C", "N"})],
@@ -738,24 +789,24 @@ class TestAnchorQueries:
     """The anchor search over every pair at once equals one ``np.searchsorted`` per series."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(stores=gapped_stores())
-    def test_anchors_equal_per_series_searchsorted(self, stores):
+    @given(inputs=gapped_inputs())
+    def test_anchors_equal_per_series_searchsorted(self, inputs):
         # every calendar day from a week before the first weekday to a week past
         # the last, weekends included: before, inside, in the gaps of and after
         # every series
         days = np.datetime64(START, "D") + np.arange(-7, 105)
-        firsts = series_firsts(stores)
-        codes = stores._codes
+        firsts = series_firsts(inputs)
+        codes = Stores(**inputs)._codes
         assert codes.firm_id.tolist() == ["A", "B", "C", "N"]
         # the price spans of firms A, B, C and N, and the index spans of markets
         # M0, M1 and M2 through their firms A, B and N, by firm code
         for kind, series_by_id, labels, firm_code in (
-                ("price", stores.prices, ["A", "B", "C", "N"], [0, 1, 2, 3]),
-                ("index", stores.indices, ["M0", "M1", "M2"], [0, 1, 3])):
+                ("price", inputs["prices"], ["A", "B", "C", "N"], [0, 1, 2, 3]),
+                ("index", inputs["indices"], ["M0", "M1", "M2"], [0, 1, 3])):
             code = np.repeat(np.arange(len(labels)), len(days))
             day = np.tile(days, len(labels))
             first, length = getattr(codes, kind)[:, np.array(firm_code)[code]]
-            anchor = _anchor_queries(stores._days, first, length, day.view(np.int64))
+            anchor = _anchor_queries(codes.days, first, length, day.view(np.int64))
             expected = []
             for label, d in zip(np.array(labels)[code].tolist(), day):
                 series = series_by_id.get(label)

@@ -45,15 +45,13 @@ OVERLAPPING = dataclasses.replace(
 )
 
 
-def load_stores(paths) -> panel.Stores:
-    """The stores a file round trip of a written bundle gives."""
+def load_inputs(paths) -> dict:
+    """The ``Stores`` arguments a file round trip of a written bundle gives."""
     firms, _ = load_firms(paths["firms"])
     prices, _ = market.load_prices(paths["prices"])
     indices, _ = market.load_indices(paths["indices"])
     news, _ = sentiment.load_news(paths["news"])
-    return panel.Stores(
-        firms=firms, prices=prices, indices=indices, news=news, graph=load_edges(paths["edges"])
-    )
+    return dict(firms=firms, prices=prices, indices=indices, news=news, graph=load_edges(paths["edges"]))
 
 
 def read_bytes(paths):
@@ -207,7 +205,7 @@ class TestSimulate:
         ids = sorted(bundle.prices)
         year = OVERLAPPING.start_date.year
         assert bundle.edges == [(year, ids[i], ids[j]) for i, j in np.argwhere(adjacency)]
-        graph = bundle.stores().graph
+        graph = bundle.inputs()["graph"]
         for k, firm_id in enumerate(ids):
             suppliers = {ids[s] for s in np.flatnonzero(adjacency[:, k])}
             clients = {ids[c] for c in np.flatnonzero(adjacency[k])}
@@ -331,7 +329,7 @@ class TestSimulate:
     def test_round_trip_panel_matches_in_memory(self, tmp_path):
         bundle = simulate(SMALL)
         a = panel.build_panel(bundle.stores(), "own", "positive", 1)
-        b = panel.build_panel(load_stores(bundle.write(tmp_path)), "own", "positive", 1)
+        b = panel.build_panel(panel.Stores(**load_inputs(bundle.write(tmp_path))), "own", "positive", 1)
         assert len(a) == len(b)
         assert np.array_equal(a.firm_id, b.firm_id)
         assert np.array_equal(a.news_id, b.news_id)
@@ -344,14 +342,15 @@ class TestSimulate:
     ], ids=["edge_prob=0", "edge_prob=0.05", "edge_prob=1"])
     def test_round_trip_graph_and_news_match_in_memory(self, tmp_path, config):
         bundle = simulate(config)
-        memory, loaded = bundle.stores(), load_stores(bundle.write(tmp_path))
-        assert loaded.graph.years == memory.graph.years
-        assert (memory.graph.years == []) == (config.edge_prob == 0.0)
-        for year in memory.graph.years:
-            a, b = memory.graph.snapshot(year), loaded.graph.snapshot(year)
+        memory, loaded = bundle.inputs(), load_inputs(bundle.write(tmp_path))
+        assert loaded["graph"].years == memory["graph"].years
+        assert (memory["graph"].years == []) == (config.edge_prob == 0.0)
+        for year in memory["graph"].years:
+            a, b = memory["graph"].snapshot(year), loaded["graph"].snapshot(year)
             assert a.edges == b.edges
-        assert {k: (e.date, e.mentions) for k, e in memory.news.events.items()} == {
-            k: (e.date, e.mentions) for k, e in loaded.news.events.items()}
+        assert {k: (e.date, e.mentions) for k, e in memory["news"].events.items()} == {
+            k: (e.date, e.mentions) for k, e in loaded["news"].events.items()}
+        memory, loaded = panel.Stores(**memory), panel.Stores(**loaded)
         for mode in ("supplier", "client"):
             a = panel.build_panel(memory, mode, "positive", 1)
             b = panel.build_panel(loaded, mode, "positive", 1)
