@@ -113,6 +113,12 @@ def mark_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen), np.cumsum(seen, dtype=np.int32)[keys] - 1
 
 
+def check_window(w) -> None:
+    """Raise ``ValueError`` unless the window ``w`` is an int or numpy integer, not a bool, >= 1."""
+    if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+        raise ValueError(f"window w must be an integer >= 1, got {w!r}")
+
+
 def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int):
     """Pre- and post-news daily percentage changes for many anchors.
 
@@ -124,8 +130,7 @@ def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int)
     ``mark_ranks`` over the positions of ``values``, so ``values`` must hold
     fewer than 2**31 elements.
     """
-    if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
+    check_window(w)
     pre = np.full(np.shape(anchor), np.nan)
     post = np.full(np.shape(anchor), np.nan)
     # a pre change needs 2w positions before an anchor inside the series, a post

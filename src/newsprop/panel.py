@@ -241,10 +241,27 @@ def _event_columns(events: Mapping[str, NewsEvent]) -> tuple:
 
 def _code(firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
           indices: Mapping[str, Series], news: NewsStore, graph: SupplyChainNetwork) -> _Codes:
-    """The ``_Codes`` of a ``Stores``' five inputs."""
+    """The ``_Codes`` of a ``Stores``' five inputs.
+
+    Each series must hold one value per date, its dates ``datetime64[D]`` and
+    strictly ascending, as the loaders and ``simulate`` make them.
+    """
+    ids = [*prices, *indices]
     series = [*prices.values(), *indices.values()]
+    for key, s in zip(ids, series):
+        if s.dates.dtype != "datetime64[D]" or s.values.shape != s.dates.shape:
+            raise ValueError(f"series {key!r} has {len(s.values)} values for {len(s.dates)} "
+                             f"{s.dates.dtype} dates; it needs one per datetime64[D] date")
     firsts = np.cumsum([0] + [len(s) for s in series]).tolist()
     days = np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in series)]).view(np.int64)
+    # a day not after the one before it, unless it starts its series (np.isin
+    # would sort, and map in numpy's sort code)
+    start = np.zeros(len(days) + 1, dtype=bool)
+    start[firsts] = True
+    stalled = np.flatnonzero((days[1:] <= days[:-1]) & ~start[1:-1]) + 1
+    if len(stalled):
+        key = ids[np.searchsorted(firsts, stalled[0], side="right") - 1]
+        raise ValueError(f"series {key!r} dates do not strictly ascend")
     values = np.concatenate([np.empty(0), *(s.values for s in series)])
     news_id, day, mentions, p_pos, p_neg = _event_columns(news.events)
     years = graph.years
@@ -345,8 +362,7 @@ def build_panel(stores: Stores, mode: str, polarity: str, w: int) -> Panel:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if polarity not in POLARITIES:
         raise ValueError(f"polarity must be one of {POLARITIES}, got {polarity!r}")
-    if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
+    market.check_window(w)
 
     table = _pair_table(stores, mode)
     codes = stores._codes

@@ -4,6 +4,7 @@ histograms. Output is plotting data, not rendered images."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .csvio import write_rows
@@ -101,26 +102,18 @@ def histogram(
     """Bin values; integer counts when ``width`` is None, else fixed width.
 
     Bins are contiguous (empty interior bins appear with count 0) and the
-    counts always sum to the number of inputs.
+    counts always sum to the number of inputs. An integer bin is a width-1
+    bin labelled by its int.
     """
-    if width is None:
-        if len(values) == 0:
-            return []
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[int(v)] = counts.get(int(v), 0) + 1
-        lo, hi = min(counts), max(counts)
-        return [(b, counts.get(b, 0)) for b in range(lo, hi + 1)]
-    if width <= 0.0:
+    if width is not None and width <= 0.0:
         raise ValueError(f"bin width must be positive, got {width}")
     if len(values) == 0:
+        if width is None:
+            return []
         raise ValueError("fixed-width histogram needs at least one value")
-    counts = {}
-    for v in values:
-        b = math.floor(v / width)
-        counts[b] = counts.get(b, 0) + 1
-    lo, hi = min(counts), max(counts)
-    return [(b * width, counts.get(b, 0)) for b in range(lo, hi + 1)]
+    counts = Counter(int(v) if width is None else math.floor(v / width) for v in values)
+    bins = range(min(counts), max(counts) + 1)
+    return [(b if width is None else b * width, counts[b]) for b in bins]
 
 
 def write_histogram(bins: Sequence[tuple[Union[int, float], int]], path) -> None:

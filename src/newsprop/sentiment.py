@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -53,16 +54,13 @@ class NewsStore:
         return len(self.events)
 
 
-def _validate_triple(p_pos: float, p_neu: float, p_neg: float) -> Optional[str]:
-    triple = (p_pos, p_neu, p_neg)
+def _triple_fault(triple: tuple[float, float, float]) -> str:
+    """The fault of a triple the simplex test rejected; finite and in range, it is the sum."""
     if any(not math.isfinite(p) for p in triple):
         return "non-finite probability"
     if any(p < 0.0 or p > 1.0 for p in triple):
         return "probability outside [0, 1]"
-    total = sum(triple)
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        return f"probabilities sum to {total:.6g}"
-    return None
+    return f"probabilities sum to {sum(triple):.6g}"
 
 
 def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
@@ -73,7 +71,7 @@ def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
     collected and reported, not fatal.
     """
     rejections: list[RowRejection] = []
-    pending: dict[str, dict] = {}
+    articles: dict[str, tuple] = {}  # news_id -> (date, triple, firms), from its first accepted row
     date_of: dict[str, Optional[dt.date]] = {}  # date text -> its day, or None if malformed
     for i, row in read_rows(path, NEWS_HEADER):
         if len(row) != 6:
@@ -99,62 +97,40 @@ def load_news(path) -> tuple[NewsStore, list[RowRejection]]:
             continue
         if not (0.0 <= p_pos <= 1.0 and 0.0 <= p_neu <= 1.0 and 0.0 <= p_neg <= 1.0
                 and abs(p_pos + p_neu + p_neg - 1.0) <= SIMPLEX_TOL):
-            rejections.append(RowRejection(i, _validate_triple(p_pos, p_neu, p_neg)))
+            rejections.append(RowRejection(i, _triple_fault((p_pos, p_neu, p_neg))))
             continue
-        entry = pending.get(news_id)
-        if entry is None:
-            pending[news_id] = {
-                "date": date,
-                "triple": (p_pos, p_neu, p_neg),
-                "mentions": {firm_id},
-            }
+        article = articles.get(news_id)
+        if article is None:
+            articles[news_id] = (date, (p_pos, p_neu, p_neg), {firm_id})
             continue
-        if date != entry["date"]:
+        first_date, triple, firms = article
+        if date != first_date:
             rejections.append(RowRejection(i, f"inconsistent date for news_id {news_id}"))
-            continue
-        if any(abs(a - b) > REPEAT_TOL for a, b in zip((p_pos, p_neu, p_neg), entry["triple"])):
-            rejections.append(
-                RowRejection(i, f"inconsistent probabilities for news_id {news_id}")
-            )
-            continue
-        if firm_id in entry["mentions"]:
+        elif any(abs(a - b) > REPEAT_TOL for a, b in zip((p_pos, p_neu, p_neg), triple)):
+            rejections.append(RowRejection(i, f"inconsistent probabilities for news_id {news_id}"))
+        elif firm_id in firms:
             rejections.append(RowRejection(i, f"duplicate mention of {firm_id}"))
-            continue
-        entry["mentions"].add(firm_id)
+        else:
+            firms.add(firm_id)
     events = {}
-    for news_id, entry in pending.items():
-        p_pos, p_neu, p_neg = entry["triple"]
+    for news_id, (date, (p_pos, p_neu, p_neg), firms) in articles.items():
         total = p_pos + p_neu + p_neg
-        events[news_id] = NewsEvent(
-            news_id=news_id,
-            date=entry["date"],
-            mentions=frozenset(entry["mentions"]),
-            p_pos=p_pos / total,
-            p_neu=p_neu / total,
-            p_neg=p_neg / total,
-        )
+        events[news_id] = NewsEvent(news_id, date, frozenset(firms),
+                                    p_pos / total, p_neu / total, p_neg / total)
     return NewsStore(events), rejections
 
 
-def mention_histogram(
-    store: NewsStore, registry_firms: Optional[Iterable[str]] = None
-) -> MentionHistogram:
+def mention_histogram(store: NewsStore,
+                      registry_firms: Optional[Iterable[str]] = None) -> MentionHistogram:
     """Counts of mentions per article and of articles per firm.
 
     When ``registry_firms`` is supplied, firms never mentioned appear with a
     zero count in ``articles_per_firm``.
     """
-    mentions_per_article: dict[int, int] = {}
-    articles_per_firm: dict[str, int] = {}
-    if registry_firms is not None:
-        for firm in registry_firms:
-            articles_per_firm[firm] = 0
-    for event in store.events.values():
-        n = len(event.mentions)
-        mentions_per_article[n] = mentions_per_article.get(n, 0) + 1
-        for firm in event.mentions:
-            articles_per_firm[firm] = articles_per_firm.get(firm, 0) + 1
+    events = store.events.values()
+    articles_per_firm = Counter(dict.fromkeys(() if registry_firms is None else registry_firms, 0))
+    articles_per_firm.update(firm for event in events for firm in event.mentions)
     return MentionHistogram(
-        mentions_per_article=dict(sorted(mentions_per_article.items())),
+        mentions_per_article=dict(sorted(Counter(len(event.mentions) for event in events).items())),
         articles_per_firm=dict(sorted(articles_per_firm.items())),
     )

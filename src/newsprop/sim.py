@@ -68,7 +68,7 @@ import numpy as np
 from .csvio import write_rows
 from .firms import FIRM_HEADER, FirmRecord
 from .graph import EDGE_HEADER, SupplyChainNetwork
-from .market import INDEX_HEADER, PRICE_HEADER, Series
+from .market import INDEX_HEADER, PRICE_HEADER, Series, check_window
 from .panel import BUNDLE_FILES, MODES, POLARITIES, Stores, concat_ranges
 from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
 
@@ -357,7 +357,8 @@ def drift_block_loadings(w: int, leak_window: int, effect_window: int) -> np.nda
     the day, over 100 * window length: integer work in the window lengths,
     none in w, and each loading is one correctly rounded integer ratio.
     """
-    if w < 1 or leak_window < 1 or effect_window < 1:
+    check_window(w)
+    if leak_window < 1 or effect_window < 1:
         raise ValueError("windows must be >= 1")
 
     def positions_at_or_after(days: range, lo: int, hi: int) -> int:

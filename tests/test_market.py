@@ -138,6 +138,14 @@ class TestWindowChange:
         with pytest.raises(ValueError):
             window_change(series, JUN(10), 1, "sideways")
 
+    def test_window_must_be_an_integer(self):
+        dates = weekday_dates(JUN(1), 12)
+        series = make_series(dates, np.linspace(1.0, 2.0, 12))
+        for w in (1.5, 2.0, "2", True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="window w must be an integer >= 1"):
+                window_change(series, dates[6], w, PRE)
+        assert window_change(series, dates[6], np.int64(2), PRE) == window_change(series, dates[6], 2, PRE)
+
 
 def one_series_changes(dates, values, news_dates, w):
     """``block_changes`` on one series, each news date anchored by ``searchsorted``

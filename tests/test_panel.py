@@ -314,6 +314,65 @@ class TestPanelShape:
         with pytest.raises(ValueError):
             build_panel(stores, "own", "positive", 0)
 
+    def test_rejects_windows_that_are_not_integers(self):
+        dates, prices, indices = flat_market(["A"])
+        stores = make_stores(firms=[simple_firm("A")], prices=prices, indices=indices,
+                             events=[simple_event("n1", dates[10], {"A"})])
+        for w in (1.5, 2.0, "1", True, None):
+            with pytest.raises(ValueError, match="window w must be an integer >= 1"):
+                build_panel(stores, "own", "positive", w)
+        assert_same_panel(build_panel(stores, "own", "positive", np.int64(2)),
+                          build_panel(stores, "own", "positive", 2))
+
+
+def series_invariant_inputs() -> dict:
+    """A small simulated bundle whose own panel at w = 1 keeps 120 pairs."""
+    config = SimConfig(n_firms=20, n_days=80, edge_prob=0.1, news_rate=3.0, seed=5)
+    return simulate(config).inputs()
+
+
+class TestSeriesInvariant:
+    """A ``Stores`` takes only series with one value per date and strictly
+    ascending ``datetime64[D]`` dates, and names the one that is not."""
+
+    def test_simulated_inputs_hold_it(self):
+        assert len(build_panel(Stores(**series_invariant_inputs()), "own", "positive", 1)) == 120
+
+    @pytest.mark.parametrize("kind", ["prices", "indices"])
+    def test_dates_of_another_unit_raise(self, kind):
+        inputs = series_invariant_inputs()
+        key, series = next(iter(inputs[kind].items()))
+        inputs[kind] = {**inputs[kind], key: Series(series.dates.astype("datetime64[s]"), series.values)}
+        with pytest.raises(ValueError, match=f"series '{key}' .* datetime64\\[s\\] dates"):
+            build_panel(Stores(**inputs), "own", "positive", 1)
+
+    def test_one_value_short_raises(self):
+        inputs = series_invariant_inputs()
+        series = inputs["prices"]["F00004"]
+        inputs["prices"] = {**inputs["prices"], "F00004": Series(series.dates, series.values[:-1])}
+        with pytest.raises(ValueError, match=f"series 'F00004' has {len(series) - 1} values for {len(series)} "):
+            build_panel(Stores(**inputs), "own", "positive", 1)
+
+    @pytest.mark.parametrize("order", ["reversed", "repeated day"])
+    def test_dates_that_do_not_strictly_ascend_raise(self, order):
+        inputs = series_invariant_inputs()
+        series = inputs["prices"]["F00007"]
+        dates = series.dates[::-1] if order == "reversed" else np.sort(np.r_[series.dates[1:], series.dates[5]])
+        inputs["prices"] = {**inputs["prices"], "F00007": Series(dates, series.values)}
+        with pytest.raises(ValueError, match="series 'F00007' dates do not strictly ascend"):
+            build_panel(Stores(**inputs), "own", "positive", 1)
+
+    def test_series_may_be_empty_or_restart_the_calendar(self):
+        # each series starts before the day the one laid before it ends, and
+        # empty series lie first, between two and last in the stack
+        inputs = series_invariant_inputs()
+        empty = Series(np.empty(0, "datetime64[D]"), np.empty(0))
+        expected = build_panel(Stores(**inputs), "own", "positive", 1)
+        prices = inputs["prices"]
+        inputs["prices"] = {"Z0": empty, **dict(list(prices.items())[:3]), "Z1": empty,
+                            **dict(list(prices.items())[3:]), "Z2": empty}
+        assert_same_panel(build_panel(Stores(**inputs), "own", "positive", 1), expected)
+
 
 def perturbed_sim_inputs() -> dict:
     """A simulated bundle's ``Stores`` arguments with edges, edited so that

@@ -369,6 +369,24 @@ class TestDiffTest:
         with pytest.raises(ValueError, match="negative difference variance"):
             _diff_fields(beta, np.array([[1.0, 2.0], [2.0, 1.0]]), result.dof)
 
+    # unit variances and cov_prepost = 1 + 2**-k give a difference variance of
+    # exactly -2**(1 - k): about -4.5e-13 for k = 42, inside the clamp to 0,
+    # and about -7.3e-12 for k = 38, past it
+    @pytest.mark.parametrize("k, beta_post, expected", [
+        (42, 0.25, (0.0, 0.0, 0.0, 1.0)),
+        (42, 0.5, "zero variance with nonzero difference"),
+        (38, 0.25, "negative difference variance"),
+    ], ids=["clamped-zero-diff", "clamped-nonzero-diff", "past-the-clamp"])
+    def test_tiny_negative_variance_clamps_to_zero(self, k, beta_post, expected):
+        cov = np.array([[1.0, 1.0 + 2.0**-k], [1.0 + 2.0**-k, 1.0]])
+        assert cov[0, 0] + cov[1, 1] - 2.0 * cov[0, 1] == -(2.0 ** (1 - k))
+        beta = np.array([0.25, beta_post])
+        if isinstance(expected, tuple):
+            assert _diff_fields(beta, cov, 10) == expected
+        else:
+            with pytest.raises(ValueError, match=expected):
+                _diff_fields(beta, cov, 10)
+
     def test_diff_se_identity(self, rng):
         panel = random_panel(rng, n_pairs=70, n_sectors=6)
         r = fit(panel)

@@ -419,6 +419,14 @@ class TestDriftBlockLoadings:
         with pytest.raises(ValueError):
             drift_block_loadings(0, 1, 1)
 
+    def test_window_must_be_an_integer(self):
+        for w in (1.5, 2.0, "2", True):
+            with pytest.raises(ValueError, match="window w must be an integer >= 1"):
+                drift_block_loadings(w, 1, 1)
+            with pytest.raises(ValueError, match="window w must be an integer >= 1"):
+                expected_betas(SMALL, w, "own", "positive")
+        assert expected_betas(SMALL, np.int64(2), "own", "positive") == expected_betas(SMALL, 2, "own", "positive")
+
 
 class TestExpectedBetas:
     def test_zero_gammas_zero_everywhere(self):
