@@ -16,21 +16,25 @@ contributes a single pair for that article.
 A ``Stores`` is made from plain data: the firm registry is a dict of
 ``FirmRecord`` by firm_id, and the closes and index values are dicts of the
 one ``market.Series`` type, by firm_id and by market_id. It keeps none of them.
+The constructor only transposes them into columns, and ``Stores.from_columns``
+takes such columns straight from ``simulate``; one coder, ``_code``, codes and
+checks both.
 
 A build splits into work done once per ``Stores``, once per mode and once per
-window. When a ``Stores`` is made, it copies every price series and then every
-index series end to end into one array, and codes every firm, article and
-link once: firms in id order, over every mentioned firm and both ends of
-every edge; the events, sorted by id, transposed with ``zip(*events)`` into
-their columns; each (article, mentioned firm) as one sorted key news * n_firms
-+ firm; and each edge by its snapshot and its two firm codes. Per firm it keeps
-the id, sector code, market, registry reason, and the span in the stack of its
-price series and of its market's index series. Once per mode, memoised on the
-``Stores``, array operations on those codes yield the mode's pair table, which
-keeps only the mode's pairs, their reasons and their window queries: each
-mention gathers its neighbours from a CSR adjacency of its event's snapshot,
-sorting the keys puts the pairs in (news_id, firm_id) order, and one binary
-search over every pair at once, on the stack's int64 days, places the anchors.
+window. When a ``Stores`` is made, it codes every firm, article and link once:
+of the firms, those an article mentions or a link names, in id order; the
+events in id order; each (article, mentioned firm) as one sorted key news *
+n_firms + firm; and each edge by its snapshot and its two firm codes. Every
+price series and then every index series lie end to end in one array, each
+series' days strictly ascending and its values finite and positive. Per firm
+it keeps the id, sector code, market, registry reason, and the span in the
+stack of its price series and of its market's index series. Once per mode,
+memoised on the ``Stores``, array operations on those codes yield the mode's
+pair table, which keeps only the mode's pairs, their reasons and their window
+queries: each mention gathers its neighbours from a CSR adjacency of its
+event's snapshot, sorting the keys puts the pairs in (news_id, firm_id) order,
+and one binary search over every pair at once, on the stack's int64 days,
+places the anchors.
 The queries are kept once per distinct block-C start in the stacked array,
 deduplicated by ``market.mark_ranks`` rather than a sort. A pair's reason code
 is its snapshot or registry reason, or 0 when only its windows decide. Once
@@ -54,7 +58,7 @@ import datetime as dt
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +94,8 @@ class _Codes(NamedTuple):
     """Every article, firm and supply-chain link of a ``Stores``, coded once, in
     read-only columns. News codes number the events and firm codes the firms,
     each in id order. An unknown firm's sector and market are empty, and a
-    missing series' (first, length) in the stack is (0, 0). The stack is a
-    copy: every series' days and values, laid end to end."""
+    missing series' (first, length) in the stack is (0, 0). The stack holds
+    every series' days and values, laid end to end."""
 
     news_id: np.ndarray  # str, per news code
     day: np.ndarray  # datetime64[D]
@@ -115,14 +119,22 @@ class Stores:
     """The loaded inputs, coded once into read-only columns that builds read.
 
     ``_codes`` holds a copy of every series and codes every firm, article and
-    link, when the ``Stores`` is made; what it is given is neither kept nor
-    changed. ``_memo`` holds one pair table per mode.
+    link, when the ``Stores`` is made; what the constructor is given is
+    neither kept nor changed. ``_memo`` holds one pair table per mode.
     """
 
     def __init__(self, firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
                  indices: Mapping[str, Series], news: NewsStore, graph: SupplyChainNetwork):
-        self._codes = _code(firms, prices, indices, news, graph)
+        self._codes = _code(**_transpose(firms, prices, indices, news, graph))
         self._memo = {}
+
+    @classmethod
+    def from_columns(cls, **columns) -> Stores:
+        """A ``Stores`` of the columns ``_code`` takes, as ``simulate`` keeps them."""
+        stores = cls.__new__(cls)
+        stores._codes = _code(**columns)
+        stores._memo = {}
+        return stores
 
 
 @dataclass(eq=False)
@@ -229,69 +241,119 @@ def concat_ranges(start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(lengths.sum())) + np.repeat(start - slots, lengths)
 
 
-def _event_columns(events: Mapping[str, NewsEvent]) -> tuple:
-    """The event columns in news_id order: ids, days, mention sets, ``p_pos``
-    and ``p_neg``, by transposing the events."""
-    news_id, date, mentions, p_pos, _, p_neg = (
-        list(zip(*map(events.__getitem__, sorted(events)))) or [()] * len(NewsEvent._fields))
-    # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
-    day = np.datetime64("0000-12-31") + np.fromiter(map(dt.date.toordinal, date), np.int64, len(date))
-    return np.array(news_id, dtype=str), day, mentions, np.array(p_pos, float), np.array(p_neg, float)
+def _transpose(firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
+               indices: Mapping[str, Series], news: NewsStore, graph: SupplyChainNetwork) -> dict:
+    """The columns ``_code`` takes, from the five inputs as the loaders give them.
 
-
-def _code(firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
-          indices: Mapping[str, Series], news: NewsStore, graph: SupplyChainNetwork) -> _Codes:
-    """The ``_Codes`` of a ``Stores``' five inputs.
-
-    Each series must hold one value per date, its dates ``datetime64[D]`` and
-    strictly ascending, as the loaders and ``simulate`` make them.
+    Each series must hold one value per date, its dates ``datetime64[D]``, to be
+    laid end to end; every other rule is ``_code``'s.
     """
-    ids = [*prices, *indices]
     series = [*prices.values(), *indices.values()]
-    for key, s in zip(ids, series):
+    for key, s in zip([*prices, *indices], series):
         if s.dates.dtype != "datetime64[D]" or s.values.shape != s.dates.shape:
             raise ValueError(f"series {key!r} has {len(s.values)} values for {len(s.dates)} "
                              f"{s.dates.dtype} dates; it needs one per datetime64[D] date")
-    firsts = np.cumsum([0] + [len(s) for s in series]).tolist()
-    days = np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in series)]).view(np.int64)
+    events = news.events.values()
+    news_id, date, mentions, p_pos, _, p_neg = list(zip(*events)) or [()] * len(NewsEvent._fields)
+    years = graph.years
+    edges = [graph.snapshot(year).edges for year in years]
+    firm_ids = list(set().union(*mentions, *chain.from_iterable(edges)))
+    code = dict(zip(firm_ids, range(len(firm_ids)))).__getitem__
+    counts = np.fromiter(map(len, mentions), np.int64, len(mentions))
+    mention = np.vstack((np.repeat(np.arange(len(mentions), dtype=np.int64), counts),
+                         np.fromiter(map(code, chain.from_iterable(mentions)), np.int64, counts.sum())))
+    sizes = list(map(len, edges))
+    ends = np.fromiter(map(code, chain.from_iterable(chain.from_iterable(edges))), np.int64, 2 * sum(sizes))
+    records = list(map(firms.get, firm_ids))
+    return dict(
+        news_id=np.array(news_id, dtype=str),
+        # ordinal 1 is 0001-01-01; numpy converts date objects one by one, 20x slower
+        day=np.datetime64("0000-12-31") + np.fromiter(map(dt.date.toordinal, date), np.int64, len(date)),
+        p_pos=np.array(p_pos, float), p_neg=np.array(p_neg, float), mention=mention,
+        firm_id=np.array(firm_ids, dtype=str),
+        sector=np.array([record.sector_code if record else "" for record in records], dtype=str),
+        market=np.array([record.market_id if record else "" for record in records], dtype=str),
+        registered=np.array([record is not None for record in records], dtype=bool),
+        years=np.array(years, dtype=np.int64),
+        edge=np.vstack((np.repeat(np.arange(len(edges), dtype=np.int64), sizes), ends.reshape(-1, 2).T)),
+        price_id=list(prices), index_id=list(indices),
+        length=np.fromiter(map(len, series), np.int64, len(series)),
+        days=np.concatenate([np.empty(0, "datetime64[D]"), *(s.dates for s in series)]),
+        values=np.concatenate([np.empty(0), *(s.values for s in series)]),
+    )
+
+
+def _code(news_id: np.ndarray, day: np.ndarray, p_pos: np.ndarray, p_neg: np.ndarray, mention: np.ndarray,
+          firm_id: np.ndarray, sector: np.ndarray, market: np.ndarray, registered: np.ndarray,
+          years: np.ndarray, edge: np.ndarray, price_id: Sequence[str], index_id: Sequence[str],
+          length: np.ndarray, days: np.ndarray, values: np.ndarray) -> _Codes:
+    """The ``_Codes`` of a ``Stores``' columns: the one place they are coded and checked.
+
+    Events, in any order: ``news_id`` (unique), ``day`` (``datetime64[D]``),
+    ``p_pos`` and ``p_neg``. Firms, in any order: ``firm_id`` (unique), and
+    ``sector``, ``market`` and ``registered`` from the registry, with an
+    unregistered or incomplete firm's sector or market empty. ``mention`` is
+    (2, m) int64, each (article, mentioned firm) as an event index and a firm
+    index; ``edge`` is (3, e) int64, each link's snapshot as an index into the
+    ascending ``years``, then its supplier and its client as firm indices.
+    ``days`` (``datetime64[D]``) and ``values`` hold every price series, then
+    every index series, end to end, ``length`` their lengths in that order, and
+    ``price_id`` and ``index_id`` their firm and market ids. A series' days must
+    strictly ascend and its values be finite and positive. ``days`` and
+    ``values`` are kept, read-only, so nothing else should hold them.
+    """
+    if days.dtype != "datetime64[D]" or len(days) != len(values) or len(days) != length.sum():
+        raise ValueError(f"{len(days)} {days.dtype} days and {len(values)} values do not lay "
+                         f"{length.sum()} datetime64[D] dates and their values end to end")
+    ids = [*price_id, *index_id]
+    firsts = np.concatenate(([0], np.cumsum(length)))
+    days = days.view(np.int64)
     # a day not after the one before it, unless it starts its series (np.isin
     # would sort, and map in numpy's sort code)
     start = np.zeros(len(days) + 1, dtype=bool)
     start[firsts] = True
     stalled = np.flatnonzero((days[1:] <= days[:-1]) & ~start[1:-1]) + 1
     if len(stalled):
-        key = ids[np.searchsorted(firsts, stalled[0], side="right") - 1]
-        raise ValueError(f"series {key!r} dates do not strictly ascend")
-    values = np.concatenate([np.empty(0), *(s.values for s in series)])
-    news_id, day, mentions, p_pos, p_neg = _event_columns(news.events)
-    years = graph.years
-    edges = [graph.snapshot(year).edges for year in years]
-    # codes in id order, so a key news * n_firms + firm sorts like (news_id, firm_id)
-    firm_ids = sorted(set().union(*mentions, *chain.from_iterable(edges)))
-    code = dict(zip(firm_ids, range(len(firm_ids)))).__getitem__
-    counts = np.fromiter(map(len, mentions), np.int64, len(mentions))
-    mention = np.repeat(np.arange(len(mentions), dtype=np.int64) * len(firm_ids), counts)
-    mention += np.fromiter(map(code, chain.from_iterable(mentions)), np.int64, len(mention))
-    # Stable sorts: numpy's default int64 sort would map in 0.3 MB more of sort code.
+        raise ValueError(f"series {ids[np.searchsorted(firsts, stalled[0], side='right') - 1]!r} "
+                         f"dates do not strictly ascend")
+    # a NaN fails both tests; the reductions are cheaper than marking each value
+    if not (values.min(initial=1.0) > 0.0 and values.max(initial=1.0) < np.inf):
+        bad = np.flatnonzero(~((values > 0.0) & (values < np.inf)))[0]
+        raise ValueError(f"series {ids[np.searchsorted(firsts, bad, side='right') - 1]!r} holds "
+                         f"{float(values[bad])}; its values must be finite and positive")
+    # events in id order, and of the firms, those an article or a link names, in
+    # id order, so a key news * n_firms + firm sorts like (news_id, firm_id).
+    # Stable sorts: numpy's default sorts would map in 0.3 MB more of sort code.
+    order = np.argsort(news_id, kind="stable")
+    news_code = np.empty_like(order)
+    news_code[order] = np.arange(len(order))
+    named = np.zeros(len(firm_id), dtype=bool)
+    named[mention[1]] = True
+    named[edge[1:].ravel()] = True
+    kept = np.flatnonzero(named)
+    kept = kept[np.argsort(firm_id[kept], kind="stable")]
+    firm_code = np.empty(len(firm_id), dtype=np.int64)
+    firm_code[kept] = np.arange(len(kept))
+    news_id, firm_id = news_id[order], firm_id[kept]
+    for kind, column in (("news", news_id), ("firm", firm_id)):
+        twice = np.flatnonzero(column[1:] == column[:-1])
+        if len(twice):
+            raise ValueError(f"{kind} id {str(column[twice[0]])!r} is given twice")
+    mention = news_code[mention[0]] * len(kept) + firm_code[mention[1]]
     mention.sort(kind="stable")
-    sizes = list(map(len, edges))
-    ends = np.fromiter(map(code, chain.from_iterable(chain.from_iterable(edges))), np.int64, 2 * sum(sizes))
-    edge = np.vstack((np.repeat(np.arange(len(edges), dtype=np.int64), sizes), ends.reshape(-1, 2).T))
-    records = list(map(firms.get, firm_ids))
-    sector = np.array([record.sector_code if record else "" for record in records], dtype=str)
-    market = np.array([record.market_id if record else "" for record in records], dtype=str)
-    registry = np.array([UNKNOWN_FIRM if record is None else MISSING_SECTOR if not record.sector_code
-                         else MISSING_MARKET if not record.market_id else 0 for record in records], np.int8)
+    sector, market, registered = sector[kept], market[kept], registered[kept]
+    registry = np.select([~registered, sector == "", market == ""],
+                         [UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET]).astype(np.int8)
     sector_labels, sector = np.unique(sector, return_inverse=True)
     # each series' (first, length) in the stack, then (0, 0), which slot -1 reads
-    span = np.array([*zip(firsts, np.diff(firsts).tolist()), (0, 0)], dtype=np.int64)
-    price_slot = dict(zip(prices, range(len(firsts)))).get
-    price = span[[price_slot(firm_id, -1) for firm_id in firm_ids]].T
-    index_slot = dict(zip(indices, range(len(prices), len(firsts)))).get
+    span = np.column_stack((np.append(firsts[:-1], 0), np.append(length, 0)))
+    price_slot = dict(zip(price_id, range(len(price_id)))).get
+    price = span[[price_slot(firm, -1) for firm in firm_id.tolist()]].T
+    index_slot = dict(zip(index_id, range(len(price_id), len(ids)))).get
     index = span[[index_slot(market_id, -1) for market_id in market.tolist()]].T
-    codes = _Codes(news_id, day, p_pos, p_neg, mention, edge, np.array(firm_ids, dtype=str),
-                   sector, sector_labels, market, registry, price, index, days, values,
-                   np.array(years, dtype=np.int64))
+    codes = _Codes(news_id, day[order], p_pos[order], p_neg[order], mention,
+                   np.vstack((edge[0], firm_code[edge[1:]])), firm_id, sector, sector_labels, market,
+                   registry, price, index, days, values, years)
     for column in codes:
         column.flags.writeable = False
     return codes

@@ -103,7 +103,7 @@ def histogram(
 
     Bins are contiguous (empty interior bins appear with count 0) and the
     counts always sum to the number of inputs. An integer bin is a width-1
-    bin labelled by its int.
+    bin labelled by its int: value v falls in bin floor(v).
     """
     if width is not None and width <= 0.0:
         raise ValueError(f"bin width must be positive, got {width}")
@@ -111,7 +111,7 @@ def histogram(
         if width is None:
             return []
         raise ValueError("fixed-width histogram needs at least one value")
-    counts = Counter(int(v) if width is None else math.floor(v / width) for v in values)
+    counts = Counter(math.floor(v if width is None else v / width) for v in values)
     bins = range(min(counts), max(counts) + 1)
     return [(b if width is None else b * width, counts[b]) for b in bins]
 

@@ -17,6 +17,15 @@ fixed order, into
 so per-firm generation could run on any number of workers without changing a
 single draw. The per-firm loop only draws; everything after it is array code.
 
+A ``SimBundle`` is the simulator's columns: per firm its id, sector and
+market, the closes as one (firm, trading day) array, the index values, per
+event its id, day, firm and triple, and per link its supplier and client.
+``stores()`` hands them to ``panel.Stores.from_columns``, which codes them.
+Every public form is made from them only on request: ``firm_records``,
+``prices`` and ``indices`` (``Series`` over rows of the closes), ``edges``,
+``events`` (a view that makes each ``NewsEvent`` when it is read), and the five
+``Stores`` arguments of ``inputs()``. ``write`` writes the files from them.
+
 Effect injection: an event about firm j with positiveness q adds
 gamma_pre * (q - 0.5) / leak_window percent to j's daily log return on each
 of the leak_window trading days before the anchor, and
@@ -58,10 +67,12 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,16 +153,80 @@ class SimConfig:
             raise ValueError("sentiment_alpha must be three positive finite reals")
 
 
-@dataclass
-class SimBundle:
-    """An in-memory dataset bundle plus writers for the five file schemas."""
+class SimEvents(Sequence[NewsEvent]):
+    """A view of a bundle's events in serial (news_id) order, each ``NewsEvent``
+    made from the bundle's columns when it is read. Every event mentions one
+    firm, and the view's events of one firm share that firm's one mention set."""
 
-    firm_records: list[FirmRecord]
-    trading_dates: list[dt.date]
-    prices: dict[str, Series]
-    indices: dict[str, Series]
-    events: list[NewsEvent]
-    edges: list[tuple[int, str, str]]
+    def __init__(self, bundle: SimBundle):
+        self._bundle = bundle
+
+    def __len__(self) -> int:
+        return len(self._bundle.event_firm)
+
+    @cached_property
+    def _mentions(self) -> list[frozenset[str]]:
+        return [frozenset((firm_id,)) for firm_id in self._bundle.firm_id.tolist()]
+
+    def __getitem__(self, k: int) -> NewsEvent:
+        at = range(len(self))[k]  # an IndexError past either end
+        return next(self._make(slice(at, at + 1)))
+
+    def __iter__(self):
+        return self._make(slice(None))
+
+    def _make(self, rows: slice):
+        b = self._bundle
+        return map(NewsEvent._make, zip(b.news_id[rows].tolist(), b.event_day[rows].tolist(),
+                                        map(self._mentions.__getitem__, b.event_firm[rows].tolist()),
+                                        *b.triples[rows].T.tolist()))
+
+
+@dataclass(eq=False)
+class SimBundle:
+    """An in-memory dataset bundle: the simulator's columns, the public forms
+    made from them on request, and writers for the five file schemas."""
+
+    firm_id: np.ndarray  # str, per firm in serial order
+    sector: np.ndarray  # str, per firm
+    market: np.ndarray  # str, per firm
+    index_id: np.ndarray  # str, per market
+    calendar: np.ndarray  # datetime64[D], read-only: every series' dates
+    closes: np.ndarray  # (n_firms, n_trading) float64
+    index_closes: np.ndarray  # (n_markets, n_trading) float64
+    news_id: np.ndarray  # str, per event in serial order, which is id order
+    event_day: np.ndarray  # datetime64[D]
+    event_firm: np.ndarray  # int64, the one firm each event mentions
+    triples: np.ndarray  # (n_events, 3) float64: p_pos, p_neu, p_neg
+    edge_year: int  # the one snapshot year of every link
+    supplier: np.ndarray  # int64, per link in (supplier, client) order
+    client: np.ndarray  # int64
+
+    @property
+    def events(self) -> SimEvents:
+        return SimEvents(self)
+
+    @cached_property
+    def firm_records(self) -> list[FirmRecord]:
+        return list(map(FirmRecord, self.firm_id.tolist(), self.market.tolist(), self.sector.tolist(),
+                        repeat("SIM")))
+
+    @cached_property
+    def trading_dates(self) -> list[dt.date]:
+        return self.calendar.tolist()
+
+    @cached_property
+    def prices(self) -> dict[str, Series]:
+        return dict(zip(self.firm_id.tolist(), map(Series, repeat(self.calendar), self.closes)))
+
+    @cached_property
+    def indices(self) -> dict[str, Series]:
+        return dict(zip(self.index_id.tolist(), map(Series, repeat(self.calendar), self.index_closes)))
+
+    @cached_property
+    def edges(self) -> list[tuple[int, str, str]]:
+        return sorted(zip(repeat(self.edge_year), self.firm_id[self.supplier].tolist(),
+                          self.firm_id[self.client].tolist()))
 
     def inputs(self) -> dict:
         """The five ``Stores`` arguments, as the loaders would give them."""
@@ -167,8 +242,19 @@ class SimBundle:
         )
 
     def stores(self) -> Stores:
-        """Wrap the bundle as panel-ready stores without a file round trip."""
-        return Stores(**self.inputs())
+        """The bundle's columns coded into panel-ready stores, with no public form made."""
+        n_series = len(self.firm_id) + len(self.index_id)
+        return Stores.from_columns(
+            news_id=self.news_id, day=self.event_day, p_pos=self.triples[:, 0], p_neg=self.triples[:, 2],
+            mention=np.vstack((np.arange(len(self.event_firm)), self.event_firm)),
+            firm_id=self.firm_id, sector=self.sector, market=self.market,
+            registered=np.ones(len(self.firm_id), dtype=bool),
+            years=np.array([self.edge_year] if len(self.supplier) else [], dtype=np.int64),
+            edge=np.vstack((np.zeros_like(self.supplier), self.supplier, self.client)),
+            price_id=self.firm_id.tolist(), index_id=self.index_id.tolist(),
+            length=np.full(n_series, len(self.calendar)), days=np.tile(self.calendar, n_series),
+            values=np.concatenate((self.closes.ravel(), self.index_closes.ravel())),
+        )
 
     def write(self, outdir) -> dict[str, Path]:
         """Emit firms/prices/indices/news/edges CSVs; returns path per file."""
@@ -176,11 +262,9 @@ class SimBundle:
         write_rows(paths["firms"], FIRM_HEADER, self.firm_records)
         write_rows(paths["prices"], PRICE_HEADER, _series_rows(self.prices))
         write_rows(paths["indices"], INDEX_HEADER, _series_rows(self.indices))
-        write_rows(paths["news"], NEWS_HEADER, (
-            (e.news_id, e.date.isoformat(), firm_id, e.p_pos, e.p_neu, e.p_neg)
-            for e in self.events
-            for firm_id in sorted(e.mentions)
-        ))
+        write_rows(paths["news"], NEWS_HEADER, zip(
+            self.news_id.tolist(), np.datetime_as_string(self.event_day).tolist(),
+            self.firm_id[self.event_firm].tolist(), *self.triples.T.tolist()))
         write_rows(paths["edges"], EDGE_HEADER, self.edges)
         return paths
 
@@ -193,6 +277,21 @@ def _series_rows(store: dict[str, Series]):
         yield from zip(repeat(ident), dates, series.values.tolist())
 
 
+def _serial_ids(letter: str, n: int, digits: int) -> np.ndarray:
+    """``f"{letter}{k:0{digits}d}"`` for k in range(n), as one str array. Up to
+    10 ** digits ids, it is made from code points: formatting thousands of ids
+    one by one takes ten times as long."""
+    if not 0 < n <= 10 ** digits:
+        return np.array([f"{letter}{k:0{digits}d}" for k in range(n)], dtype=str)
+    points = np.empty((n, 1 + digits), dtype=np.uint32)
+    points[:, 0] = ord(letter)
+    k = np.arange(n)
+    for j in range(digits, 0, -1):
+        k, points[:, j] = np.divmod(k, 10)
+    points[:, 1:] += ord("0")
+    return points.view(f"U{1 + digits}").ravel()
+
+
 def simulate(config: SimConfig) -> SimBundle:
     """Generate one dataset bundle, deterministically for a given seed."""
     config.validate()
@@ -200,19 +299,10 @@ def simulate(config: SimConfig) -> SimBundle:
     ss_registry, ss_edges, ss_market, ss_firms = root.spawn(4)
 
     n = config.n_firms
-    firm_ids = [f"F{i:05d}" for i in range(n)]
-    market_ids = [f"M{m:02d}" for m in range(config.n_markets)]
+    firm_id = _serial_ids("F", n, 5)
+    market_id = _serial_ids("M", config.n_markets, 2)
     rng_reg = np.random.default_rng(ss_registry)
     sectors = rng_reg.integers(0, config.n_sectors, size=n)
-    firm_records = [
-        FirmRecord(
-            firm_id=firm_ids[i],
-            market_id=market_ids[i % config.n_markets],
-            sector_code=f"S{sectors[i]:02d}",
-            country="SIM",
-        )
-        for i in range(n)
-    ]
 
     rng_edges = np.random.default_rng(ss_edges)
     # coin flips a block of whole rows at a time: the same draws as one (n, n)
@@ -224,8 +314,6 @@ def simulate(config: SimConfig) -> SimBundle:
         flips.reshape(-1)[lo::n + 1] = False  # no firm supplies itself
         blocks.append(np.flatnonzero(flips) + lo * n)
     supplier, client = np.divmod(np.concatenate(blocks), n)
-    edges = [(config.start_date.year, firm_ids[s], firm_ids[c])
-             for s, c in zip(supplier.tolist(), client.tolist())]
 
     start = np.datetime64(config.start_date, "D")
     date_index = start + np.arange(config.n_days)
@@ -251,11 +339,6 @@ def simulate(config: SimConfig) -> SimBundle:
     event_firm = np.repeat(np.arange(n), [len(o) for o in event_offsets])
     event_day = start + np.concatenate(event_offsets)
     triples = np.concatenate(event_triples)
-    # each event mentions one firm; a firm's events share its one mention set
-    mention_sets = [frozenset((firm_id,)) for firm_id in firm_ids]
-    news_events = list(map(NewsEvent._make, zip(
-        [f"N{k:07d}" for k in range(len(event_firm))], event_day.tolist(),
-        map(mention_sets.__getitem__, event_firm.tolist()), *triples.T.tolist())))
 
     # an event injects into its firm, then the firm's suppliers, then its
     # clients: each target adds a pre drift to returns[target, anchor-leak:anchor]
@@ -309,19 +392,22 @@ def simulate(config: SimConfig) -> SimBundle:
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)
     date_index.flags.writeable = False  # one calendar, shared by every series
-    prices = {firm_ids[i]: Series(date_index, np.exp(log_prices[i])) for i in range(n)}
-    indices = {}
-    for m, market_id in enumerate(market_ids):
-        members = np.arange(m, n, config.n_markets)
-        indices[market_id] = Series(date_index, np.exp(log_prices[members].mean(axis=0)))
-
     return SimBundle(
-        firm_records=firm_records,
-        trading_dates=date_index.tolist(),
-        prices=prices,
-        indices=indices,
-        events=news_events,
-        edges=sorted(edges),
+        firm_id=firm_id,
+        sector=np.array([f"S{sector:02d}" for sector in sectors.tolist()]),
+        market=market_id[np.arange(n) % config.n_markets],
+        index_id=market_id,
+        calendar=date_index,
+        closes=np.exp(log_prices),
+        index_closes=np.array([np.exp(log_prices[np.arange(m, n, config.n_markets)].mean(axis=0))
+                               for m in range(config.n_markets)]),
+        news_id=_serial_ids("N", len(event_firm), 7),
+        event_day=event_day,
+        event_firm=event_firm,
+        triples=triples,
+        edge_year=config.start_date.year,
+        supplier=supplier,
+        client=client,
     )
 
 

@@ -325,10 +325,12 @@ class TestPanelShape:
                           build_panel(stores, "own", "positive", 2))
 
 
+SERIES_INVARIANT_CONFIG = SimConfig(n_firms=20, n_days=80, edge_prob=0.1, news_rate=3.0, seed=5)
+
+
 def series_invariant_inputs() -> dict:
     """A small simulated bundle whose own panel at w = 1 keeps 120 pairs."""
-    config = SimConfig(n_firms=20, n_days=80, edge_prob=0.1, news_rate=3.0, seed=5)
-    return simulate(config).inputs()
+    return simulate(SERIES_INVARIANT_CONFIG).inputs()
 
 
 class TestSeriesInvariant:
@@ -361,6 +363,23 @@ class TestSeriesInvariant:
         inputs["prices"] = {**inputs["prices"], "F00007": Series(dates, series.values)}
         with pytest.raises(ValueError, match="series 'F00007' dates do not strictly ascend"):
             build_panel(Stores(**inputs), "own", "positive", 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("kind, key", [("prices", "F00003"), ("indices", "M01")])
+    def test_values_that_are_not_finite_and_positive_raise(self, kind, key, value):
+        # through the constructor and through the simulator's columns alike
+        bundle = simulate(SERIES_INVARIANT_CONFIG)
+        inputs = bundle.inputs()
+        series = inputs[kind][key]
+        values = series.values.copy()
+        values[7] = value
+        inputs[kind] = {**inputs[kind], key: Series(series.dates, values)}
+        message = f"series '{key}' holds {value}; its values must be finite and positive"
+        with pytest.raises(ValueError, match=message):
+            Stores(**inputs)
+        getattr(bundle, kind)[key].values[7] = value  # a view into the bundle's columns
+        with pytest.raises(ValueError, match=message):
+            bundle.stores()
 
     def test_series_may_be_empty_or_restart_the_calendar(self):
         # each series starts before the day the one laid before it ends, and

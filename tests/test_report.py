@@ -134,6 +134,11 @@ class TestHistogram:
     def test_integer_counts_fill_gaps(self):
         assert histogram([1, 4]) == [(1, 1), (2, 0), (3, 0), (4, 1)]
 
+    def test_values_bin_by_floor(self):
+        # -0.5 lies in [-1, 0), not in 0.5's bin
+        assert histogram([-0.5, 0.5]) == [(-1, 1), (0, 1)]
+        assert histogram([-2, 0, 1.5]) == [(-2, 1), (-1, 0), (0, 1), (1, 1)]
+
     def test_fixed_width_counts_sum(self, rng):
         values = rng.dirichlet((1.2, 2.6, 1.6), 1000)[:, 1]
         bins = histogram(values, width=0.1)

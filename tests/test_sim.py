@@ -23,6 +23,7 @@ from newsprop.sim import (
     expected_betas,
     simulate,
 )
+from test_acceptance import RECOVERY_CONFIG
 
 SMALL = SimConfig(
     n_firms=30,
@@ -363,6 +364,90 @@ class TestSimulate:
         members = [f for i, f in enumerate(sorted(bundle.prices)) if i % SMALL.n_markets == 0]
         stacked = np.log([bundle.prices[f].values for f in members])
         assert np.allclose(np.log(bundle.indices["M00"].values), stacked.mean(axis=0))
+
+
+def assert_same_codes(a, b):
+    """Two ``Stores``' codes are equal column by column, dtypes included. Edges
+    compare after a lexsort: the public path lists them in frozenset order."""
+    for name, x, y in zip(a._fields, a, b):
+        if name == "edge":
+            x, y = (e[:, np.lexsort(e[::-1])] for e in (x, y))
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+# some firm has neither an article nor a link
+LONE_FIRM = dataclasses.replace(SMALL, news_rate=0.1, edge_prob=0.01)
+
+
+class TestColumns:
+    """A bundle is its columns: ``stores()`` codes them straight into a
+    ``Stores``, and ``events`` makes each ``NewsEvent`` only when it is read."""
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(**RECOVERY_CONFIG, seed=30),
+        SimConfig(**RECOVERY_CONFIG, seed=31),
+        dataclasses.replace(SMALL, news_rate=0.0),
+        dataclasses.replace(SMALL, edge_prob=0.0),
+        dataclasses.replace(SMALL, n_markets=3),
+        dataclasses.replace(SMALL, weekend_pattern=False),
+        LONE_FIRM,
+    ], ids=["recovery-30", "recovery-31", "news_rate=0", "edge_prob=0", "n_markets=3",
+            "no-weekends", "lone-firm"])
+    def test_stores_codes_equal_the_public_paths(self, config):
+        # neither simulate nor stores() makes a public form on the way
+        with mock.patch.object(sim.SimBundle, "inputs", side_effect=AssertionError("inputs")), \
+                mock.patch.object(sim, "NewsEvent", side_effect=AssertionError("NewsEvent")), \
+                mock.patch.object(sim, "NewsStore", side_effect=AssertionError("NewsStore")), \
+                mock.patch.object(sim, "SupplyChainNetwork", side_effect=AssertionError("network")):
+            bundle = simulate(config)
+            codes = bundle.stores()._codes
+        assert_same_codes(codes, panel.Stores(**bundle.inputs())._codes)
+        if config is LONE_FIRM:
+            assert 0 < len(codes.firm_id) < config.n_firms
+
+    @pytest.mark.parametrize("column, edit, message", [
+        ("news_id", lambda ids: np.r_[ids[:1], ids[:-1]], "news id 'N0000000' is given twice"),
+        ("firm_id", lambda ids: np.r_[ids[:1], ids[:-1]], "firm id 'F00000' is given twice"),
+        ("index_closes", lambda closes: closes[:, 1:], "do not lay .* datetime64\\[D\\] dates"),
+    ])
+    def test_columns_that_break_a_rule_raise(self, column, edit, message):
+        bundle = simulate(SMALL)
+        setattr(bundle, column, edit(getattr(bundle, column)))
+        with pytest.raises(ValueError, match=message):
+            bundle.stores()
+
+    @pytest.mark.parametrize("config", [SMALL, dataclasses.replace(SMALL, news_rate=0.0)],
+                             ids=["news_rate=4", "news_rate=0"])
+    def test_events_are_a_view_of_the_columns(self, config):
+        bundle = simulate(config)
+        events = bundle.events
+        n = len(dense_reference(config)[2])
+        assert len(events) == n
+        assert (n == 0) == (config.news_rate == 0.0)
+        assert "_mentions" not in vars(events)  # len made nothing
+        news = bundle.inputs()["news"].events
+        assert list(events) == [news[news_id] for news_id in sorted(news)]
+        assert [events[k] for k in range(n)] == list(events)
+        assert [events[k] for k in range(-n, 0)] == list(events)
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                events[k]
+
+    def test_read_events_share_their_firms_mention_set(self):
+        events = simulate(SMALL).events
+        by_firm = {}
+        for k in range(len(events)):
+            by_firm.setdefault(events[k].mentions, set()).add(id(events[k].mentions))
+        assert len(by_firm) > 1 and all(len(ids) == 1 for ids in by_firm.values())
+        assert all(id(e.mentions) in by_firm[e.mentions] for e in events)
+
+    @pytest.mark.parametrize("letter, n, digits", [
+        ("N", 0, 7), ("N", 1, 7), ("F", 300, 5), ("X", 10, 1), ("X", 11, 1), ("X", 1001, 2)])
+    def test_serial_ids_equal_formatted_ids(self, letter, n, digits):
+        ids = sim._serial_ids(letter, n, digits)
+        expected = np.array([f"{letter}{k:0{digits}d}" for k in range(n)], dtype=str)
+        assert ids.dtype == expected.dtype and ids.tolist() == expected.tolist()
 
 
 def enumerated_loadings(w, leak_window, effect_window):
