@@ -22,10 +22,10 @@ length plus its anchor position on that series. It averages each distinct
 block once, as one ``sliding_window_view`` gather done in batches of at most
 ``_GATHER_BATCH`` elements, so the memory it takes does not grow with the
 block count times w. ``mark_ranks`` finds the distinct block starts without a
-sort: a bool mark per position of the array, and the marks' int32 running
-count as each start's rank. A block that would leave its own series is
-masked, never read from a neighbour. ``window_change`` is its one-date form
-on one series.
+sort: a bool mark per position from the least start to the greatest, and the
+marks' int32 running count as each start's rank. A block that would leave its
+own series is masked, never read from a neighbour. ``window_change`` is its
+one-date form on one series.
 
 A firm's closes and a market's index are one ``Series`` type, because the
 same windowed change applies to both: on an index it is the market-index
@@ -100,17 +100,20 @@ class Series:
 _GATHER_BATCH = 1 << 16  # block elements copied per gather, at most (512 KiB)
 
 
-def mark_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def mark_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``keys`` in ascending order and each key's rank among them,
     as ``np.unique(keys, return_inverse=True)`` gives them, without a sort.
 
-    Every key lies in [0, size). A bool mark per value in that range flags the
-    keys, and the marks' running count is each value's rank. The ranks are
-    int32, which halves the count's memory; they assume ``size`` below 2**31.
+    A bool mark per value from the least key to the greatest flags the keys,
+    and the marks' running count is each value's rank, so the memory taken
+    follows the keys' span, not the range they could lie in. The ranks are
+    int32, which halves the count's memory; they assume a span below 2**31.
     """
-    seen = np.zeros(size, dtype=bool)
-    seen[keys] = True
-    return np.flatnonzero(seen), np.cumsum(seen, dtype=np.int32)[keys] - 1
+    low = int(keys.min()) if len(keys) else 0
+    at = keys - low
+    seen = np.zeros(int(at.max(initial=-1)) + 1, dtype=bool)
+    seen[at] = True
+    return np.flatnonzero(seen) + low, np.cumsum(seen, dtype=np.int32)[at] - 1
 
 
 def check_window(w) -> None:
@@ -142,7 +145,7 @@ def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int)
     has_post = (anchor >= w) & (anchor + w <= length)
     c = first + anchor  # first index of block C; B starts w and A 2w before it
     requested = (c[has_pre] - 2 * w, c[has_pre] - w, c[has_post] - w, c[has_post])
-    starts, inverse = mark_ranks(np.concatenate(requested), len(values))
+    starts, inverse = mark_ranks(np.concatenate(requested))
     # each block's mean is taken over its own slice, as values[s:s+w].mean()
     # would, and logged with math.log so every digit matches the scalar formula
     blocks = sliding_window_view(values, w)

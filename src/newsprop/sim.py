@@ -41,6 +41,14 @@ meet at the anchor, are one run of flat indices into the returns. The drifts
 go in through unbuffered np.add.at batches, which add in injection order, so
 every return gets the same float additions as one slice-add per drift would.
 
+A kind of target (the firm itself, its suppliers, its clients) whose pre and
+post coefficients are both zero gets no injections at all, and that moves no
+close: each of its drifts is 0.0 or -0.0, and x + ±0.0 is x bit for bit except
+that -0.0 + 0.0 is 0.0. Skipping them can at most flip the sign of a zero
+return or partial sum, and a zero's sign cannot reach a close,
+exp(log(100) + cumsum(returns)): a zero added to a partial sum leaves its
+value, and log(100) + ±0.0 is log(100).
+
 ``expected_betas`` turns a configuration into the coefficients the pooled
 regression is expected to recover. Two pieces feed it:
 
@@ -344,17 +352,21 @@ def simulate(config: SimConfig) -> SimBundle:
     # clients: each target adds a pre drift to returns[target, anchor-leak:anchor]
     # and a post drift to returns[target, anchor:anchor+effect], clipped to the
     # calendar. Events disclosed after the horizon have no tradable reaction.
+    # A kind whose two coefficients are zero has no targets (module docstring).
     # Each firm's targets are one run of the target arrays: a stable sort by
     # (firm, kind) keeps the edge order inside each kind.
-    owner = np.concatenate((np.arange(n), client, supplier))  # the firm whose events reach it
-    kind = np.repeat([0, 1, 2], [n, len(supplier), len(client)])  # self, supplier, client
-    order = np.lexsort((kind, owner))
-    target_firm = np.concatenate((np.arange(n), supplier, client))[order]
     gammas = np.array([  # (pre, post) coefficients per kind
         [config.gamma_pre, config.gamma_post],
         [config.gamma_sup, config.gamma_sup],
         [config.gamma_cli, config.gamma_cli],
     ])
+    kinds = np.flatnonzero(gammas.any(axis=1))  # of self, supplier, client
+    # per kind, the firm whose events reach a target, then the target
+    ends = [(np.arange(n), np.arange(n)), (client, supplier), (supplier, client)]
+    owner = np.concatenate([np.empty(0, np.int64), *(ends[k][0] for k in kinds)])
+    kind = np.repeat(kinds, [len(ends[k][0]) for k in kinds])
+    order = np.lexsort((kind, owner))
+    target_firm = np.concatenate([np.empty(0, np.int64), *(ends[k][1] for k in kinds)])[order]
     target_pre, target_post = gammas[kind[order]].T
     n_targets = np.bincount(owner, minlength=n)
     first_target = np.cumsum(n_targets) - n_targets

@@ -237,6 +237,18 @@ class TestBlockChanges:
                 assert np.array_equal(a, b, equal_nan=True)
 
 
+class TestMarkRanks:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(keys=st.lists(st.integers(-50, 50), max_size=40), offset=st.sampled_from([0, 7, -(2**40), 2**40]))
+    def test_equals_unique(self, keys, offset):
+        # keys anywhere, negative ones included: the mark spans only their own range
+        keys = np.array(keys, dtype=np.int64) + offset
+        distinct, rank = market.mark_ranks(keys)
+        expected, inverse = np.unique(keys, return_inverse=True)
+        assert distinct.tolist() == expected.tolist()
+        assert rank.tolist() == inverse.tolist()
+
+
 class TestMarketControl:
     def test_constant_index_is_zero(self):
         dates = weekday_dates(dt.date(2021, 1, 4), 10)

@@ -22,7 +22,8 @@ from newsprop import market
 from newsprop.graph import SupplyChainNetwork
 from newsprop.market import PRE, POST, Series
 from newsprop.panel import (
-    MODES, Panel, Stores, _anchor_queries, _pair_table, build_panel, panel_summary, write_panel,
+    MODES, Panel, Stores, _anchor_queries, _index_anchors, _pair_table, build_panel, panel_summary,
+    write_panel,
 )
 from newsprop.regress import within_transform
 from newsprop.sentiment import NewsStore
@@ -802,40 +803,96 @@ def colliding_query_inputs(draw) -> dict:
     )
 
 
+@st.composite
+def calendar_day_inputs(draw) -> dict:
+    """``Stores`` arguments whose events fall on many calendar days: weekends,
+    the days before, on and after each index series' first and last quote, and
+    the weekdays in its gaps.
+
+    Markets M0 and M1 have index series on random subsets of one weekday
+    calendar, and M2 has none. Firms A and D trade in M0, B in M1 and C in M2;
+    each may lack a price series, and without any the first index series starts
+    at position 0 of the stack, where "no series" also reads. Each event is on
+    its own day, and links drawn among the four firms give the indirect modes
+    pairs too.
+    """
+    calendar = weekday_dates(START, 40)
+
+    def gapped(k: int) -> list:
+        return sorted(draw(st.permutations(calendar))[:k])
+
+    indices = {m: make_series(dates, 1000.0 + np.arange(len(dates)))
+               for m in ("M0", "M1") for dates in [gapped(draw(st.integers(1, 30)))]}
+    prices = {f: make_series(dates, 100.0 + np.arange(len(dates)))
+              for f in draw(st.sets(st.sampled_from("ABCD"))) for dates in [gapped(draw(st.integers(1, 40)))]}
+    one = dt.timedelta(days=1)
+    days = {START - 2 * one, calendar[-1] + 2 * one}
+    for series in indices.values():
+        quoted = series.dates.tolist()
+        for end in (quoted[0], quoted[-1]):
+            days |= {end - one, end, end + one}
+        days |= {d for d in calendar if quoted[0] < d < quoted[-1] and d not in quoted}
+    days |= {START + k * one for k in range(56) if (START + k * one).weekday() >= 5}
+    on = draw(st.lists(st.sampled_from(sorted(days)), min_size=4, max_size=30, unique=True))
+    events = [(day, draw(st.sets(st.sampled_from("ABCD"), min_size=1))) for day in on]
+    links = st.tuples(*[st.sampled_from("ABCD")] * 2).filter(lambda edge: edge[0] != edge[1])
+    return make_inputs(
+        firms=[simple_firm("A"), simple_firm("B", market="M1"), simple_firm("C", market="M2"), simple_firm("D")],
+        prices=prices, indices=indices,
+        events=[simple_event(f"n{k:02d}", day, named) for k, (day, named) in enumerate(events)],
+        edges_by_year={2015: draw(st.sets(links, min_size=4, max_size=12))},
+    )
+
+
+def reference_queries(inputs: dict, table) -> np.ndarray:
+    """Each pair's price query, then each pair's index query, as (first, length,
+    anchor) rows by one ``np.searchsorted`` per query, (0, 0, 0) without a series."""
+    events, graph = inputs["news"].events, inputs["graph"]
+    firsts = series_firsts(inputs)
+    # news and firm codes number the events and the mentioned or linked firms in id order
+    news_ids = sorted(events)
+    firm_ids = sorted(set().union(*(e.mentions for e in events.values()),
+                                  *(edge for year in graph.years for edge in graph.snapshot(year).edges)))
+    queries = []
+    for kind, series_by_id in (("price", inputs["prices"]), ("index", inputs["indices"])):
+        for news, firm in zip(table.news.tolist(), table.firm.tolist()):
+            record = inputs["firms"].get(firm_ids[firm])
+            ident = firm_ids[firm] if kind == "price" else (record.market_id if record else "")
+            series = series_by_id.get(ident)
+            day = np.datetime64(events[news_ids[news]].date, "D")
+            queries.append((0, 0, 0) if series is None else (
+                firsts[kind, ident], len(series), int(np.searchsorted(series.dates, day))))
+    return np.array(queries, dtype=np.int64).reshape(-1, 3)
+
+
 class TestQueryDedupe:
     """The distinct window queries equal an ``np.unique`` dedupe of per-pair queries."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-    @given(inputs=colliding_query_inputs())
-    def test_queries_equal_unique_reference(self, inputs):
+    @staticmethod
+    def assert_unique_reference(inputs: dict, planted: bool) -> None:
         stores = Stores(**inputs)
-        events, graph = inputs["news"].events, inputs["graph"]
-        firsts = series_firsts(inputs)
-        # news and firm codes number the events and the mentioned or linked firms in id order
-        news_ids = sorted(events)
-        firm_ids = sorted(set().union(*(e.mentions for e in events.values()),
-                                      *(edge for year in graph.years for edge in graph.snapshot(year).edges)))
         for mode in MODES:
             table = _pair_table(stores, mode)
-            queries = []
-            for kind, series_by_id in (("price", inputs["prices"]), ("index", inputs["indices"])):
-                for news, firm in zip(table.news.tolist(), table.firm.tolist()):
-                    record = inputs["firms"].get(firm_ids[firm])
-                    ident = firm_ids[firm] if kind == "price" else (record.market_id if record else "")
-                    series = series_by_id.get(ident)
-                    day = np.datetime64(events[news_ids[news]].date, "D")
-                    queries.append((0, 0, 0) if series is None else (
-                        firsts[kind, ident], len(series), int(np.searchsorted(series.dates, day))))
-            first, length, anchor = np.array(queries, dtype=np.int64).reshape(-1, 3).T
+            first, length, anchor = reference_queries(inputs, table).T
             _, pick, query = np.unique(first + anchor, return_index=True, return_inverse=True)
             assert table.first.tolist() == first[pick].tolist()
             assert table.length.tolist() == length[pick].tolist()
             assert table.anchor.tolist() == anchor[pick].tolist()
             assert table.query.tolist() == query.tolist()
-            if mode == "own":  # both collisions the strategy plants do occur
+            if mode == "own" and planted:  # both collisions colliding_query_inputs plants do occur
                 key = first + anchor
                 assert ((key == 0) & (length == 0)).any() and ((key == 0) & (length > 0)).any()
                 assert ((anchor == length) & (length > 0)).any()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(inputs=colliding_query_inputs())
+    def test_queries_equal_unique_reference(self, inputs):
+        self.assert_unique_reference(inputs, planted=True)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(inputs=calendar_day_inputs())
+    def test_calendar_days_equal_unique_reference(self, inputs):
+        self.assert_unique_reference(inputs, planted=False)
 
 
 # series lengths on either side of the powers of two the anchor search steps by
@@ -891,6 +948,18 @@ class TestAnchorQueries:
                 expected.append((0, 0, 0) if series is None else (
                     firsts[kind, label], len(series), int(np.searchsorted(series.dates, d))))
             assert list(zip(first.tolist(), length.tolist(), anchor.tolist())) == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(inputs=calendar_day_inputs())
+    def test_index_table_equals_per_series_searchsorted(self, inputs):
+        # every pair's index anchor, read from the (index series, event day)
+        # table, in every mode
+        stores = Stores(**inputs)
+        for mode in MODES:
+            table = _pair_table(stores, mode)
+            expected = reference_queries(inputs, table)[len(table.news):, 2]
+            assert _index_anchors(stores._codes, table.news, table.firm).tolist() == expected.tolist()
+        assert len(set(stores._codes.day[_pair_table(stores, "own").news].tolist())) > 1
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(lengths=st.lists(st.sampled_from(LIFT_LENGTHS), min_size=1, max_size=6),

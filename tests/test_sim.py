@@ -133,6 +133,7 @@ CALENDAR_LANDMARKS = (dt.date(2016, 3, 1), dt.date(2017, 1, 1), dt.date(2024, 1,
 def small_configs(draw):
     """Small configs with windows of 1 to 5 days on a calendar of about 4x the
     longest, so drifts overlap and are clipped at both ends of the calendar.
+    Each coefficient is its own value or zero, all four zero included.
     Every calendar holds a landmark and the day before it, so it crosses a year
     end or the end of February."""
     leak, effect = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -147,10 +148,12 @@ def small_configs(draw):
         weekend_pattern=draw(st.booleans()),
         edge_prob=draw(st.sampled_from([0.3, 1.0, 0.0])),
         news_rate=draw(st.sampled_from([3.0, 10.0, 0.5, 0.0])),
-        gamma_pre=0.3,
-        gamma_post=-0.9,
-        gamma_sup=0.1,
-        gamma_cli=0.05,
+        # a kind whose coefficients are both zero injects nothing, which must
+        # leave every close as the reference's injections of zero drifts do
+        gamma_pre=draw(st.sampled_from([0.3, 0.0])),
+        gamma_post=draw(st.sampled_from([-0.9, 0.0])),
+        gamma_sup=draw(st.sampled_from([0.1, 0.0])),
+        gamma_cli=draw(st.sampled_from([0.05, 0.0])),
         leak_window=leak,
         effect_window=effect,
         seed=draw(st.integers(0, 2**32 - 1)),
