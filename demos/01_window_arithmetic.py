@@ -19,7 +19,7 @@ from newsprop.sim import SimConfig, simulate
 bundle = simulate(SimConfig(n_firms=5, n_days=30, news_rate=0.0, seed=3))
 series = bundle.prices["F00000"]
 
-news_date = bundle.trading_dates[10]
+news_date = bundle.calendar[10].item()
 print(f"news date: {news_date} ({news_date.strftime('%A')})")
 
 def anchor(date: dt.date) -> int:

@@ -220,7 +220,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 try:
                     if built is None:
                         built = panel.build_panel(stores, mode=mode, polarity=polarity, w=w)
-                    built.polarity = polarity
+                    # the same columns under this polarity: no panel changes once built
+                    built = dataclasses.replace(built, polarity=polarity)
                     result = regress.fit(built, robust=settings.get("robust_se", False))
                 except Exception as exc:  # cell failures are reported, not fatal
                     status[polarity, w] = f"ERROR {exc}"
@@ -265,7 +266,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name in panel.BUNDLE_FILES:
         print(f"wrote {paths[name]}")
     print(f"wrote {outdir / 'expected_betas.csv'}")
-    print(f"{len(bundle.events)} events, {len(bundle.trading_dates)} trading days")
+    print(f"{len(bundle.events)} events, {len(bundle.calendar)} trading days")
     return 0
 
 

@@ -26,16 +26,17 @@ of the firms, those an article mentions or a link names, in id order; the
 events in id order; each (article, mentioned firm) as one sorted key news *
 n_firms + firm; and each edge by its snapshot and its two firm codes. Every
 price series and then every index series lie end to end in one array, each
-series' days strictly ascending and its values finite and positive. Per firm
-it keeps the id, sector code, market, registry reason, and the span in the
-stack of its price series and of its market's index series. Once per mode,
-memoised on the ``Stores``, array operations on those codes yield the mode's
+series' days strictly ascending and its values finite and positive. Each
+series' (first, length) span in the stack is kept once, then a (0, 0) span for
+"none". Per firm it keeps the id, sector code, market, registry reason, and two
+slots into the spans: its price series and its market's index series. Once per
+mode, memoised on the ``Stores``, array operations on the codes yield the mode's
 pair table, which keeps only the mode's pairs, their reasons and their window
 queries: each mention gathers its neighbours from a CSR adjacency of its
 event's snapshot, and sorting the keys puts the pairs in (news_id, firm_id)
 order. One binary search over every pair at once, on the stack's int64 days,
 places the price anchors. Index series are few, so the index anchors are
-searched once per (index series, distinct event day), and each pair reads its
+searched once per (index slot, distinct event day), and each pair reads its
 cell of that table. The queries are kept once per distinct block-C start in
 the stacked array, deduplicated by ``market.mark_ranks`` rather than a sort. A
 pair's reason code is its snapshot or registry reason, or 0 when only its
@@ -95,9 +96,10 @@ class DropRecord(NamedTuple):
 class _Codes(NamedTuple):
     """Every article, firm and supply-chain link of a ``Stores``, coded once, in
     read-only columns. News codes number the events and firm codes the firms,
-    each in id order. An unknown firm's sector and market are empty, and a
-    missing series' (first, length) in the stack is (0, 0). The stack holds
-    every series' days and values, laid end to end."""
+    each in id order. An unknown firm's sector and market are empty. The stack
+    holds every series' days and values, laid end to end; ``span`` holds each
+    series' (first, length) in it, then (0, 0). ``price`` and ``index`` are each
+    firm's slots in ``span``, the last one for a missing price or index series."""
 
     news_id: np.ndarray  # str, per news code
     day: np.ndarray  # datetime64[D]
@@ -110,8 +112,9 @@ class _Codes(NamedTuple):
     sector_labels: np.ndarray  # str, sorted
     market: np.ndarray  # str
     registry: np.ndarray  # int8: UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET or 0
-    price: np.ndarray  # (2, n_firms) int64: the price series' first and length
-    index: np.ndarray  # the market's index series' first and length
+    price: np.ndarray  # int64, per firm code: its price series' slot in span
+    index: np.ndarray  # int64, per firm code: its market's index series' slot in span
+    span: np.ndarray  # (2, n_series + 1) int64: each series' first and length in the stack, then (0, 0)
     days: np.ndarray  # int64 days of every price series, then every index series, end to end
     values: np.ndarray  # float64, their values
     years: np.ndarray  # int64, the snapshot years, ascending
@@ -196,9 +199,9 @@ class _PairTable:
     each pair's index query, reads. These are the arrays
     ``np.unique(first + anchor, return_index=True, return_inverse=True)`` would
     pick. A price anchor is searched per pair, an index anchor once per (index
-    series, distinct event day). A firm without a price series, or a market
-    without an index series, has length 0 and anchor 0, so its pairs get no
-    change, and ``build_panel`` drops them by their query's missing window.
+    slot, distinct event day). A firm without a price series, or a market
+    without an index series, reads the (0, 0) span and gets anchor 0, so its
+    pairs get no change, and ``build_panel`` drops them by that missing window.
     """
 
     news: np.ndarray  # (n,) int64
@@ -349,15 +352,15 @@ def _code(news_id: np.ndarray, day: np.ndarray, p_pos: np.ndarray, p_neg: np.nda
     registry = np.select([~registered, sector == "", market == ""],
                          [UNKNOWN_FIRM, MISSING_SECTOR, MISSING_MARKET]).astype(np.int8)
     sector_labels, sector = np.unique(sector, return_inverse=True)
-    # each series' (first, length) in the stack, then (0, 0), which slot -1 reads
-    span = np.column_stack((np.append(firsts[:-1], 0), np.append(length, 0)))
-    price_slot = dict(zip(price_id, range(len(price_id)))).get
-    price = span[[price_slot(firm, -1) for firm in firm_id.tolist()]].T
-    index_slot = dict(zip(index_id, range(len(price_id), len(ids)))).get
-    index = span[[index_slot(market_id, -1) for market_id in market.tolist()]].T
+    # each series' (first, length) in the stack, then (0, 0), the slot of "no series"
+    span = np.vstack((np.append(firsts[:-1], 0), np.append(length, 0)))
+    slot = dict(zip(price_id, range(len(price_id)))).get
+    price = np.array([slot(firm, len(ids)) for firm in firm_id.tolist()], dtype=np.int64)
+    slot = dict(zip(index_id, range(len(price_id), len(ids)))).get
+    index = np.array([slot(market_id, len(ids)) for market_id in market.tolist()], dtype=np.int64)
     codes = _Codes(news_id, day[order], p_pos[order], p_neg[order], mention,
                    np.vstack((edge[0], firm_code[edge[1:]])), firm_id, sector, sector_labels, market,
-                   registry, price, index, days, values, years)
+                   registry, price, index, span, days, values, years)
     for column in codes:
         column.flags.writeable = False
     return codes
@@ -401,22 +404,17 @@ def _pairs(stores: Stores, mode: str):
 
 def _index_anchors(codes: _Codes, news: np.ndarray, firm: np.ndarray) -> np.ndarray:
     """Each pair's anchor on its firm's market's index series. Index series are
-    few, so the anchors are searched once per (index series, distinct event day),
-    and each pair reads its cell of that table."""
-    first, length = codes.index
-    # a series is named by its first position plus one, so "no series" (length
-    # 0) keys 0, apart from a series that starts at position 0 of the stack;
-    # every firm of one slot has its (first, length)
-    starts, slot = mark_ranks(np.where(length > 0, first + 1, 0))
-    span = np.empty((2, len(starts)), dtype=np.int64)
-    span[:, slot] = codes.index
+    few, so the anchors are searched once per (index slot a firm reads, distinct
+    event day), and each pair reads its cell of that table."""
+    slots, slot = mark_ranks(codes.index)  # the index slots the firms read
     # a day not after the stack's first anchors every series at 0, and one after
     # its last every series at its length (an empty stack has only empty
     # series), so bounding the event days by those two moves no anchor and
     # bounds the mark by the stack's span
     low, high = (codes.days.min(), codes.days.max() + 1) if len(codes.days) else (0, 0)
     days, rank = mark_ranks(np.minimum(np.maximum(codes.day.view(np.int64), low), high))
-    anchor = _anchor_queries(codes.days, *np.repeat(span, len(days), axis=1), np.tile(days, len(starts)))
+    anchor = _anchor_queries(codes.days, *np.repeat(codes.span.take(slots, axis=1), len(days), axis=1),
+                             np.tile(days, len(slots)))
     return anchor.take(slot.take(firm) * len(days) + rank.take(news))
 
 
@@ -429,7 +427,7 @@ def _pair_table(stores: Stores, mode: str) -> _PairTable:
     reason = np.where(snapless[news], np.int8(NO_SNAPSHOT), codes.registry[firm])
     # price queries, then index queries
     n = len(news)
-    first, length = np.concatenate((codes.price.take(firm, axis=1), codes.index.take(firm, axis=1)), axis=1)
+    first, length = codes.span.take(np.concatenate((codes.price.take(firm), codes.index.take(firm))), axis=1)
     anchor = np.concatenate((_anchor_queries(codes.days, first[:n], length[:n], codes.day[news].view(np.int64)),
                              _index_anchors(codes, news, firm)))
     # pairs of one series anchored on one day ask the same query. Queries of two

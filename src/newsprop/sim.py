@@ -24,7 +24,8 @@ event its id, day, firm and triple, and per link its supplier and client.
 Every public form is made from them only on request: ``firm_records``,
 ``prices`` and ``indices`` (``Series`` over rows of the closes), ``edges``,
 ``events`` (a view that makes each ``NewsEvent`` when it is read), and the five
-``Stores`` arguments of ``inputs()``. ``write`` writes the files from them.
+``Stores`` arguments of ``inputs()``. ``write`` writes the files from them,
+the closes row by row in id order, the one calendar turned to text once.
 
 Effect injection: an event about firm j with positiveness q adds
 gamma_pre * (q - 0.5) / leak_window percent to j's daily log return on each
@@ -78,7 +79,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -162,9 +163,10 @@ class SimConfig:
 
 
 class SimEvents(Sequence[NewsEvent]):
-    """A view of a bundle's events in serial (news_id) order, each ``NewsEvent``
-    made from the bundle's columns when it is read. Every event mentions one
-    firm, and the view's events of one firm share that firm's one mention set."""
+    """A view of a bundle's events in serial order (news_id order up to 10**7
+    events), each ``NewsEvent`` made from the bundle's columns when it is read;
+    a slice reads a list of them. Every event mentions one firm, and the view's
+    events of one firm share that firm's one mention set."""
 
     def __init__(self, bundle: SimBundle):
         self._bundle = bundle
@@ -176,7 +178,9 @@ class SimEvents(Sequence[NewsEvent]):
     def _mentions(self) -> list[frozenset[str]]:
         return [frozenset((firm_id,)) for firm_id in self._bundle.firm_id.tolist()]
 
-    def __getitem__(self, k: int) -> NewsEvent:
+    def __getitem__(self, k: int | slice) -> NewsEvent | list[NewsEvent]:
+        if isinstance(k, slice):
+            return list(self._make(k))
         at = range(len(self))[k]  # an IndexError past either end
         return next(self._make(slice(at, at + 1)))
 
@@ -202,7 +206,7 @@ class SimBundle:
     calendar: np.ndarray  # datetime64[D], read-only: every series' dates
     closes: np.ndarray  # (n_firms, n_trading) float64
     index_closes: np.ndarray  # (n_markets, n_trading) float64
-    news_id: np.ndarray  # str, per event in serial order, which is id order
+    news_id: np.ndarray  # str, per event in serial order, which is id order up to 10**7 events
     event_day: np.ndarray  # datetime64[D]
     event_firm: np.ndarray  # int64, the one firm each event mentions
     triples: np.ndarray  # (n_events, 3) float64: p_pos, p_neu, p_neg
@@ -220,10 +224,6 @@ class SimBundle:
                         repeat("SIM")))
 
     @cached_property
-    def trading_dates(self) -> list[dt.date]:
-        return self.calendar.tolist()
-
-    @cached_property
     def prices(self) -> dict[str, Series]:
         return dict(zip(self.firm_id.tolist(), map(Series, repeat(self.calendar), self.closes)))
 
@@ -238,15 +238,13 @@ class SimBundle:
 
     def inputs(self) -> dict:
         """The five ``Stores`` arguments, as the loaders would give them."""
-        by_year: dict[int, set[tuple[str, str]]] = {}
-        for year, supplier, client in self.edges:
-            by_year.setdefault(year, set()).add((supplier, client))
+        links = zip(self.firm_id[self.supplier].tolist(), self.firm_id[self.client].tolist())
         return dict(
             firms={r.firm_id: r for r in self.firm_records},
             prices=self.prices,
             indices=self.indices,
             news=NewsStore({e.news_id: e for e in self.events}),
-            graph=SupplyChainNetwork(by_year),
+            graph=SupplyChainNetwork({self.edge_year: links} if len(self.supplier) else {}),
         )
 
     def stores(self) -> Stores:
@@ -268,21 +266,18 @@ class SimBundle:
         """Emit firms/prices/indices/news/edges CSVs; returns path per file."""
         paths = {name: Path(outdir) / f"{name}.csv" for name in BUNDLE_FILES}
         write_rows(paths["firms"], FIRM_HEADER, self.firm_records)
-        write_rows(paths["prices"], PRICE_HEADER, _series_rows(self.prices))
-        write_rows(paths["indices"], INDEX_HEADER, _series_rows(self.indices))
+        dates = np.datetime_as_string(self.calendar).tolist()  # every series' dates, as text
+        for name, header, ids, closes in (("prices", PRICE_HEADER, self.firm_id, self.closes),
+                                          ("indices", INDEX_HEADER, self.index_id, self.index_closes)):
+            # (id, ISO date, value) rows, series by series in id order
+            order, ids = np.argsort(ids, kind="stable").tolist(), ids.tolist()
+            write_rows(paths[name], header, chain.from_iterable(
+                zip(repeat(ids[k]), dates, closes[k].tolist()) for k in order))
         write_rows(paths["news"], NEWS_HEADER, zip(
             self.news_id.tolist(), np.datetime_as_string(self.event_day).tolist(),
             self.firm_id[self.event_firm].tolist(), *self.triples.T.tolist()))
         write_rows(paths["edges"], EDGE_HEADER, self.edges)
         return paths
-
-
-def _series_rows(store: dict[str, Series]):
-    """(id, ISO date, value) rows, series by series in id order, each series'
-    dates and values converted to Python objects in one call each."""
-    for ident, series in sorted(store.items()):
-        dates = np.datetime_as_string(series.dates).tolist()
-        yield from zip(repeat(ident), dates, series.values.tolist())
 
 
 def _serial_ids(letter: str, n: int, digits: int) -> np.ndarray:

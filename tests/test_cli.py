@@ -330,6 +330,24 @@ class TestRun:
         assert alive == [0, 0, 0, 0]
         assert len(list((tmp_path / "out").glob("panel_*.csv"))) == 8
 
+    def test_built_panels_keep_their_polarity(self, bundle_dir, tmp_path, monkeypatch):
+        kept = []  # (panel, the polarity it was built with), for every build
+        build_panel = panel.build_panel
+
+        def keeping_build(*args, **kwargs):
+            result = build_panel(*args, **kwargs)
+            kept.append((result, result.polarity))
+            return result
+
+        monkeypatch.setattr(panel, "build_panel", keeping_build)
+        code = main([
+            "run", *bundle_flags(bundle_dir), "--mode", "own,supplier",
+            "--polarity", "positive,negative", "--windows", "1,2", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert len(kept) == 4
+        assert [p.polarity for p, _ in kept] == [polarity for _, polarity in kept]
+
     def test_mixed_failures_keep_sorted_lines_and_feasible_fits(
         self, bundle_dir, tmp_path, capsys
     ):

@@ -934,13 +934,14 @@ class TestAnchorQueries:
         codes = Stores(**inputs)._codes
         assert codes.firm_id.tolist() == ["A", "B", "C", "N"]
         # the price spans of firms A, B, C and N, and the index spans of markets
-        # M0, M1 and M2 through their firms A, B and N, by firm code
+        # M0, M1 and M2 through their firms A, B and N, read through each firm
+        # code's slot
         for kind, series_by_id, labels, firm_code in (
                 ("price", inputs["prices"], ["A", "B", "C", "N"], [0, 1, 2, 3]),
                 ("index", inputs["indices"], ["M0", "M1", "M2"], [0, 1, 3])):
             code = np.repeat(np.arange(len(labels)), len(days))
             day = np.tile(days, len(labels))
-            first, length = getattr(codes, kind)[:, np.array(firm_code)[code]]
+            first, length = codes.span[:, getattr(codes, kind)[np.array(firm_code)[code]]]
             anchor = _anchor_queries(codes.days, first, length, day.view(np.int64))
             expected = []
             for label, d in zip(np.array(labels)[code].tolist(), day):

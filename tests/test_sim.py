@@ -15,8 +15,10 @@ from newsprop import market, panel, regress, sentiment, sim
 from newsprop.csvio import write_rows
 from newsprop.firms import load_firms
 from newsprop.graph import load_edges
+from newsprop.market import INDEX_HEADER, PRICE_HEADER
 from newsprop.sim import (
     EXPECTED_HEADER,
+    SimBundle,
     SimConfig,
     drift_block_loadings,
     expected_beta_rows,
@@ -197,7 +199,7 @@ class TestSimulate:
             bundle = simulate(config)
         adjacency, closes, events, calendar = dense_reference(config)
         assert event_fields(bundle) == events
-        assert bundle.trading_dates == calendar
+        assert bundle.calendar.tolist() == calendar
         year = config.start_date.year
         assert bundle.edges == [(year, f"F{i:05d}", f"F{j:05d}") for i, j in np.argwhere(adjacency)]
         for i, firm_id in enumerate(sorted(bundle.prices)):
@@ -268,16 +270,16 @@ class TestSimulate:
 
     def test_weekends_skipped_in_calendar(self):
         bundle = simulate(SMALL)
-        assert all(d.weekday() < 5 for d in bundle.trading_dates)
+        assert all(d.weekday() < 5 for d in bundle.calendar.tolist())
         no_weekend = simulate(dataclasses.replace(SMALL, weekend_pattern=False))
-        assert any(d.weekday() >= 5 for d in no_weekend.trading_dates)
+        assert any(d.weekday() >= 5 for d in no_weekend.calendar.tolist())
 
     def test_every_series_shares_one_read_only_calendar(self):
         bundle = simulate(SMALL)
         dates = bundle.prices["F00000"].dates
         assert all(s.dates is dates for s in (*bundle.prices.values(), *bundle.indices.values()))
         assert not dates.flags.writeable
-        assert dates.tolist() == bundle.trading_dates
+        assert dates is bundle.calendar
 
     def test_impossible_calendar_rejected(self):
         with pytest.raises(ValueError, match="n_days=10 cannot hold windows up to 5 days"):
@@ -362,6 +364,29 @@ class TestSimulate:
             assert np.array_equal(a.firm_id, b.firm_id)
             assert a.drops == b.drops
 
+    def test_write_puts_series_in_id_order(self, tmp_path):
+        # ids whose serial order is not their id order, as _serial_ids gives
+        # them past 10**5 firms or 10**2 markets
+        calendar = np.array(["2016-01-04", "2016-01-05", "2016-01-06"], dtype="datetime64[D]")
+        calendar.flags.writeable = False
+        bundle = SimBundle(
+            firm_id=np.array(["F2", "F10", "F1"]), sector=np.array(["S00"] * 3),
+            market=np.array(["M2", "M10", "M2"]), index_id=np.array(["M2", "M10"]), calendar=calendar,
+            closes=100.0 + np.arange(9.0).reshape(3, 3) / 7, index_closes=100.0 - np.arange(6.0).reshape(2, 3) / 3,
+            news_id=np.array([], dtype=str), event_day=np.array([], dtype="datetime64[D]"),
+            event_firm=np.array([], dtype=np.int64), triples=np.empty((0, 3)), edge_year=2016,
+            supplier=np.array([], dtype=np.int64), client=np.array([], dtype=np.int64),
+        )
+        paths = bundle.write(tmp_path / "bundle")
+        for name, header, store in (("prices", PRICE_HEADER, bundle.prices),
+                                    ("indices", INDEX_HEADER, bundle.indices)):
+            write_rows(tmp_path / name, header, (
+                (ident, date.isoformat(), value) for ident, series in sorted(store.items())
+                for date, value in zip(series.dates.tolist(), series.values.tolist())))
+            assert paths[name].read_bytes() == (tmp_path / name).read_bytes()
+        rows = paths["prices"].read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1::3]] == ["F1", "F10", "F2"]
+
     def test_index_is_mean_log_price(self):
         bundle = simulate(SMALL)
         members = [f for i, f in enumerate(sorted(bundle.prices)) if i % SMALL.n_markets == 0]
@@ -433,6 +458,10 @@ class TestColumns:
         assert list(events) == [news[news_id] for news_id in sorted(news)]
         assert [events[k] for k in range(n)] == list(events)
         assert [events[k] for k in range(-n, 0)] == list(events)
+        for rows in (slice(None), slice(2, 9), slice(None, None, 3), slice(-5, None), slice(1, -3, 2),
+                     slice(-2, -9, -2), slice(None, None, -1), slice(-n - 5, n + 5, 4), slice(n + 5, None),
+                     slice(3, 3)):
+            assert events[rows] == list(events)[rows]
         for k in (n, -n - 1):
             with pytest.raises(IndexError):
                 events[k]
