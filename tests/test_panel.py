@@ -42,12 +42,15 @@ def flat_market(firm_ids, n_days=40, markets=("M0",), close=100.0):
 class TestOwnMode:
     def test_no_events_empty_panel(self):
         dates, prices, indices = flat_market(["A", "B"])
-        stores = make_stores(firms=[simple_firm("A"), simple_firm("B")], prices=prices,
-                             indices=indices, edges_by_year={2016: {("A", "B")}})
-        for mode in MODES:
-            panel = build_panel(stores, mode, "positive", 1)
-            assert len(panel) == 0 and panel.drops == []
-            assert panel_summary(panel).n_obs == 0
+        named = make_stores(firms=[simple_firm("A"), simple_firm("B")], prices=prices,
+                            indices=indices, edges_by_year={2016: {("A", "B")}})
+        # no firm, series, article or link: every table and its index anchors are empty
+        empty = Stores({}, {}, {}, NewsStore({}), SupplyChainNetwork({}))
+        for stores in (named, empty):
+            for mode in MODES:
+                panel = build_panel(stores, mode, "positive", 1)
+                assert len(panel) == 0 and panel.drops == []
+                assert panel_summary(panel).n_obs == 0
 
     def test_one_complete_pair_gives_two_rows(self):
         dates, prices, indices = flat_market(["A"])
