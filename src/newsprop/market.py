@@ -27,6 +27,17 @@ marks' int32 running count as each start's rank. A block that would leave its
 own series is masked, never read from a neighbour. ``window_change`` is its
 one-date form on one series.
 
+Every block mean is logged with the bits of ``math.log``. Where long double
+is x87's 64-bit significand and the C library is glibc (x86 Linux), the
+logs are one ``np.log`` over the means cast to ``np.longdouble``, rounded to
+float64; only a mean whose long-double log lies within 1/32 ulp of a float64
+rounding midpoint goes to ``math.log``. That is exact: x87 ``logl`` is within
+about 0.0006 float64 ulp of ln x, and glibc's ``log`` within 0.52 ulp, so
+outside that zone both round ln x to the same double (the rounding test of
+Ziv 1991). On every other platform each mean goes to ``math.log``; the path
+is fixed at import. ``np.log`` in float64 is not used, because its AVX-512
+kernel moves about one value in 2,000 by one ulp.
+
 A firm's closes and a market's index are one ``Series`` type, because the
 same windowed change applies to both: on an index it is the market-index
 control. ``market_control`` is a second name for ``window_change``, kept
@@ -65,6 +76,7 @@ import csv
 import datetime as dt
 import io
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter
@@ -98,6 +110,44 @@ class Series:
 
 
 _GATHER_BATCH = 1 << 16  # block elements copied per gather, at most (512 KiB)
+
+
+def _glibc_x87() -> bool:
+    """Whether ``np.longdouble`` has x87's 64-bit significand and the C
+    library is glibc: where ``_logs``' zone test is exact (module docstring)."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+    return libc.startswith("glibc") and np.finfo(np.longdouble).nmant == 63
+
+
+_LONG_LOG = _glibc_x87()
+
+
+def _logs(means: np.ndarray) -> np.ndarray:
+    """``math.log`` of each float64 in ``means``, bit for bit, as a new
+    array; a mean that is not positive raises its ``ValueError``."""
+    if not _LONG_LOG:
+        return np.fromiter(map(math.log, means.tolist()), dtype=float, count=len(means))
+    # a mean that is not positive or not finite logs to +-inf or NaN here, its
+    # residual is NaN, and it goes to math.log; the steps work in place, so the
+    # peak memory is no more than the math.log map's list of floats
+    wide = means.astype(np.longdouble)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(wide, out=wide)
+        logs = wide.astype(float)
+        wide -= logs  # exact: the bits that rounding to float64 dropped
+    residual = np.abs(wide.astype(float))  # exact too: at most 11 significant bits
+    del wide
+    # the residual is at most half an ulp of logs' binade, so "within 1/32 ulp of a
+    # midpoint" is "above 15/32 ulp"; a log rounded onto a power of two may have
+    # come from the binade below, with half that ulp, and a NaN fails every compare
+    fraction, exponent = np.frexp(logs)
+    zone = ~(residual <= np.ldexp(15 / 32, exponent - 53)) | (np.abs(fraction) == 0.5)
+    at = np.flatnonzero(zone)
+    logs[at] = [math.log(m) for m in means[at].tolist()]
+    return logs
 
 
 def mark_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +197,14 @@ def block_changes(values: np.ndarray, first, length, anchor: np.ndarray, w: int)
     requested = (c[has_pre] - 2 * w, c[has_pre] - w, c[has_post] - w, c[has_post])
     starts, inverse = mark_ranks(np.concatenate(requested))
     # each block's mean is taken over its own slice, as values[s:s+w].mean()
-    # would, and logged with math.log so every digit matches the scalar formula
+    # would, and logged with math.log's bits (``_logs``) so every digit matches
+    # the scalar formula
     blocks = sliding_window_view(values, w)
     means = np.empty(len(starts))
     step = max(1, _GATHER_BATCH // w)
     for i in range(0, len(starts), step):
         means[i : i + step] = blocks[starts[i : i + step]].mean(axis=1)
-    logs = np.fromiter(map(math.log, means.tolist()), dtype=float, count=len(means))
+    logs = _logs(means)
     a, b_pre, b_post, c_post = np.split(logs[inverse], np.cumsum([len(r) for r in requested[:3]]))
     pre[has_pre] = (b_pre - a) / w * 100.0
     post[has_post] = (c_post - b_post) / w * 100.0

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -235,6 +236,77 @@ class TestBlockChanges:
             monkeypatch.undo()
             for a, b in zip(whole, batched):
                 assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestExactLogs:
+    """The kernel logs each block mean with ``math.log``'s bits, on the
+    long-double path and with it forced off."""
+
+    # glibc's log(x) is 0.5166 ulp from ln x, so rounding the long-double log
+    # gives -0.06458891245083745: only the midpoint zone sends x to math.log
+    HARD = 0.9374527593340825
+
+    @pytest.fixture(params=["platform", "forced off"])
+    def long_log(self, request, monkeypatch):
+        if request.param == "forced off":
+            monkeypatch.setattr(market, "_LONG_LOG", False)
+        return market._LONG_LOG
+
+    @pytest.fixture(scope="class")
+    def means(self):
+        rng = np.random.default_rng(35)
+        n = 250_000
+        return np.concatenate([
+            rng.uniform(0.9, 1.1, n),  # means near 1
+            np.exp(rng.uniform(-1.0, 10.0, n)),  # full-precision means of any price level
+            np.round(rng.uniform(1.0, 500.0, n), 4),  # 4-decimal closes, the means at w = 1
+            np.exp(rng.uniform(-700.0, 700.0, n)),  # most of float64's range
+            [TestExactLogs.HARD],
+        ])
+
+    def test_logs_equal_math_log(self, long_log, means):
+        expected = np.fromiter(map(math.log, means.tolist()), dtype=float, count=len(means))
+        assert np.array_equal(market._logs(means).view(np.int64), expected.view(np.int64))
+        assert math.log(self.HARD) == -0.06458891245083746
+        if long_log:
+            assert float(np.log(np.longdouble(self.HARD))) == -0.06458891245083745
+
+    def test_changes_equal_math_log_formula(self, long_log, means):
+        # at w = 1 each block is one value: post at p logs values p - 1 and p, pre p - 2 and p - 1
+        values = means[::10]
+        pre, post = block_changes(values, 0, len(values), np.arange(len(values) + 1), 1)
+        logs = [math.log(v) for v in values.tolist()]
+        expected = [(b - a) / 1 * 100.0 for a, b in zip(logs, logs[1:])]
+        assert post[1:-1].tolist() == expected
+        assert pre[2:-1].tolist() == expected[:-1]
+
+    def test_math_log_only_near_a_midpoint(self, monkeypatch, means):
+        if not market._LONG_LOG:
+            pytest.skip("this platform logs every mean with math.log")
+        # ln x is 0.498 ulp of the binade below 512 under 512: x's log rounds up onto
+        # a power of two from beside a midpoint of the binade below
+        onto = 2.284413586539692e222
+        called = []
+        monkeypatch.setattr(market, "math", SimpleNamespace(log=lambda m: called.append(m) or math.log(m)))
+        market._logs(np.append(means, onto))
+        assert {self.HARD, onto} <= set(called)
+        assert len(called) < 0.05 * len(means)
+
+    @pytest.mark.parametrize("confstr", [None, ValueError, lambda name: None, lambda name: "musl 1.2"])
+    def test_long_double_path_only_under_glibc(self, monkeypatch, confstr):
+        if confstr is None:  # no os.confstr at all, as on Windows
+            monkeypatch.delattr(os, "confstr")
+        else:
+            monkeypatch.setattr(os, "confstr", mock.Mock(side_effect=confstr))
+        assert market._glibc_x87() is False
+
+    def test_edge_values(self, long_log):
+        edges = np.array([1.0, 2.0, 0.5, np.e, 5e-324, 1.7976931348623157e308, np.inf, np.nan])
+        expected = np.fromiter(map(math.log, edges.tolist()), dtype=float, count=len(edges))
+        assert np.array_equal(market._logs(edges), expected, equal_nan=True)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="math domain error"):
+                market._logs(np.array([2.0, bad]))
 
 
 class TestMarkRanks:
