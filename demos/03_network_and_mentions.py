@@ -7,13 +7,21 @@ plus the two mention histograms: firms per article and articles per firm
 (including the firms that are never mentioned at all).
 """
 
+import tempfile
+
+from newsprop.firms import load_firms
+from newsprop.graph import load_edges
 from newsprop.report import histogram
-from newsprop.sentiment import mention_histogram
+from newsprop.sentiment import load_news, mention_histogram
 from newsprop.sim import SimConfig, simulate
 
 bundle = simulate(SimConfig(n_firms=120, n_days=120, edge_prob=0.03, news_rate=2.5, seed=8))
-inputs = bundle.inputs()  # the five arguments a Stores is made from
-graph = inputs["graph"]
+# the network, the news and the registry, read back from the written files
+with tempfile.TemporaryDirectory(prefix="newsprop-demo-") as tmp:
+    paths = bundle.write(tmp)
+    graph = load_edges(paths["edges"])
+    news, _ = load_news(paths["news"])
+    firms, _ = load_firms(paths["firms"])
 
 year = graph.years[0]
 stats = graph.network_stats(year)
@@ -23,11 +31,11 @@ print(f"  Number of links    {stats.n_links}")
 print(f"  Maximum indegree   {stats.max_indegree}")
 print(f"  Maximum outdegree  {stats.max_outdegree}")
 
-some_firm = next(iter(sorted(inputs["prices"])))
+some_firm = min(firms)
 print(f"\nfirm {some_firm}: suppliers {sorted(graph.suppliers_of(some_firm, year))}")
 print(f"firm {some_firm}: clients   {sorted(graph.clients_of(some_firm, year))}")
 
-hist = mention_histogram(inputs["news"], registry_firms=inputs["firms"])
+hist = mention_histogram(news, registry_firms=firms)
 print("\nfirms mentioned per article:")
 for k, count in hist.mentions_per_article.items():
     print(f"  {k} firms: {count} articles")

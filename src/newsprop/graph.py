@@ -94,6 +94,8 @@ def load_edges(path) -> SupplyChainNetwork:
         year_text, supplier, client = map(str.strip, row)
         try:
             year = int(year_text)
+            if not -1 << 63 <= year < 1 << 63:  # a Stores codes the years as int64
+                raise ValueError
         except ValueError:
             raise LoadError(f"{path}: bad year {year_text!r} at row {i}") from None
         if not supplier or not client:

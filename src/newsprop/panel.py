@@ -249,7 +249,8 @@ def _transpose(firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
     """The columns ``_code`` takes, from the five inputs as the loaders give them.
 
     Each series must hold one value per date, its dates ``datetime64[D]``, to be
-    laid end to end; every other rule is ``_code``'s.
+    laid end to end, and each snapshot year must fit in int64; every other rule
+    is ``_code``'s.
     """
     series = [*prices.values(), *indices.values()]
     for key, s in zip([*prices, *indices], series):
@@ -259,6 +260,9 @@ def _transpose(firms: Mapping[str, FirmRecord], prices: Mapping[str, Series],
     events = news.events.values()
     news_id, date, mentions, p_pos, _, p_neg = list(zip(*events)) or [()] * len(NewsEvent._fields)
     years = graph.years
+    for year in years[:1] + years[-1:]:  # the least and the greatest
+        if not -1 << 63 <= year < 1 << 63:
+            raise ValueError(f"snapshot year {year} does not fit in int64")
     edges = [graph.snapshot(year).edges for year in years]
     firm_ids = list(set().union(*mentions, *chain.from_iterable(edges)))
     code = dict(zip(firm_ids, range(len(firm_ids)))).__getitem__

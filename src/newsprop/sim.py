@@ -20,12 +20,10 @@ single draw. The per-firm loop only draws; everything after it is array code.
 A ``SimBundle`` is the simulator's columns: per firm its id, sector and
 market, the closes as one (firm, trading day) array, the index values, per
 event its id, day, firm and triple, and per link its supplier and client.
-``stores()`` hands them to ``panel.Stores.from_columns``, which codes them.
-Every public form is made from them only on request: ``firm_records``,
-``prices`` and ``indices`` (``Series`` over rows of the closes), ``edges``,
-``events`` (a view that makes each ``NewsEvent`` when it is read), and the five
-``Stores`` arguments of ``inputs()``. ``write`` writes the files from them,
-the closes row by row in id order, the one calendar turned to text once.
+``stores()`` hands them to ``panel.Stores.from_columns``, which codes them,
+and ``write`` writes the five files, which the loaders read back into the
+public forms. ``prices``, ``edges`` and ``events`` (a view that makes each
+``NewsEvent`` when it is read) are made from the columns on request.
 
 Effect injection: an event about firm j with positiveness q adds
 gamma_pre * (q - 0.5) / leak_window percent to j's daily log return on each
@@ -86,11 +84,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .csvio import write_rows
-from .firms import FIRM_HEADER, FirmRecord
-from .graph import EDGE_HEADER, SupplyChainNetwork
+from .firms import FIRM_HEADER
+from .graph import EDGE_HEADER
 from .market import INDEX_HEADER, PRICE_HEADER, Series, check_window
 from .panel import BUNDLE_FILES, MODES, POLARITIES, Stores, concat_ranges
-from .sentiment import NEWS_HEADER, NewsEvent, NewsStore
+from .sentiment import NEWS_HEADER, NewsEvent
 
 _DRIFT_BATCH = 1 << 20  # expanded (firm, day) additions per np.add.at, at most
 _FLIP_BATCH = 1 << 17  # edge coin flips per draw, at most, unless one row holds more
@@ -196,8 +194,9 @@ class SimEvents(Sequence[NewsEvent]):
 
 @dataclass(eq=False)
 class SimBundle:
-    """An in-memory dataset bundle: the simulator's columns, the public forms
-    made from them on request, and writers for the five file schemas."""
+    """An in-memory dataset bundle: the simulator's columns, three forms made
+    from them on request (``write`` reads ``edges``, and the benchmark's oracle
+    replicate reads all three), and the writer of the five file schemas."""
 
     firm_id: np.ndarray  # str, per firm in serial order
     sector: np.ndarray  # str, per firm
@@ -219,33 +218,13 @@ class SimBundle:
         return SimEvents(self)
 
     @cached_property
-    def firm_records(self) -> list[FirmRecord]:
-        return list(map(FirmRecord, self.firm_id.tolist(), self.market.tolist(), self.sector.tolist(),
-                        repeat("SIM")))
-
-    @cached_property
     def prices(self) -> dict[str, Series]:
         return dict(zip(self.firm_id.tolist(), map(Series, repeat(self.calendar), self.closes)))
-
-    @cached_property
-    def indices(self) -> dict[str, Series]:
-        return dict(zip(self.index_id.tolist(), map(Series, repeat(self.calendar), self.index_closes)))
 
     @cached_property
     def edges(self) -> list[tuple[int, str, str]]:
         return sorted(zip(repeat(self.edge_year), self.firm_id[self.supplier].tolist(),
                           self.firm_id[self.client].tolist()))
-
-    def inputs(self) -> dict:
-        """The five ``Stores`` arguments, as the loaders would give them."""
-        links = zip(self.firm_id[self.supplier].tolist(), self.firm_id[self.client].tolist())
-        return dict(
-            firms={r.firm_id: r for r in self.firm_records},
-            prices=self.prices,
-            indices=self.indices,
-            news=NewsStore({e.news_id: e for e in self.events}),
-            graph=SupplyChainNetwork({self.edge_year: links} if len(self.supplier) else {}),
-        )
 
     def stores(self) -> Stores:
         """The bundle's columns coded into panel-ready stores, with no public form made."""
@@ -265,7 +244,8 @@ class SimBundle:
     def write(self, outdir) -> dict[str, Path]:
         """Emit firms/prices/indices/news/edges CSVs; returns path per file."""
         paths = {name: Path(outdir) / f"{name}.csv" for name in BUNDLE_FILES}
-        write_rows(paths["firms"], FIRM_HEADER, self.firm_records)
+        write_rows(paths["firms"], FIRM_HEADER, zip(
+            self.firm_id.tolist(), self.market.tolist(), self.sector.tolist(), repeat("SIM")))
         dates = np.datetime_as_string(self.calendar).tolist()  # every series' dates, as text
         for name, header, ids, closes in (("prices", PRICE_HEADER, self.firm_id, self.closes),
                                           ("indices", INDEX_HEADER, self.index_id, self.index_closes)):

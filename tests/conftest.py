@@ -1,10 +1,12 @@
-"""Shared fixture helpers: tiny hand-built bundles, random panels, and the
-scalar window formula the vectorised kernel is checked against."""
+"""Shared fixture helpers: tiny hand-built bundles, a simulated bundle's
+public forms, random panels, and the scalar window formula the vectorised
+kernel is checked against."""
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -43,6 +45,19 @@ def make_inputs(firms=None, prices=None, indices=None, events=None, edges_by_yea
         indices=dict(indices or {}),
         news=NewsStore({e.news_id: e for e in (events or [])}),
         graph=SupplyChainNetwork(edges_by_year or {}),
+    )
+
+
+def sim_inputs(bundle) -> dict:
+    """A simulated bundle's five ``Stores`` arguments, as the loaders would give
+    them. Its ``Series`` are views into the bundle's closes and index values."""
+    return make_inputs(
+        firms=map(FirmRecord, bundle.firm_id.tolist(), bundle.market.tolist(), bundle.sector.tolist(),
+                  repeat("SIM")),
+        prices=bundle.prices,
+        indices=zip(bundle.index_id.tolist(), map(Series, repeat(bundle.calendar), bundle.index_closes)),
+        events=bundle.events,
+        edges_by_year={bundle.edge_year: [edge[1:] for edge in bundle.edges]} if bundle.edges else {},
     )
 
 

@@ -14,7 +14,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import make_series, random_panel, weekday_dates
+from conftest import make_series, random_panel, sim_inputs, weekday_dates
 from newsprop import panel as panel_mod
 from newsprop import sim
 from newsprop.cli import main
@@ -246,7 +246,7 @@ def test_criterion_7_panel_construction_counts():
             n_firms=25, n_sectors=4, n_markets=2, n_days=100, edge_prob=0.08, news_rate=3.0, seed=seed
         )
         bundle = sim.simulate(config)
-        inputs = bundle.inputs()
+        inputs = sim_inputs(bundle)
         stores = panel_mod.Stores(**inputs)
         assert len(bundle.events) <= 100
         for mode in ("own", "supplier"):

@@ -169,6 +169,33 @@ class TestValidate:
         assert capsys.readouterr().err == f"{command}: {prices}: not UTF-8 text (invalid start byte)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("year", ["9223372036854775808", "99999999999999999999"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_edge_year_int64_cannot_hold_exits_1(self, bundle_dir, tmp_path, capsys, command, year):
+        text = (bundle_dir / "edges.csv").read_text(encoding="utf-8")
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text + f"{year},F00001,F00002\n", encoding="utf-8")
+        flags = bundle_flags(bundle_dir)
+        flags[flags.index("--edges") + 1] = str(edges)
+        out = tmp_path / "out"
+        assert main([command, *flags, *(["--out", str(out)] if command == "run" else [])]) == 1
+        captured = capsys.readouterr()
+        row = len(text.splitlines())  # the header is row 0
+        assert captured.err == f"{command}: {edges}: bad year '{year}' at row {row}\n"
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+    def test_int64_extreme_edge_years_run(self, bundle_dir, tmp_path, capsys):
+        text = (bundle_dir / "edges.csv").read_text(encoding="utf-8")
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text + "-9223372036854775808,F00001,F00002\n9223372036854775807,F00002,F00003\n",
+                         encoding="utf-8")
+        flags = bundle_flags(bundle_dir)
+        flags[flags.index("--edges") + 1] = str(edges)
+        assert main(["validate", "--strict", *flags]) == 0
+        assert main(["run", *flags, "--windows", "1", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
         ("", "MemoryError"),  # an exception without text is named by its class

@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 )
 def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # TMPDIR keeps the files demo 04 writes inside the test's own directory,
-    # where the test can see that the demo removed them
+    # TMPDIR keeps the files demos 03 and 04 write inside the test's own
+    # directory, where the test can see that the demo removed them
     env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{demo}.py")],

@@ -38,6 +38,13 @@ class TestLoadEdges:
             load_edges(path)
         with pytest.raises(LoadError, match="bad year '20x6' at row 1"):
             load_edges(write_edges(tmp_path, [("20x6", "A", "B")]))
+        for year in ("9223372036854775808", "99999999999999999999", "-9223372036854775809"):  # past int64
+            with pytest.raises(LoadError, match=f"bad year '{year}' at row 2"):
+                load_edges(write_edges(tmp_path, [(2016, "A", "B"), (year, "B", "C")]))
+
+    def test_int64_extreme_years_load(self, tmp_path):
+        net = load_edges(write_edges(tmp_path, [(-2 ** 63, "A", "B"), (2 ** 63 - 1, "B", "C")]))
+        assert net.years == [-2 ** 63, 2 ** 63 - 1]
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "head.csv"

@@ -14,6 +14,7 @@ from conftest import (
     make_series,
     make_stores,
     reference_change,
+    sim_inputs,
     simple_event,
     simple_firm,
     weekday_dates,
@@ -51,6 +52,16 @@ class TestOwnMode:
                 panel = build_panel(stores, mode, "positive", 1)
                 assert len(panel) == 0 and panel.drops == []
                 assert panel_summary(panel).n_obs == 0
+
+    @pytest.mark.parametrize("year", [2 ** 63, -2 ** 63 - 1])
+    def test_snapshot_year_int64_cannot_hold_raises_naming_it(self, year):
+        dates, prices, indices = flat_market(["A", "B"])
+        inputs = make_inputs(firms=[simple_firm("A"), simple_firm("B")], prices=prices, indices=indices,
+                             edges_by_year={2016: {("A", "B")}, year: {("B", "A")}})
+        with pytest.raises(ValueError, match=f"snapshot year {year} does not fit in int64"):
+            Stores(**inputs)
+        inputs["graph"] = SupplyChainNetwork({-2 ** 63: {("A", "B")}, 2 ** 63 - 1: {("B", "A")}})
+        assert build_panel(Stores(**inputs), "supplier", "positive", 1).drops == []
 
     def test_one_complete_pair_gives_two_rows(self):
         dates, prices, indices = flat_market(["A"])
@@ -334,7 +345,7 @@ SERIES_INVARIANT_CONFIG = SimConfig(n_firms=20, n_days=80, edge_prob=0.1, news_r
 
 def series_invariant_inputs() -> dict:
     """A small simulated bundle whose own panel at w = 1 keeps 120 pairs."""
-    return simulate(SERIES_INVARIANT_CONFIG).inputs()
+    return sim_inputs(simulate(SERIES_INVARIANT_CONFIG))
 
 
 class TestSeriesInvariant:
@@ -373,7 +384,7 @@ class TestSeriesInvariant:
     def test_values_that_are_not_finite_and_positive_raise(self, kind, key, value):
         # through the constructor and through the simulator's columns alike
         bundle = simulate(SERIES_INVARIANT_CONFIG)
-        inputs = bundle.inputs()
+        inputs = sim_inputs(bundle)
         series = inputs[kind][key]
         values = series.values.copy()
         values[7] = value
@@ -381,7 +392,7 @@ class TestSeriesInvariant:
         message = f"series '{key}' holds {value}; its values must be finite and positive"
         with pytest.raises(ValueError, match=message):
             Stores(**inputs)
-        getattr(bundle, kind)[key].values[7] = value  # a view into the bundle's columns
+        sim_inputs(bundle)[kind][key].values[7] = value  # a view into the bundle's columns
         with pytest.raises(ValueError, match=message):
             bundle.stores()
 
@@ -404,7 +415,7 @@ def perturbed_sim_inputs() -> dict:
         n_firms=30, n_sectors=4, n_markets=2, n_days=500, edge_prob=0.08, news_rate=3.0,
         start_date=dt.date(2016, 6, 1), seed=11,
     )
-    inputs = simulate(config).inputs()
+    inputs = sim_inputs(simulate(config))
     records = dict(inputs["firms"])
     del records["F00000"]  # unknown-firm
     records["F00001"] = records["F00001"]._replace(sector_code="")
@@ -508,7 +519,7 @@ def perturbed_small_inputs(draw) -> dict:
         start_date=dt.date(2016, 11, 1),
     )
     bundle = simulate(config)
-    inputs = bundle.inputs()
+    inputs = sim_inputs(bundle)
     firm_ids = sorted(inputs["firms"])
 
     def some_firms():
@@ -735,7 +746,7 @@ class TestStackedBuild:
         # writable, and a write into one changes no later build
         bundle = simulate(SimConfig(n_firms=30, n_markets=2, n_days=200, edge_prob=0.08,
                                     news_rate=3.0, seed=11))
-        inputs = bundle.inputs()
+        inputs = sim_inputs(bundle)
         from_bundle = Stores(**inputs)
         prices = {f: Series(s.dates.copy(), s.values.copy()) for f, s in bundle.prices.items()}
         given = Stores(**{**inputs, "prices": prices})
@@ -744,7 +755,7 @@ class TestStackedBuild:
         for stores in (from_bundle, given):
             for mode in MODES:
                 assert_same_panel(build_panel(stores, mode, "positive", 2), expected[mode, 2])
-        for series in (*bundle.prices.values(), *bundle.indices.values(), *prices.values()):
+        for series in (*inputs["prices"].values(), *inputs["indices"].values(), *prices.values()):
             assert series.values.flags.writeable
             series.values[:] = series.values[::-1].copy()
         for stores in (from_bundle, given):

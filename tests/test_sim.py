@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sim_inputs
 from newsprop import market, panel, regress, sentiment, sim
 from newsprop.csvio import write_rows
 from newsprop.firms import load_firms
@@ -211,7 +212,7 @@ class TestSimulate:
         ids = sorted(bundle.prices)
         year = OVERLAPPING.start_date.year
         assert bundle.edges == [(year, ids[i], ids[j]) for i, j in np.argwhere(adjacency)]
-        graph = bundle.inputs()["graph"]
+        graph = sim_inputs(bundle)["graph"]
         for k, firm_id in enumerate(ids):
             suppliers = {ids[s] for s in np.flatnonzero(adjacency[:, k])}
             clients = {ids[c] for c in np.flatnonzero(adjacency[k])}
@@ -277,7 +278,8 @@ class TestSimulate:
     def test_every_series_shares_one_read_only_calendar(self):
         bundle = simulate(SMALL)
         dates = bundle.prices["F00000"].dates
-        assert all(s.dates is dates for s in (*bundle.prices.values(), *bundle.indices.values()))
+        assert all(s.dates is dates for s in bundle.prices.values())
+        assert bundle.index_closes.shape == (SMALL.n_markets, len(dates))  # written on the calendar
         assert not dates.flags.writeable
         assert dates is bundle.calendar
 
@@ -298,7 +300,7 @@ class TestSimulate:
     def test_largest_sampler_settings_still_simulate(self):
         # the bounds refuse only what numpy itself refuses
         bundle = simulate(dataclasses.replace(SMALL, n_sectors=2 ** 63))
-        assert max(int(r.sector_code[1:]) for r in bundle.firm_records) < 2 ** 63
+        assert max(int(sector[1:]) for sector in bundle.sector.tolist()) < 2 ** 63
         dataclasses.replace(SMALL, news_rate=sim._MAX_NEWS_RATE).validate()
         rng = np.random.default_rng(0)
         rng.poisson(sim._MAX_NEWS_RATE)
@@ -348,7 +350,7 @@ class TestSimulate:
     ], ids=["edge_prob=0", "edge_prob=0.05", "edge_prob=1"])
     def test_round_trip_graph_and_news_match_in_memory(self, tmp_path, config):
         bundle = simulate(config)
-        memory, loaded = bundle.inputs(), load_inputs(bundle.write(tmp_path))
+        memory, loaded = sim_inputs(bundle), load_inputs(bundle.write(tmp_path))
         assert loaded["graph"].years == memory["graph"].years
         assert (memory["graph"].years == []) == (config.edge_prob == 0.0)
         for year in memory["graph"].years:
@@ -379,7 +381,7 @@ class TestSimulate:
         )
         paths = bundle.write(tmp_path / "bundle")
         for name, header, store in (("prices", PRICE_HEADER, bundle.prices),
-                                    ("indices", INDEX_HEADER, bundle.indices)):
+                                    ("indices", INDEX_HEADER, sim_inputs(bundle)["indices"])):
             write_rows(tmp_path / name, header, (
                 (ident, date.isoformat(), value) for ident, series in sorted(store.items())
                 for date, value in zip(series.dates.tolist(), series.values.tolist())))
@@ -391,7 +393,8 @@ class TestSimulate:
         bundle = simulate(SMALL)
         members = [f for i, f in enumerate(sorted(bundle.prices)) if i % SMALL.n_markets == 0]
         stacked = np.log([bundle.prices[f].values for f in members])
-        assert np.allclose(np.log(bundle.indices["M00"].values), stacked.mean(axis=0))
+        assert bundle.index_id[0] == "M00"
+        assert np.allclose(np.log(bundle.index_closes[0]), stacked.mean(axis=0))
 
 
 def assert_same_codes(a, b):
@@ -424,13 +427,10 @@ class TestColumns:
             "no-weekends", "lone-firm"])
     def test_stores_codes_equal_the_public_paths(self, config):
         # neither simulate nor stores() makes a public form on the way
-        with mock.patch.object(sim.SimBundle, "inputs", side_effect=AssertionError("inputs")), \
-                mock.patch.object(sim, "NewsEvent", side_effect=AssertionError("NewsEvent")), \
-                mock.patch.object(sim, "NewsStore", side_effect=AssertionError("NewsStore")), \
-                mock.patch.object(sim, "SupplyChainNetwork", side_effect=AssertionError("network")):
+        with mock.patch.object(sim, "NewsEvent", side_effect=AssertionError("NewsEvent")):
             bundle = simulate(config)
             codes = bundle.stores()._codes
-        assert_same_codes(codes, panel.Stores(**bundle.inputs())._codes)
+        assert_same_codes(codes, panel.Stores(**sim_inputs(bundle))._codes)
         if config is LONE_FIRM:
             assert 0 < len(codes.firm_id) < config.n_firms
 
@@ -454,7 +454,7 @@ class TestColumns:
         assert len(events) == n
         assert (n == 0) == (config.news_rate == 0.0)
         assert "_mentions" not in vars(events)  # len made nothing
-        news = bundle.inputs()["news"].events
+        news = sim_inputs(bundle)["news"].events
         assert list(events) == [news[news_id] for news_id in sorted(news)]
         assert [events[k] for k in range(n)] == list(events)
         assert [events[k] for k in range(-n, 0)] == list(events)
