@@ -1,10 +1,12 @@
 """Command-line driver: validate inputs, run the estimation grid, simulate.
 
-Each command's settings are one table of keys and value parsers: ``RUN_KEYS``
-for run and validate (so one --config file serves both), ``sim_keys()`` for
-simulate. Every value of the plain key=value file (--config) is parsed by its
-key's parser, and flags override file values. An unknown, repeated or
-unparsable key or a bad flag exits 2 before any input is read; ``main`` turns
+Each command's settings are one table of keys, each with its value parser and
+the help of its flag: ``RUN_KEYS`` for run and validate (so one --config file
+serves both), ``sim_keys()`` for simulate. ``build_parser`` makes every flag
+from these tables, and a flag's text and a plain key=value file's (--config)
+value go through the same parser; flags override file values. An unknown,
+repeated or unparsable key or flag value exits 2 before any input is read,
+named by its ``--config key = 'text'`` line or its ``--flag 'text'``; ``main`` turns
 any other ``OSError``, ``ValueError`` or ``MemoryError`` a command raises into
 ``<command>: <message>`` on stderr and exit 1. Every output goes through the
 atomic writers in ``csvio``, so an interrupted run never leaves a truncated
@@ -25,6 +27,7 @@ import dataclasses
 import datetime as dt
 import itertools
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,36 +67,25 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def _parse_windows(text: str) -> list[int]:
-    # ArgumentTypeError, unlike ValueError, keeps its message in argparse's error
     try:
         windows = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         windows = []
     if not windows or any(w < 1 for w in windows):
-        raise argparse.ArgumentTypeError(f"windows must be positive integers, got {text!r}")
+        raise ValueError(f"windows must be positive integers, got {text!r}")
     if len(set(windows)) != len(windows):
-        raise argparse.ArgumentTypeError(f"windows must be distinct, got {text!r}")
+        raise ValueError(f"windows must be distinct, got {text!r}")
     return windows
 
 
-def _parse_names(text: str, allowed: tuple[str, ...]) -> list[str]:
+def _parse_names(allowed: tuple[str, ...], text: str) -> list[str]:
     names = [part.strip() for part in text.split(",")]
     for name in names:
         if name not in allowed:
-            raise argparse.ArgumentTypeError(
-                f"{name!r} in {text!r} is not one of {','.join(allowed)}"
-            )
+            raise ValueError(f"{name!r} in {text!r} is not one of {','.join(allowed)}")
     if len(set(names)) != len(names):
-        raise argparse.ArgumentTypeError(f"duplicate entry in {text!r}")
+        raise ValueError(f"duplicate entry in {text!r}")
     return names
-
-
-def _parse_modes(text: str) -> list[str]:
-    return _parse_names(text, panel.MODES)
-
-
-def _parse_polarities(text: str) -> list[str]:
-    return _parse_names(text, panel.POLARITIES)
 
 
 def _parse_bool(text: str) -> bool:
@@ -116,42 +108,59 @@ def _sim_field_parser(default):
     return type(default)  # int or float
 
 
-# each command's settings: its --config keys and the parser of each key's value;
-# validate takes the run keys, so one file serves both
+# each command's settings: key -> (the parser of its value, the help of its
+# flag, or None for a key only --config sets); build_parser makes the flags
 RUN_KEYS = {
-    **dict.fromkeys(panel.BUNDLE_FILES, str),
-    "strict": _parse_bool, "robust_se": _parse_bool, "export_panel": _parse_bool,
-    "threads": int, "windows": _parse_windows, "mode": _parse_modes,
-    "polarity": _parse_polarities, "out": str,
+    **{name: (str, f"{name} input CSV") for name in panel.BUNDLE_FILES},
+    "strict": (_parse_bool, "fail on any rejected row"),
+    "mode": (partial(_parse_names, panel.MODES),
+             f"comma list of {','.join(panel.MODES)} (default own)"),
+    "polarity": (partial(_parse_names, panel.POLARITIES),
+                 f"comma list of {','.join(panel.POLARITIES)} (default positive)"),
+    "windows": (_parse_windows, "comma list of window days"),
+    "out": (str, "output directory (default ./out)"),
+    "robust_se": (_parse_bool, "HC1 covariance instead of homoskedastic"),
+    "export_panel": (_parse_bool, "also write one panel CSV per cell"),
+    "threads": (int, "accepted and ignored"),
+}
+# validate parses every run key, so one file serves both, and takes the paths
+# and strict as flags
+VALIDATE_KEYS = {key: (parse, text if key in (*panel.BUNDLE_FILES, "strict") else None)
+                 for key, (parse, text) in RUN_KEYS.items()}
+SIM_FLAGS = {
+    "seed": (int, "override the config seed"),
+    "windows": (_parse_windows, "windows for the expected-beta sidecar"),
+    "out": (str, "output directory (default ./out)"),
 }
 
 
 def sim_keys() -> dict:
-    """simulate's --config keys and their parsers: windows, out and every
-    ``SimConfig`` field."""
+    """simulate's settings: one key per ``SimConfig`` field, and its three flags."""
     from . import sim
 
-    return {
-        "windows": _parse_windows, "out": str,
-        **{f.name: _sim_field_parser(f.default) for f in dataclasses.fields(sim.SimConfig)},
-    }
+    return {**{f.name: (_sim_field_parser(f.default), None) for f in dataclasses.fields(sim.SimConfig)},
+            **SIM_FLAGS}
 
 
 def _settings(args: argparse.Namespace, keys: dict) -> dict:
-    """The --config values, each parsed by its key's parser, with the given flags laid over.
+    """The --config values, then the given flags, each parsed by its key's parser.
 
-    An unknown key or an unparsable value is a UsageError, whether or not the
-    command goes on to use that key.
+    An unknown key or an unparsable value is a UsageError that names its
+    ``--config key = 'text'`` line or its ``--flag 'text'``, whether or not the
+    command goes on to use that key. A flag comes after the file, so it wins.
     """
+    config = read_config_file(args.config) if args.config else {}
+    given = [(f"--config {key} = {text!r}", key, text) for key, text in config.items()]
+    given += [(f"--{key.replace('_', '-')} {text!r}", key, text)
+              for key, text in vars(args).items() if key in keys and text is not None]
     settings = {}
-    for key, text in (read_config_file(args.config) if args.config else {}).items():
+    for name, key, text in given:
         if key not in keys:
-            raise UsageError(f"--config {key} = {text!r}: unknown key")
+            raise UsageError(f"{name}: unknown key")
         try:
-            settings[key] = keys[key](text)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"--config {key} = {text!r}: {exc}") from None
-    settings.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+            settings[key] = keys[key][0](text)
+        except ValueError as exc:
+            raise UsageError(f"{name}: {exc}") from None
     return settings
 
 
@@ -257,8 +266,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     windows = settings.pop("windows", DEFAULT_WINDOWS)
     outdir = Path(settings.pop("out", None) or "out")
     config = sim.SimConfig(**settings)  # --seed overrides a file seed like any flag
-    # simulate validates the config, and every row is computed before any file
-    # is written, so a bad setting or a failing window leaves no half-written bundle
+    # simulate validates the config and its closes, and every row, the sidecar's
+    # too, is computed before any file is written, so a bad setting or a failing
+    # window leaves no half-written bundle
     bundle = sim.simulate(config)
     expected = sim.expected_beta_rows(config, windows)
     paths = bundle.write(outdir)
@@ -276,42 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="News-sentiment event studies over firms and their supply-chain partners.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_bundle_flags(p):
-        p.add_argument("--firms", help="firm registry CSV")
-        p.add_argument("--prices", help="daily close prices CSV")
-        p.add_argument("--indices", help="market index CSV")
-        p.add_argument("--news", help="news sentiment CSV")
-        p.add_argument("--edges", help="supply-chain edge list CSV")
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--strict", action="store_true", default=None,
-                       help="fail on any rejected row")
-
-    p_validate = sub.add_parser("validate", help="check every input file against its schema")
-    add_bundle_flags(p_validate)
-    p_validate.set_defaults(func=cmd_validate, usage_error=p_validate.error)
-
-    p_run = sub.add_parser("run", help="build panels, fit every cell, write reports")
-    add_bundle_flags(p_run)
-    p_run.add_argument("--mode", type=_parse_modes,
-                       help="comma list of own,supplier,client (default own)")
-    p_run.add_argument("--polarity", type=_parse_polarities,
-                       help="comma list of positive,negative (default positive)")
-    p_run.add_argument("--windows", type=_parse_windows, help="comma list of window days")
-    p_run.add_argument("--out", help="output directory (default ./out)")
-    p_run.add_argument("--robust-se", dest="robust_se", action="store_true", default=None,
-                       help="HC1 covariance instead of homoskedastic")
-    p_run.add_argument("--export-panel", dest="export_panel", action="store_true", default=None,
-                       help="also write one panel CSV per cell")
-    p_run.add_argument("--threads", type=int, help="accepted and ignored")
-    p_run.set_defaults(func=cmd_run, usage_error=p_run.error)
-
-    p_sim = sub.add_parser("simulate", help="emit a synthetic bundle with known effects")
-    p_sim.add_argument("--config", help="key=value simulation parameters")
-    p_sim.add_argument("--seed", type=int, help="override the config seed")
-    p_sim.add_argument("--windows", type=_parse_windows, help="windows for the expected-beta sidecar")
-    p_sim.add_argument("--out", help="output directory (default ./out)")
-    p_sim.set_defaults(func=cmd_simulate, usage_error=p_sim.error)
+    for name, func, keys, about in (
+        ("validate", cmd_validate, VALIDATE_KEYS, "check every input file against its schema"),
+        ("run", cmd_run, RUN_KEYS, "build panels, fit every cell, write reports"),
+        ("simulate", cmd_simulate, SIM_FLAGS, "emit a synthetic bundle with known effects"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", help="key=value settings file; flags override it")
+        for key, (parse, text) in keys.items():
+            if text is not None:  # a switch stores a text its parser reads as true
+                switch = dict(action="store_const", const="true") if parse is _parse_bool else {}
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text, **switch)
+        p.set_defaults(func=func, usage_error=p.error)
 
     return parser
 

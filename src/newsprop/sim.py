@@ -48,6 +48,12 @@ return or partial sum, and a zero's sign cannot reach a close,
 exp(log(100) + cumsum(returns)): a zero added to a partial sum leaves its
 value, and log(100) + ±0.0 is log(100).
 
+Settings that pass ``SimConfig.validate`` can still be too large for the
+floats. ``simulate`` refuses closes or index values that are not finite and
+positive, which the loaders and ``Stores`` would refuse, and ``expected_betas``
+refuses Dirichlet moments that are not finite or give Var(r) <= 0, and betas
+that are not finite. Each ``ValueError`` names the settings at fault.
+
 ``expected_betas`` turns a configuration into the coefficients the pooled
 regression is expected to recover. Two pieces feed it:
 
@@ -275,6 +281,7 @@ def _serial_ids(letter: str, n: int, digits: int) -> np.ndarray:
     return points.view(f"U{1 + digits}").ravel()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a close that overflows is refused at the end
 def simulate(config: SimConfig) -> SimBundle:
     """Generate one dataset bundle, deterministically for a given seed."""
     config.validate()
@@ -378,6 +385,13 @@ def simulate(config: SimConfig) -> SimBundle:
         lo = hi
 
     log_prices = np.log(100.0) + np.cumsum(returns, axis=1)
+    closes = np.exp(log_prices)
+    index_closes = np.array([np.exp(log_prices[np.arange(m, n, config.n_markets)].mean(axis=0))
+                             for m in range(config.n_markets)])
+    # the rule a Stores checks its values by, so the bundle loads: a NaN fails both tests
+    if not all(v.min(initial=1.0) > 0.0 and v.max(initial=1.0) < np.inf for v in (closes, index_closes)):
+        raise ValueError("a close or index value is not finite and positive: market_vol, idio_vol, "
+                         "gamma_pre, gamma_post, gamma_sup and gamma_cli are too large together")
     date_index.flags.writeable = False  # one calendar, shared by every series
     return SimBundle(
         firm_id=firm_id,
@@ -385,9 +399,8 @@ def simulate(config: SimConfig) -> SimBundle:
         market=market_id[np.arange(n) % config.n_markets],
         index_id=market_id,
         calendar=date_index,
-        closes=np.exp(log_prices),
-        index_closes=np.array([np.exp(log_prices[np.arange(m, n, config.n_markets)].mean(axis=0))
-                               for m in range(config.n_markets)]),
+        closes=closes,
+        index_closes=index_closes,
         news_id=_serial_ids("N", len(event_firm), 7),
         event_day=event_day,
         event_firm=event_firm,
@@ -460,6 +473,7 @@ def _dirichlet_moments(alpha: Sequence[float], polarity: str) -> tuple[float, fl
     return mu_r, m2_r, m_rs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a beta that overflows is refused at the end
 def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> ExpectedBetas:
     """Closed-form expected regression coefficients for one configuration.
 
@@ -516,17 +530,19 @@ def expected_betas(config: SimConfig, w: int, mode: str, polarity: str) -> Expec
     mu_r, m2_r, m_rs = _dirichlet_moments(config.sentiment_alpha, polarity)
     mu_s = config.sentiment_alpha[0] / sum(config.sentiment_alpha)
     var_r = m2_r - mu_r**2
+    if not (all(map(math.isfinite, (mu_r, m2_r, m_rs, mu_s))) and var_r > 0.0):
+        raise ValueError(f"sentiment_alpha {config.sentiment_alpha} is too large: its Dirichlet "
+                         f"moments are not finite or give Var(r) = {var_r} <= 0")
     cov_rs = m_rs - mu_r * mu_s
 
     total = (a_pre + a_post) * cov_rs / var_r
     gap = (a_pre - a_post) * (m_rs - mu_r / 2.0) / m2_r
-    return ExpectedBetas(
-        mode=mode,
-        polarity=polarity,
-        w=w,
-        beta_pre=float((total + gap) / 2.0 + 0.0),  # + 0.0 normalizes negative zero
-        beta_post=float((total - gap) / 2.0 + 0.0),
-    )
+    # + 0.0 normalizes negative zero
+    beta_pre, beta_post = float((total + gap) / 2.0 + 0.0), float((total - gap) / 2.0 + 0.0)
+    if not (math.isfinite(beta_pre) and math.isfinite(beta_post)):
+        raise ValueError(f"the expected betas at w={w} are not finite: gamma_pre, gamma_post, "
+                         f"gamma_sup and gamma_cli are too large together")
+    return ExpectedBetas(mode=mode, polarity=polarity, w=w, beta_pre=beta_pre, beta_post=beta_post)
 
 
 def expected_beta_rows(config: SimConfig, windows: Sequence[int]) -> list[ExpectedBetas]:

@@ -7,6 +7,7 @@ import datetime as dt
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from newsprop import market, panel, report, sim
-from newsprop.cli import _settings, main, sim_keys
+from newsprop.cli import RUN_KEYS, VALIDATE_KEYS, _parse_bool, _settings, build_parser, main, sim_keys
 from newsprop.sim import SimConfig, simulate
 
 BUNDLE_CONFIG = SimConfig(
@@ -488,7 +489,8 @@ class TestRun:
     ])
     def test_bad_mode_or_polarity_list_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
-        assert_usage_error(["run", *MISSING_INPUTS, flag, value, "--out", str(out)], capsys)
+        err = assert_usage_error(["run", *MISSING_INPUTS, flag, value, "--out", str(out)], capsys)
+        assert f"newsprop run: error: {flag} {value!r}: " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
@@ -650,6 +652,12 @@ class TestSimulate:
     @pytest.mark.parametrize("line", [
         "gamma_post = nan", "start_date = 9999-12-01", "seed = -1", "leak_window = 0",
         "news_rate = -1", "n_markets = 200", "news_rate = 1e30", "n_sectors = 100000000000000000000",
+        # closes past the floats, which the loaders would refuse; no numpy warning either
+        "idio_vol = 50", "market_vol = 100", "gamma_post = 1e308", "gamma_pre = -1e308",
+        # Dirichlet moments the expected-beta sidecar cannot use: inf/inf, an E r^2
+        # that underflows, and a Var(r) that cancels below 0
+        "sentiment_alpha = 1e200,1e200,1e200", "sentiment_alpha = 5e153,5e153,5e153",
+        "sentiment_alpha = 1e100,1e100,1e100",
     ])
     def test_unusable_setting_exits_1_without_output(self, tmp_path, capsys, line):
         config = tmp_path / "sim.cfg"
@@ -749,6 +757,52 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert main(["validate", *bundle_flags(out), "--strict"]) == 0
+
+
+# per flag key, a text it parses and a text it refuses (None where any text parses)
+FLAG_TEXTS = {
+    **{name: (f"{name}.csv", None) for name in sim.BUNDLE_FILES},
+    "strict": ("true", None), "robust_se": ("true", None), "export_panel": ("true", None),
+    "mode": ("supplier,own", "own,neighbour"), "polarity": ("negative", "positive,positive"),
+    "windows": ("5,1", "1,1"), "threads": ("3", "abc"), "seed": ("12", "1.5"), "out": ("results", None),
+}
+
+
+@pytest.mark.parametrize("command, table, flag_keys", [
+    ("validate", VALIDATE_KEYS, [*sim.BUNDLE_FILES, "strict"]),
+    ("run", RUN_KEYS, list(RUN_KEYS)),
+    ("simulate", None, ["seed", "windows", "out"]),
+], ids=["validate", "run", "simulate"])
+def test_each_flag_is_its_config_key(tmp_path, capsys, command, table, flag_keys):
+    table = table or sim_keys()
+    assert [key for key, (_, text) in table.items() if text is not None] == flag_keys
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    flags = {key: "--" + key.replace("_", "-") for key in flag_keys}
+    assert listed == {"--config", *flags.values()}
+
+    config = tmp_path / "settings.cfg"
+    for key, flag in flags.items():
+        good, bad = FLAG_TEXTS[key]
+        config.write_text(f"{key} = {good}\n", encoding="utf-8")
+        switch = table[key][0] is _parse_bool  # a switch stands for a true value
+        args = build_parser().parse_args([command, flag] if switch else [command, flag, good])
+        from_flag = _settings(args, table)
+        assert from_flag == _settings(argparse.Namespace(config=str(config)), table)
+        assert list(from_flag) == [key]
+        if bad is None:
+            continue
+        config.write_text(f"{key} = {bad}\n", encoding="utf-8")
+        reasons = []
+        for argv, named in (([command, flag, bad], f"{flag} {bad!r}"),
+                            ([command, "--config", str(config)], f"--config {key} = {bad!r}")):
+            line = assert_usage_error(argv, capsys).splitlines()[-1]
+            prefix = f"newsprop {command}: error: {named}: "
+            assert line.startswith(prefix)
+            reasons.append(line[len(prefix):])
+        assert reasons[0] == reasons[1]
 
 
 def test_each_command_loads_only_the_modules_it_runs(bundle_dir, tmp_path):

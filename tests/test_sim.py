@@ -574,6 +574,18 @@ class TestExpectedBetas:
         with pytest.raises(ValueError, match="unknown"):
             expected_betas(SMALL, 1, mode, polarity)
 
+    def test_largest_usable_alpha_gives_finite_betas(self):
+        config = dataclasses.replace(SMALL, sentiment_alpha=(1e15, 1e15, 1e15))
+        rows = expected_beta_rows(config, [1, 5])
+        assert all(math.isfinite(x) for row in rows for x in (row.beta_pre, row.beta_post))
+
+    def test_betas_past_the_floats_raise_naming_the_gammas(self):
+        # no links, so a huge gamma_cli moves no close, but its client betas overflow
+        config = dataclasses.replace(SMALL, edge_prob=0.0, gamma_cli=1.7e308)
+        simulate(config)
+        with pytest.raises(ValueError, match="gamma_cli"):
+            expected_betas(config, 1, "client", "positive")
+
     def test_projection_formula_against_monte_carlo(self):
         # brute-force the population regression the formula claims to solve
         rng = np.random.default_rng(991)
